@@ -26,6 +26,7 @@ from .errors import (
     NotAnIdeal,
     NotDiagonalizable,
     SpecError,
+    TheoremViolation,
 )
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .linalg import EigenBasis, MatrixGF, SubspaceBasis, eigen_decomposition, rref_rows
@@ -615,9 +616,10 @@ def centralizer_of_ideal(alg: GradedLieAlgebra, ideal: SubspaceBasis) -> Subspac
     if not rows:
         return full_space(alg)
     result = MatrixGF.from_rows(alg.spec, rows).kernel()
-    assert is_ideal(alg, result), "centralizer of an ideal must be an ideal"
-    if is_graded_subspace(alg, ideal):
-        assert is_graded_subspace(alg, result), "centralizer of graded ideal must be graded"
+    if not is_ideal(alg, result):
+        raise TheoremViolation("centralizer of an ideal must be an ideal")
+    if is_graded_subspace(alg, ideal) and not is_graded_subspace(alg, result):
+        raise TheoremViolation("centralizer of graded ideal must be graded")
     return result
 
 

@@ -435,12 +435,20 @@ def expr_variables(e) -> list:
     return sorted(out, key=lambda v: v.sort_key)
 
 
-def degree_bound(e):
-    """Per-variable and total upper bounds on expansion degrees."""
+def degree_bound(e, leaves: dict | None = None):
+    """Per-variable and total upper bounds on expansion degrees.
+
+    leaves maps variables to (per, total) bounds that replace the bound of
+    their Var leaves.  Since substitute only replaces Var leaves,
+    degree_bound(f, {v: degree_bound(m[v])}) == degree_bound(substitute(f, m)),
+    without building the substituted expression.  The returned dict may be
+    one of the leaf dicts; callers must not mutate it.
+    """
+    leaves = leaves or {}
 
     def walk(node):
         if isinstance(node, Var):
-            return {node.var: 1}, 1
+            return leaves.get(node.var) or ({node.var: 1}, 1)
         if isinstance(node, Sum):
             per: dict = {}
             tot = 0

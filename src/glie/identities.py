@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, GradedLieAlgebra
-from .errors import AmbientMismatch, BudgetExceeded, ExpansionTooLarge, ParityError
+from .errors import AmbientMismatch, BudgetExceeded, ParityError, TheoremViolation
 from .fields import FieldSpec
 from .freelie import (
     LiePolynomial,
@@ -29,17 +29,19 @@ from .freelie import (
     degree_bound,
     evaluate,
     expr_expand,
+    expr_parity,
     expr_variables,
     lyndon_words,
     poly_batch_evaluate,
     poly_evaluate,
+    poly_to_expr,
     substitute,
     word_key,
     word_tree_batch_evaluate,
     y,
     z,
 )
-from .linalg import MatrixGF, SubspaceBasis
+from .linalg import MatrixGF, SubspaceBasis, rref_rows
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def _decode_assignment(alg, variables, domains, index: int):
 @dataclass(frozen=True)
 class CheckSettings:
     budget: int = 4_000_000
-    chunk: int = 1 << 16
+    chunk: int = 1 << 14
     sample_size: int = 4096
     seed: int = 0
 
@@ -298,7 +300,8 @@ def _run_check(alg, variables, domains, batch_fn, scalar_fn,
                 index = done + int(bad[0])
                 witness = _decode_assignment(alg, variables, domains, index)
                 value = scalar_fn(witness)
-                assert not value.is_zero(), "counterexample failed re-evaluation"
+                if value.is_zero():
+                    raise TheoremViolation("counterexample failed re-evaluation")
                 return CheckReport(False, "exhaustive", stop, witness, value)
             done = stop
         return CheckReport(True, "exhaustive", total)
@@ -320,7 +323,8 @@ def _run_check(alg, variables, domains, batch_fn, scalar_fn,
             for v in variables
         }
         value = scalar_fn(witness)
-        assert not value.is_zero(), "counterexample failed re-evaluation"
+        if value.is_zero():
+            raise TheoremViolation("counterexample failed re-evaluation")
         return CheckReport(False, mode_str, n, witness, value)
     return CheckReport(True, mode_str, n)
 
@@ -360,6 +364,9 @@ def check_poly_identity(poly: LiePolynomial, alg: GradedLieAlgebra,
 # ---------------------------------------------------------------------------
 # identity spaces
 # ---------------------------------------------------------------------------
+
+
+_REDUCE_BLOCK = 1024  # evaluation rows converted to field elements at a time
 
 
 @dataclass(frozen=True)
@@ -424,9 +431,14 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     while True:
         sorted_rows = sorted(row_set)
         if sorted_rows:
-            matrix = MatrixGF.from_rows(
-                spec, [[spec.from_code(c) for c in r] for r in sorted_rows])
-            kernel = matrix.kernel()
+            # reduce block by block: the row space, and so the kernel, is the
+            # same, but only one block of rows is held as field elements
+            reduced: list = []
+            for start in range(0, len(sorted_rows), _REDUCE_BLOCK):
+                block = [[spec.from_code(c) for c in r]
+                         for r in sorted_rows[start:start + _REDUCE_BLOCK]]
+                reduced, _ = rref_rows(spec, reduced + block)
+            kernel = MatrixGF.from_rows(spec, reduced).kernel()
         else:
             kernel = SubspaceBasis.full(spec, ambient.dim)
         new_rows = False
@@ -549,6 +561,42 @@ def _poly_bracket(spec: FieldSpec, p: LiePolynomial, q_poly: LiePolynomial) -> L
     return lyndon_decompose(spec, comm)
 
 
+class _Pool:
+    """One variable's candidate images as expressions, grouped into classes
+    by signature: (parity, degree bound).  Substitution checks the parity of
+    an image and the instance's degree bound depends on the images only
+    through their bounds, so every member of a class is accepted or rejected
+    alike."""
+
+    def __init__(self, images):
+        self.exprs = [poly_to_expr(img) for img in images]
+        self.class_of = []  # class index of each image
+        self.classes = []   # [(parity, (per, total), [member expressions])]
+        index: dict = {}
+        for expr in self.exprs:
+            per, total = degree_bound(expr)
+            parity = expr_parity(expr)
+            key = (parity, frozenset(per.items()), total)
+            if key not in index:
+                index[key] = len(self.classes)
+                self.classes.append((parity, (per, total), []))
+            self.class_of.append(index[key])
+            self.classes[index[key]][2].append(expr)
+
+
+def _instance_fits(gen, gvars, classes, caps: dict, max_total: int) -> bool:
+    """Would substituting images of these classes into gen pass the graded
+    parity check and stay within the degree caps?  Decided from gen's AST
+    and the class signatures alone, without building the instance."""
+    leaves = {}
+    for v, (parity, bound, _) in zip(gvars, classes):
+        if v.parity is not None and parity != v.parity:
+            return False
+        leaves[v] = bound
+    per, total = degree_bound(gen, leaves)
+    return total <= max_total and all(d <= caps.get(v, 0) for v, d in per.items())
+
+
 def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
                      settings: SpanSettings = SpanSettings(),
                      check_algebra: GradedLieAlgebra | None = None) -> SubspaceBasis:
@@ -559,6 +607,20 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
     brackets with the window variables (which, by Jacobi, spans the same
     space as bracketing with arbitrary monomials) while the window's total
     degree allows, and fully-inside extensions are harvested too.
+
+    Instances are pruned before any substitution is built, in this order:
+
+    1. Each variable's image pool is turned into expressions once and
+       grouped by signature (parity, per-variable and total degree bound).
+    2. The exhaustive-or-random choice is made on the unpruned instance
+       count.  Exhaustive mode walks the product of signature classes;
+       random mode draws single instances exactly as an unpruned search
+       would and looks up the verdict of the draw's class tuple.
+    3. A class tuple is rejected when an image's parity differs from its
+       graded variable's, else when the generator's degree bound, composed
+       with the image bounds, exceeds a window cap or the window's total
+       degree.  A generator with no passing class tuple costs nothing more.
+    4. Only instances of passing tuples are substituted and expanded.
 
     With check_algebra supplied, every returned basis vector is verified to
     vanish identically on it (a soundness cross-check; the generators are
@@ -590,52 +652,52 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
                 harvest(_poly_bracket(spec, poly, var_monos[v]))
 
     def process(gen, mapping) -> None:
-        try:
-            inst = substitute(gen, mapping, graded=True)
-        except ParityError:
-            return
-        per, total = degree_bound(inst)
-        if total > max_total or any(d > caps.get(v, 0) for v, d in per.items()):
-            return
-        try:
-            poly = expr_expand(inst, spec, caps=caps, total_cap=max_total)
-        except ExpansionTooLarge:
-            return
-        harvest(poly)
+        inst = substitute(gen, mapping, graded=True)
+        harvest(expr_expand(inst, spec, caps=caps, total_cap=max_total))
 
     all_maps = []
     for gen in gens:
         gvars = expr_variables(gen)
-        per_var_images = []
+        var_pools = []
         for v in gvars:
             if v.parity is None:
                 # ungraded generator variables accept either parity
-                imgs = (_image_pool(spec, 0, ambient, settings, rng)
-                        + _image_pool(spec, 1, ambient, settings, rng))
+                pool = _Pool(_image_pool(spec, 0, ambient, settings, rng)
+                             + _image_pool(spec, 1, ambient, settings, rng))
             else:
                 key = v.parity
                 if key not in pools:
-                    pools[key] = _image_pool(spec, key, ambient, settings, rng)
-                imgs = pools[key]
-            per_var_images.append(imgs)
+                    pools[key] = _Pool(_image_pool(spec, key, ambient, settings, rng))
+                pool = pools[key]
+            var_pools.append(pool)
         count = 1
-        for imgs in per_var_images:
-            count *= max(len(imgs), 1)
-        all_maps.append((gen, gvars, per_var_images, count))
+        for pool in var_pools:
+            count *= max(len(pool.exprs), 1)
+        all_maps.append((gen, gvars, var_pools, count))
 
     total_maps = sum(c for _, _, _, c in all_maps)
     if total_maps <= settings.exhaustive_pool_limit:
-        for gen, gvars, per_var_images, _ in all_maps:
-            for combo in itertools.product(*per_var_images):
-                process(gen, dict(zip(gvars, combo)))
+        for gen, gvars, var_pools, _ in all_maps:
+            for classes in itertools.product(*(pool.classes for pool in var_pools)):
+                if _instance_fits(gen, gvars, classes, caps, max_total):
+                    for combo in itertools.product(*(members for _, _, members in classes)):
+                        process(gen, dict(zip(gvars, combo)))
     else:
+        verdicts: dict = {}
         stable_rounds = 0
         while stable_rounds < settings.rounds:
             before = acc.dim
             for _ in range(settings.batch_size):
-                gen, gvars, per_var_images, _ = all_maps[rng.randrange(len(all_maps))]
-                combo = [imgs[rng.randrange(len(imgs))] for imgs in per_var_images]
-                process(gen, dict(zip(gvars, combo)))
+                g = rng.randrange(len(all_maps))
+                gen, gvars, var_pools, _ = all_maps[g]
+                picks = [rng.randrange(len(pool.exprs)) for pool in var_pools]
+                key = (g, tuple(pool.class_of[i] for pool, i in zip(var_pools, picks)))
+                if key not in verdicts:
+                    classes = [pool.classes[c] for pool, c in zip(var_pools, key[1])]
+                    verdicts[key] = _instance_fits(gen, gvars, classes, caps, max_total)
+                if verdicts[key]:
+                    process(gen, {v: pool.exprs[i]
+                                  for v, pool, i in zip(gvars, var_pools, picks)})
             stable_rounds = stable_rounds + 1 if acc.dim == before else 0
 
     basis = acc.basis()
@@ -643,9 +705,10 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
         for vec in basis.rows:
             poly = ambient.poly_of(spec, vec)
             report = check_poly_identity(poly, check_algebra, graded=True)
-            assert report.holds, (
-                f"consequence vector {poly} fails on {check_algebra.name}: "
-                f"{report.counterexample_str()}")
+            if not report.holds:
+                raise TheoremViolation(
+                    f"consequence vector {poly} fails on {check_algebra.name}: "
+                    f"{report.counterexample_str()}")
     return basis
 
 
@@ -703,8 +766,9 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
                 records.append(WindowRecord(window.label, window.dim, -1, -1,
                                             "inconclusive", str(exc)))
                 continue
-            assert ids.contains_space(cons), (
-                f"window {window.label}: a consequence vector is not an identity")
+            if not ids.contains_space(cons):
+                raise TheoremViolation(
+                    f"window {window.label}: a consequence vector is not an identity")
             if ids.rows == cons.rows:
                 records.append(WindowRecord(window.label, window.dim,
                                             ids.dim, cons.dim, "equal"))
