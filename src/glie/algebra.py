@@ -13,7 +13,6 @@ everything is sized for dim <= 6 over q <= 25.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -469,15 +468,6 @@ def from_spec_data(data: dict) -> GradedLieAlgebra:
         name, witness = report.failing()[0]
         raise SpecError(f"axiom '{name}' fails: {witness}")
     return alg
-
-
-def load_spec_file(path) -> GradedLieAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON in {path}: {exc}") from exc
-    return from_spec_data(data)
 
 
 def to_spec_data(alg: GradedLieAlgebra) -> dict:

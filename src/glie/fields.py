@@ -109,21 +109,6 @@ class FieldSpec:
     def extension(cls, p: int, k: int) -> "FieldSpec":
         return cls(p, k, smallest_irreducible(p, k))
 
-    @classmethod
-    def from_q(cls, q: int) -> "FieldSpec":
-        """Factor q = p^k and build the field (q must be a prime power)."""
-        for p in range(2, q + 1):
-            if q % p == 0:
-                k = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    k += 1
-                if m != 1:
-                    raise UnsupportedField(f"{q} is not a prime power")
-                return cls.prime(p) if k == 1 else cls.extension(p, k)
-        raise UnsupportedField(f"{q} is not a prime power")
-
     @property
     def q(self) -> int:
         return self.p ** self.k
@@ -139,12 +124,6 @@ class FieldSpec:
     def from_int(self, n: int) -> "FieldElement":
         """Embed an integer via the prime subfield."""
         return FieldElement(self, (n % self.p,) + (0,) * (self.k - 1))
-
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        c = tuple(int(x) % self.p for x in coeffs)
-        if len(c) > self.k:
-            c = self._reduce(c)
-        return FieldElement(self, c + (0,) * (self.k - len(c)))
 
     def from_code(self, code: int) -> "FieldElement":
         if not 0 <= code < self.q:

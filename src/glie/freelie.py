@@ -18,13 +18,27 @@ on the accumulated value v:
 
 which is exactly the convention that turns the classical two-variable
 identities of sl2 over GF(q) into well-formed Lie elements.
+
+One walker, _interpret, gives expressions their meaning.  It runs over a
+backend of four operations (zero, add, scale, bracket) plus the value of a
+variable, and there are three backends:
+
+    scalar        AlgebraElement arithmetic and alg.bracket (evaluate)
+    batch         BatchField code arrays and alg.batch_bracket (batch_evaluate)
+    free algebra  dicts from words to coefficients, bracketed by the
+                  commutator (assoc_expand, expr_expand, poly_bracket)
+
+The scalar backend is not a batch of one: counterexample re-evaluation in
+identities and the tests use it as a reference that shares no arithmetic
+with the batch backend.  Only the walk is shared.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -152,9 +166,6 @@ class MultiDegree:
     def variables(self):
         return [v for v, _ in self.counts]
 
-    def as_dict(self):
-        return dict(self.counts)
-
     def __str__(self):
         return "(" + ", ".join(f"{v}:{c}" for v, c in self.counts) + ")"
 
@@ -164,14 +175,7 @@ def lyndon_words(md: MultiDegree):
     letters = []
     for v, c in md.counts:
         letters.extend([v] * c)
-    out = []
-    seen = set()
-    for perm in _multiset_permutations(letters):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        if is_lyndon(perm):
-            out.append(perm)
+    out = [perm for perm in _multiset_permutations(letters) if is_lyndon(perm)]
     out.sort(key=word_key)
     return out
 
@@ -211,24 +215,6 @@ def standard_bracketing(word: Word):
     if best is None:
         raise NotALieElement(f"{word} is not a Lyndon word")
     return (standard_bracketing(word[:best]), standard_bracketing(word[best:]))
-
-
-@lru_cache(maxsize=None)
-def _bracketing_ncpoly(word: Word):
-    """Associative expansion (dict word -> int coeff) of the standard bracketing."""
-
-    def expand(tree):
-        if isinstance(tree, Variable):
-            return {(tree,): 1}
-        left, right = expand(tree[0]), expand(tree[1])
-        out: dict = {}
-        for w1, c1 in left.items():
-            for w2, c2 in right.items():
-                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
-                out[w2 + w1] = out.get(w2 + w1, 0) - c1 * c2
-        return {w: c for w, c in out.items() if c}
-
-    return expand(standard_bracketing(word))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +335,7 @@ def lyndon_decompose(spec: FieldSpec, ncpoly: dict) -> LiePolynomial:
             raise NotALieElement(f"minimal word {w} is not Lyndon")
         c = remaining[w]
         out[w] = c
-        for w2, k in _bracketing_ncpoly(w).items():
-            s = remaining.get(w2, spec.zero()) + c * spec.from_int(-k)
-            if s.is_zero():
-                remaining.pop(w2, None)
-            else:
-                remaining[w2] = s
+        _nc_add_scaled(spec, remaining, _word_assoc(w, spec), -c)
     return LiePolynomial.from_dict(spec, out)
 
 
@@ -407,10 +388,6 @@ def bracket(a, b) -> BracketChain:
 
 def chain(head, *slots) -> BracketChain:
     return BracketChain(head, tuple(slots))
-
-
-def var_expr(v: Variable) -> Var:
-    return Var(v)
 
 
 def expr_variables(e) -> list:
@@ -512,6 +489,111 @@ def expr_parity(e):
 
 
 # ---------------------------------------------------------------------------
+# the expression interpreter and its backends
+# ---------------------------------------------------------------------------
+
+
+class _Backend(NamedTuple):
+    """What _interpret needs to give expressions values.  scale takes a field
+    element, so Lie polynomials with extension-field coefficients go through
+    it too.  add may update its first argument in place: the walker only
+    passes accumulators it got from zero."""
+
+    spec: FieldSpec
+    zero: Callable     # () -> value
+    add: Callable      # (accumulator, value) -> value
+    scale: Callable    # (FieldElement, value) -> value
+    bracket: Callable  # (value, value) -> value
+    leaf: Callable     # Variable -> value
+
+
+def _interpret(e, ops: _Backend):
+    """The one walk of the expression AST.  An AdPower slot brackets
+    exponent times; an AdPolyDiff slot brackets up to each exponent in
+    ascending order and adds the scaled partial results."""
+    spec = ops.spec
+
+    def walk(node):
+        if isinstance(node, Var):
+            return ops.leaf(node.var)
+        if isinstance(node, Scale):
+            return ops.scale(spec.from_int(node.coeff), walk(node.expr))
+        if isinstance(node, Sum):
+            acc = ops.zero()
+            for t in node.terms:
+                acc = ops.add(acc, walk(t))
+            return acc
+        if isinstance(node, BracketChain):
+            val = walk(node.head)
+            for s in node.slots:
+                w = walk(s.base)
+                if isinstance(s, AdPower):
+                    for _ in range(s.exponent):
+                        val = ops.bracket(val, w)
+                else:
+                    acc = ops.zero()
+                    cur = val
+                    done = 0
+                    for coeff, eexp in sorted(s.terms, key=lambda t: t[1]):
+                        while done < eexp:
+                            cur = ops.bracket(cur, w)
+                            done += 1
+                        acc = ops.add(acc, ops.scale(spec.from_int(coeff), cur))
+                    val = acc
+            return val
+        raise TypeError(f"not a LieExpr node: {node!r}")
+
+    return walk(e)
+
+
+def _poly_value(poly: LiePolynomial, ops: _Backend):
+    acc = ops.zero()
+    for w, c in poly.terms:
+        acc = ops.add(acc, ops.scale(c, _interpret(word_to_expr(w), ops)))
+    return acc
+
+
+def _lookup(assignment: dict):
+    def leaf(v):
+        if v not in assignment:
+            raise MissingAssignment(f"no value for {v}")
+        return assignment[v]
+
+    return leaf
+
+
+def _algebra_backend(alg: GradedLieAlgebra, assignment: dict) -> _Backend:
+    """AlgebraElement arithmetic, one assignment at a time.  It shares no
+    arithmetic with the batch backend, so it stays an independent reference
+    for re-evaluating counterexamples."""
+    return _Backend(alg.spec, alg.zero_element, operator.add, lambda c, a: a.scale(c),
+                    alg.bracket, _lookup(assignment))
+
+
+def _batch_backend(alg: GradedLieAlgebra, assignment: dict, count: int) -> _Backend:
+    """(count, dim) arrays of coordinate codes, one row per assignment."""
+    bf = batch_field(alg.spec)
+    return _Backend(alg.spec, lambda: bf.zeros((count, alg.dim)), bf.add,
+                    lambda c, a: bf.scale(c.code, a), alg.batch_bracket, _lookup(assignment))
+
+
+def _free_backend(spec: FieldSpec) -> _Backend:
+    """The free associative algebra: dicts from words to nonzero
+    coefficients, bracketed by the commutator."""
+    one = spec.one()
+    return _Backend(spec, dict, lambda acc, b: _nc_add_scaled(spec, acc, b, one),
+                    lambda c, a: _nc_add_scaled(spec, {}, a, c),
+                    lambda a, b: _nc_comm(spec, a, b), lambda v: {(v,): one})
+
+
+def _row_count(assignment: dict) -> int:
+    sizes = {a.shape[0] for a in assignment.values()}
+    if len(sizes) != 1:
+        raise ValueError("assignment arrays must share their first dimension")
+    return sizes.pop()
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
@@ -536,122 +618,28 @@ def evaluate(e, alg: GradedLieAlgebra, assignment: dict, graded: bool = True) ->
     """
     if graded:
         _check_graded_assignment(alg, assignment, expr_variables(e))
-
-    def walk(node) -> AlgebraElement:
-        if isinstance(node, Var):
-            if node.var not in assignment:
-                raise MissingAssignment(f"no value for {node.var}")
-            return assignment[node.var]
-        if isinstance(node, Scale):
-            return walk(node.expr).scale(node.coeff)
-        if isinstance(node, Sum):
-            acc = alg.zero_element()
-            for t in node.terms:
-                acc = acc + walk(t)
-            return acc
-        if isinstance(node, BracketChain):
-            val = walk(node.head)
-            for s in node.slots:
-                w = walk(s.base)
-                if isinstance(s, AdPower):
-                    for _ in range(s.exponent):
-                        val = alg.bracket(val, w)
-                else:
-                    acc = alg.zero_element()
-                    cur = val
-                    done = 0
-                    for coeff, eexp in sorted(s.terms, key=lambda t: t[1]):
-                        while done < eexp:
-                            cur = alg.bracket(cur, w)
-                            done += 1
-                        acc = acc + cur.scale(coeff)
-                    val = acc
-            return val
-        raise TypeError(f"not a LieExpr node: {node!r}")
-
-    return walk(e)
+    return _interpret(e, _algebra_backend(alg, assignment))
 
 
 def batch_evaluate(e, alg: GradedLieAlgebra, assignment: dict) -> np.ndarray:
     """Evaluate over many assignments at once; assignment maps each variable
     to an (N, dim) array of coordinate codes."""
-    bf = batch_field(alg.spec)
-    n = alg.dim
-    sizes = {a.shape[0] for a in assignment.values()}
-    if len(sizes) != 1:
-        raise ValueError("assignment arrays must share their first dimension")
-    count = sizes.pop()
-
-    def walk(node) -> np.ndarray:
-        if isinstance(node, Var):
-            if node.var not in assignment:
-                raise MissingAssignment(f"no value for {node.var}")
-            return assignment[node.var]
-        if isinstance(node, Scale):
-            code = alg.spec.from_int(node.coeff).code
-            return bf.scale(code, walk(node.expr))
-        if isinstance(node, Sum):
-            acc = bf.zeros((count, n))
-            for t in node.terms:
-                acc = bf.add(acc, walk(t))
-            return acc
-        if isinstance(node, BracketChain):
-            val = walk(node.head)
-            for s in node.slots:
-                w = walk(s.base)
-                if isinstance(s, AdPower):
-                    for _ in range(s.exponent):
-                        val = alg.batch_bracket(val, w)
-                else:
-                    acc = bf.zeros((count, n))
-                    cur = val
-                    done = 0
-                    for coeff, eexp in sorted(s.terms, key=lambda t: t[1]):
-                        while done < eexp:
-                            cur = alg.batch_bracket(cur, w)
-                            done += 1
-                        acc = bf.add(acc, bf.scale(alg.spec.from_int(coeff).code, cur))
-                    val = acc
-            return val
-        raise TypeError(f"not a LieExpr node: {node!r}")
-
-    return walk(e)
-
-
-def word_tree_evaluate(word: Word, alg: GradedLieAlgebra, assignment: dict) -> AlgebraElement:
-    def walk(tree):
-        if isinstance(tree, Variable):
-            if tree not in assignment:
-                raise MissingAssignment(f"no value for {tree}")
-            return assignment[tree]
-        return alg.bracket(walk(tree[0]), walk(tree[1]))
-
-    return walk(standard_bracketing(word))
+    return _interpret(e, _batch_backend(alg, assignment, _row_count(assignment)))
 
 
 def word_tree_batch_evaluate(word: Word, alg: GradedLieAlgebra, assignment: dict) -> np.ndarray:
-    def walk(tree):
-        if isinstance(tree, Variable):
-            return assignment[tree]
-        return alg.batch_bracket(walk(tree[0]), walk(tree[1]))
-
-    return walk(standard_bracketing(word))
+    """batch_evaluate of the standard bracketing of a Lyndon word."""
+    return _interpret(word_to_expr(word),
+                      _batch_backend(alg, assignment, _row_count(assignment)))
 
 
 def poly_evaluate(poly: LiePolynomial, alg: GradedLieAlgebra, assignment: dict) -> AlgebraElement:
-    acc = alg.zero_element()
-    for w, c in poly.terms:
-        acc = acc + word_tree_evaluate(w, alg, assignment).scale(c)
-    return acc
+    return _poly_value(poly, _algebra_backend(alg, assignment))
 
 
 def poly_batch_evaluate(poly: LiePolynomial, alg: GradedLieAlgebra, assignment: dict,
                         count: int) -> np.ndarray:
-    bf = batch_field(alg.spec)
-    acc = bf.zeros((count, alg.dim))
-    for w, c in poly.terms:
-        acc = bf.add(acc, bf.scale(c.code, word_tree_batch_evaluate(w, alg, assignment)))
-    return acc
+    return _poly_value(poly, _batch_backend(alg, assignment, count))
 
 
 # ---------------------------------------------------------------------------
@@ -693,40 +681,16 @@ def _nc_add_scaled(spec, acc: dict, other: dict, coeff: FieldElement) -> dict:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _word_assoc(word: Word, spec: FieldSpec) -> dict:
+    """Associative expansion of the standard bracketing of a Lyndon word.
+    The dict is shared by every caller; callers must not mutate it."""
+    return _interpret(word_to_expr(word), _free_backend(spec))
+
+
 def assoc_expand(e, spec: FieldSpec) -> dict:
     """Expression as a noncommutative polynomial (dict word -> coefficient)."""
-
-    def walk(node) -> dict:
-        if isinstance(node, Var):
-            return {(node.var,): spec.one()}
-        if isinstance(node, Scale):
-            return _nc_add_scaled(spec, {}, walk(node.expr), spec.from_int(node.coeff))
-        if isinstance(node, Sum):
-            acc: dict = {}
-            for t in node.terms:
-                acc = _nc_add_scaled(spec, acc, walk(t), spec.one())
-            return acc
-        if isinstance(node, BracketChain):
-            val = walk(node.head)
-            for s in node.slots:
-                w = walk(s.base)
-                if isinstance(s, AdPower):
-                    for _ in range(s.exponent):
-                        val = _nc_comm(spec, val, w)
-                else:
-                    acc = {}
-                    cur = val
-                    done = 0
-                    for coeff, eexp in sorted(s.terms, key=lambda t: t[1]):
-                        while done < eexp:
-                            cur = _nc_comm(spec, cur, w)
-                            done += 1
-                        acc = _nc_add_scaled(spec, acc, cur, spec.from_int(coeff))
-                    val = acc
-            return val
-        raise TypeError(f"not a LieExpr node: {node!r}")
-
-    return walk(e)
+    return _interpret(e, _free_backend(spec))
 
 
 def expr_expand(e, spec: FieldSpec, caps: dict | None = None,
@@ -750,13 +714,10 @@ def expr_expand(e, spec: FieldSpec, caps: dict | None = None,
     return lyndon_decompose(spec, assoc_expand(e, spec))
 
 
-def normalize(e, spec: FieldSpec) -> LiePolynomial:
-    """Lyndon-basis normal form of a bracket expression."""
-    return expr_expand(e, spec)
-
-
-def multihomog_components(poly: LiePolynomial) -> dict:
-    return poly.components()
+def poly_bracket(a: LiePolynomial, b: LiePolynomial) -> LiePolynomial:
+    """[a, b] in the Lyndon basis, computed in the free associative algebra."""
+    ops = _free_backend(a.spec)
+    return lyndon_decompose(a.spec, ops.bracket(_poly_value(a, ops), _poly_value(b, ops)))
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +725,7 @@ def multihomog_components(poly: LiePolynomial) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def word_to_expr(word: Word):
     def walk(tree):
         if isinstance(tree, Variable):

@@ -14,6 +14,7 @@ exactly, the consequence span is a lower bound, so "strict-inclusion" means
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .freelie import (
     expr_variables,
     lyndon_words,
     poly_batch_evaluate,
+    poly_bracket,
     poly_evaluate,
     poly_to_expr,
     substitute,
@@ -237,13 +239,14 @@ def _assignment_slice(variables, domains, start: int, stop: int):
     return assignment
 
 
-def _decode_assignment(alg, variables, domains, index: int):
-    sizes = [d.shape[0] for d in domains]
-    out = {}
-    for v, dom, size in zip(reversed(variables), reversed(domains), reversed(sizes)):
-        out[v] = alg.element([alg.spec.from_code(int(c)) for c in dom[index % size]])
-        index //= size
-    return out
+def _sample_assignment(variables, domains, count: int, seed: int):
+    """count seeded draws from the cartesian product, one row per draw."""
+    rng = random.Random(seed)
+    indices = [tuple(rng.randrange(d.shape[0]) for d in domains) for _ in range(count)]
+    return {
+        v: dom[np.array([ix[i] for ix in indices], dtype=np.int64)]
+        for i, (v, dom) in enumerate(zip(variables, domains))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -276,47 +279,23 @@ class CheckReport:
 
 def _run_check(alg, variables, domains, batch_fn, scalar_fn,
                mode: str, settings: CheckSettings):
-    """Shared enumeration loop for expression and polynomial checks."""
-    sizes = [d.shape[0] for d in domains]
-    total = 1
-    for s in sizes:
-        total *= s
+    """Shared enumeration loop for expression and polynomial checks.
+
+    A refuted check reports as evaluations the number of assignments up to
+    and including the first failing one, whatever the chunk size."""
     if not variables:
         val = scalar_fn({})
         return CheckReport(val.is_zero(), "exhaustive", 1,
                            None if val.is_zero() else {}, None if val.is_zero() else val)
-    if mode == "exhaustive":
-        if total > settings.budget:
-            raise BudgetExceeded(
-                f"exhaustive check needs {total} evaluations (budget {settings.budget}); "
-                "use sampled mode")
-        done = 0
-        while done < total:
-            stop = min(done + settings.chunk, total)
-            assignment = _assignment_slice(variables, domains, done, stop)
-            values = batch_fn(assignment)
-            bad = np.nonzero(values.any(axis=1))[0]
-            if bad.size:
-                index = done + int(bad[0])
-                witness = _decode_assignment(alg, variables, domains, index)
-                value = scalar_fn(witness)
-                if value.is_zero():
-                    raise TheoremViolation("counterexample failed re-evaluation")
-                return CheckReport(False, "exhaustive", stop, witness, value)
-            done = stop
-        return CheckReport(True, "exhaustive", total)
-    # sampled
-    rng = random.Random(settings.seed)
+
     n = min(settings.sample_size, settings.budget)
-    indices = [tuple(rng.randrange(s) for s in sizes) for _ in range(n)]
-    assignment = {
-        v: dom[np.array([ix[i] for ix in indices], dtype=np.int64)]
-        for i, (v, dom) in enumerate(zip(variables, domains))
-    }
-    values = batch_fn(assignment)
-    bad = np.nonzero(values.any(axis=1))[0]
-    mode_str = f"sampled({n}, seed={settings.seed})"
-    if bad.size:
+    mode_str = "exhaustive" if mode == "exhaustive" else f"sampled({n}, seed={settings.seed})"
+
+    def first_failure(assignment, offset: int):
+        values = batch_fn(assignment)
+        bad = np.nonzero(values.any(axis=1))[0]
+        if not bad.size:
+            return None
         row = int(bad[0])
         witness = {
             v: alg.element([alg.spec.from_code(int(c)) for c in assignment[v][row]])
@@ -325,8 +304,22 @@ def _run_check(alg, variables, domains, batch_fn, scalar_fn,
         value = scalar_fn(witness)
         if value.is_zero():
             raise TheoremViolation("counterexample failed re-evaluation")
-        return CheckReport(False, mode_str, n, witness, value)
-    return CheckReport(True, mode_str, n)
+        return CheckReport(False, mode_str, offset + row + 1, witness, value)
+
+    if mode != "exhaustive":
+        failed = first_failure(_sample_assignment(variables, domains, n, settings.seed), 0)
+        return failed or CheckReport(True, mode_str, n)
+    total = math.prod(d.shape[0] for d in domains)
+    if total > settings.budget:
+        raise BudgetExceeded(
+            f"exhaustive check needs {total} evaluations (budget {settings.budget}); "
+            "use sampled mode")
+    for done in range(0, total, settings.chunk):
+        failed = first_failure(
+            _assignment_slice(variables, domains, done, min(done + settings.chunk, total)), done)
+        if failed is not None:
+            return failed
+    return CheckReport(True, mode_str, total)
 
 
 def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
@@ -392,10 +385,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
         return SubspaceBasis.zero(spec, 0)
     variables = list(ambient.variables)
     domains = _domains(alg, variables, graded=True)
-    sizes = [d.shape[0] for d in domains]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(d.shape[0] for d in domains)
     exhaustive = total <= settings.assignment_budget
 
     def monomial_rows(assignment, count):
@@ -419,12 +409,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
             add_rows(monomial_rows(assignment, stop - done))
             done = stop
     else:
-        rng = random.Random(settings.seed)
-        indices = [tuple(rng.randrange(s) for s in sizes) for _ in range(settings.sample_rows)]
-        assignment = {
-            v: dom[np.array([ix[i] for ix in indices], dtype=np.int64)]
-            for i, (v, dom) in enumerate(zip(variables, domains))
-        }
+        assignment = _sample_assignment(variables, domains, settings.sample_rows, settings.seed)
         add_rows(monomial_rows(assignment, settings.sample_rows))
 
     check_settings = CheckSettings(budget=max(total, 1), chunk=settings.chunk)
@@ -534,33 +519,6 @@ def _image_pool(spec: FieldSpec, parity: int, ambient: AmbientSpace,
     return images
 
 
-def _poly_bracket(spec: FieldSpec, p: LiePolynomial, q_poly: LiePolynomial) -> LiePolynomial:
-    from .freelie import _bracketing_ncpoly, lyndon_decompose
-
-    def to_assoc(poly):
-        out: dict = {}
-        for w, c in poly.terms:
-            for w2, k in _bracketing_ncpoly(w).items():
-                s = out.get(w2, spec.zero()) + c * spec.from_int(k)
-                if s.is_zero():
-                    out.pop(w2, None)
-                else:
-                    out[w2] = s
-        return out
-
-    a, b = to_assoc(p), to_assoc(q_poly)
-    comm: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            for w, cc in (((w1 + w2), c1 * c2), ((w2 + w1), -(c1 * c2))):
-                s = comm.get(w, spec.zero()) + cc
-                if s.is_zero():
-                    comm.pop(w, None)
-                else:
-                    comm[w] = s
-    return lyndon_decompose(spec, comm)
-
-
 class _Pool:
     """One variable's candidate images as expressions, grouped into classes
     by signature: (parity, degree bound).  Substitution checks the parity of
@@ -649,7 +607,7 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
             return
         for v in ambient.variables:
             if all(md.degree_of(v) + 1 <= caps.get(v, 0) for md in mds):
-                harvest(_poly_bracket(spec, poly, var_monos[v]))
+                harvest(poly_bracket(poly, var_monos[v]))
 
     def process(gen, mapping) -> None:
         inst = substitute(gen, mapping, graded=True)

@@ -1,5 +1,5 @@
-"""Outputs of consequence_span and identity_space frozen before their
-reductions changed.
+"""Outputs of consequence_span, identity_space and the freelie expression
+interpreter, frozen before their implementations changed.
 
 data/consequence_span_golden.json holds the exact RREF rows (field codes)
 that consequence_span returned when every instance was still substituted
@@ -10,16 +10,55 @@ reduced them block by block.  Each case names its generator set or algebra,
 q, window family and label, and the settings fields it overrides.  Every row
 must be reproduced exactly, in the exhaustive and in the seeded random or
 sampled branches (the random span branch must consume the same rng draws).
+
+data/freelie_golden.json holds what evaluation and expansion returned when
+freelie still walked expressions separately for scalar evaluation, batch
+evaluation and associative expansion.  It has batch_evaluate codes on
+seeded rows of sl2 (set_s(q), sem1(q), sem2(q) at q = 5 and 7, on GF(5) and
+GF(7); yy, zz, zyq_zy(25) and an AdPolyDiff chain at GF(25); sem1(2) and
+sem2(2), which are no identities there), with the scalar evaluate result of
+the first rows; poly_batch_evaluate of a GF(25) polynomial with proper
+extension-field coefficients; and expr_expand terms of a fixed list of
+expressions, among them AdPolyDiff slots whose terms are not given in
+ascending exponent order.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from glie.algebra import sl2, span_e11_e12
 from glie.fields import FieldSpec
-from glie.freelie import lema5_set, set_s
+from glie.freelie import (
+    AdPolyDiff,
+    AdPower,
+    LiePolynomial,
+    Scale,
+    Sum,
+    Var,
+    Variable,
+    batch_evaluate,
+    bracket,
+    chain,
+    evaluate,
+    expr_expand,
+    lema5_set,
+    poly_batch_evaluate,
+    poly_evaluate,
+    sem1,
+    sem1_graded,
+    sem2,
+    sem2_graded,
+    set_s,
+    x,
+    y,
+    yy,
+    z,
+    zyq_zy,
+    zz,
+)
 from glie.identities import (
     IdentitySettings,
     SpanSettings,
@@ -32,6 +71,7 @@ from glie.identities import (
 DATA = Path(__file__).parent / "data"
 SPAN_GOLDEN = json.loads((DATA / "consequence_span_golden.json").read_text(encoding="utf-8"))
 IDS_GOLDEN = json.loads((DATA / "identity_space_golden.json").read_text(encoding="utf-8"))
+FREELIE_GOLDEN = json.loads((DATA / "freelie_golden.json").read_text(encoding="utf-8"))
 GENS = {"S": set_s, "lema5": lema5_set}
 ALGEBRAS = {"sl2": sl2, "e11e12": span_e11_e12}
 WINDOWS = {"default": default_sl2_windows, "total3": lambda q: total_degree_windows(3, q)}
@@ -105,3 +145,119 @@ def test_identity_space_total_degree_3():
     assert {c["algebra"] for c in cases} == {"sl2", "e11e12"}
     assert any(c["settings"] for c in cases)  # the sampled branch
     assert mismatches(cases, ids_rows) == []
+
+
+# -- freelie evaluation and expansion ------------------------------------------------
+
+
+def gf25_chain():
+    return chain(Var(z(1)), AdPolyDiff(Var(y(1)), ((2, 3), (-1, 1), (3, 2))),
+                 AdPower(Var(z(2)), 2))
+
+
+EVAL_EXPRS = {
+    "sem1-graded": sem1_graded,
+    "sem2-graded": sem2_graded,
+    "yy": lambda q: yy(),
+    "zz": lambda q: zz(),
+    "zyq-zy": zyq_zy,
+    "sem1": sem1,
+    "sem2": sem2,
+    "gf25-chain": lambda q: gf25_chain(),
+}
+
+
+def field_of(data):
+    return FieldSpec.prime(data["p"]) if data["k"] == 1 else FieldSpec.extension(data["p"], 2)
+
+
+def variable_of(name):
+    return Variable(name[0], int(name[1:]))
+
+
+def assignment_of(rows):
+    return {variable_of(name): np.array(r, dtype=np.int64) for name, r in rows.items()}
+
+
+def element_assignment(alg, assignment, row):
+    return {v: alg.element([alg.spec.from_code(int(c)) for c in arr[row]])
+            for v, arr in assignment.items()}
+
+
+EVAL_CASES = FREELIE_GOLDEN["evaluations"]
+
+
+@pytest.mark.parametrize("case", EVAL_CASES, ids=[
+    f"{c['expr']}-q{c['q']}-GF{c['field']['p'] ** c['field']['k']}" for c in EVAL_CASES])
+def test_batch_evaluate_frozen(case):
+    alg = sl2(field_of(case["field"]))
+    e = EVAL_EXPRS[case["expr"]](case["q"])
+    assignment = assignment_of(case["rows"])
+    assert batch_evaluate(e, alg, assignment).tolist() == case["values"]
+    for row in range(2):
+        value = evaluate(e, alg, element_assignment(alg, assignment, row), graded=False)
+        assert [c.code for c in value.coeffs] == case["values"][row]
+
+
+def test_frozen_evaluations_cover_the_cases():
+    assert {(c["expr"], c["q"]) for c in EVAL_CASES} >= {
+        (name, q) for q in (5, 7)
+        for name in ("sem1-graded", "sem2-graded", "yy", "zyq-zy", "sem1", "sem2")}
+    assert {c["expr"] for c in EVAL_CASES if c["q"] == 25} == {
+        "yy", "zz", "zyq-zy", "gf25-chain"}
+    # the frozen values are not all zero, so a wrong walk shows
+    assert sum(any(any(r) for r in c["values"]) for c in EVAL_CASES) >= 19
+
+
+def test_poly_evaluate_frozen():
+    case = FREELIE_GOLDEN["poly_evaluation"]
+    spec = field_of(case["field"])
+    alg = sl2(spec)
+    poly = LiePolynomial.from_dict(spec, {
+        tuple(variable_of(v) for v in word): spec.from_code(code)
+        for word, code in case["terms"]})
+    assert any(c.code >= spec.p for _, c in poly.terms)  # proper extension scalars
+    assignment = assignment_of(case["rows"])
+    count = len(case["values"])
+    assert poly_batch_evaluate(poly, alg, assignment, count).tolist() == case["values"]
+    value = poly_evaluate(poly, alg, element_assignment(alg, assignment, 0))
+    assert [c.code for c in value.coeffs] == case["values"][0]
+
+
+def expand_cases():
+    gf5, gf7, gf25 = FieldSpec.prime(5), FieldSpec.prime(7), FieldSpec.extension(5, 2)
+    y1, y2, z1, z2, x1, x2 = (Var(y(1)), Var(y(2)), Var(z(1)), Var(z(2)),
+                              Var(x(1)), Var(x(2)))
+    return [
+        ("yy", gf5, yy()),
+        ("zz", gf5, zz()),
+        ("zyq-zy(5)", gf5, zyq_zy(5)),
+        ("zyq-zy(7)", gf7, zyq_zy(7)),
+        ("sem1(3)", gf5, sem1(3)),
+        ("sem1(3)@gf7", gf7, sem1(3)),
+        ("sem1-graded(2)", gf5, sem1_graded(2)),
+        ("x1-diff-5-3", gf5, chain(x1, AdPolyDiff(x2, ((1, 5), (-1, 3))))),
+        ("z1-diff-4-2-1-z2", gf7,
+         chain(z1, AdPolyDiff(y1, ((1, 4), (2, 2), (-1, 1))), AdPower(z2, 1))),
+        ("scaled-sum", gf5,
+         Sum((bracket(y1, z1), Scale(3, bracket(z1, y1)), Scale(-2, chain(y1, AdPower(z1, 2)))))),
+        ("jacobi", gf5,
+         Sum((bracket(bracket(y1, z1), z2), bracket(bracket(z1, z2), y1),
+              bracket(bracket(z2, y1), z1)))),
+        ("nested-base", gf7,
+         chain(z1, AdPower(bracket(y1, z2), 2), AdPolyDiff(y2, ((2, 3), (1, 1))))),
+        ("gf25-chain", gf25, gf25_chain()),
+        ("sum-of-diffs", gf25,
+         Sum((chain(y1, AdPolyDiff(Sum((z1, Scale(2, y2))), ((3, 2), (1, 4)))),
+              Scale(4, chain(z2, AdPolyDiff(y1, ((-1, 3), (1, 1)))))))),
+    ]
+
+
+def test_expr_expand_frozen():
+    frozen = {c["expr"]: c for c in FREELIE_GOLDEN["expansions"]}
+    cases = expand_cases()
+    assert [name for name, _, _ in cases] == list(frozen)
+    for name, spec, e in cases:
+        assert field_of(frozen[name]["field"]) == spec
+        terms = [[[str(v) for v in w], c.code] for w, c in expr_expand(e, spec).terms]
+        assert terms == frozen[name]["terms"], name

@@ -129,6 +129,23 @@ def test_check_sampled_mode_deterministic():
     assert r1.mode == "sampled(64, seed=3)"
 
 
+def test_refuted_check_count_and_witness_follow_no_chunk():
+    # evaluations counts the assignments up to the first failing one, in
+    # itertools.product order over the odd part, whatever the chunk size
+    L = sl2(FieldSpec.prime(7))
+    odd = [L.element(list(row)) for row in homogeneous_batch(L, 1).tolist()]
+    first = next(i for i, (a, b) in enumerate(itertools.product(odd, repeat=2))
+                 if not L.bracket(a, b).is_zero())
+    a, b = list(itertools.product(odd, repeat=2))[first]
+    reports = [check_identity(zz(), L, settings=CheckSettings(chunk=chunk))
+               for chunk in (7, 1 << 14, 1 << 16)]
+    for report in reports:
+        assert not report.holds
+        assert report.evaluations == first + 1
+        assert report.counterexample == {z(1): a, z(2): b}
+        assert report.value == L.bracket(a, b)
+
+
 def test_check_graded_rejects_x_vars():
     from glie.freelie import sem1
 
