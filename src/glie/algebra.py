@@ -124,31 +124,35 @@ class GradedLieAlgebra:
     # -- batched evaluation support --------------------------------------------
 
     @cached_property
-    def structure_tensor(self) -> np.ndarray:
-        """(dim, dim, dim) int64 array of structure-constant codes."""
-        n = self.dim
-        t = np.zeros((n, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    t[i, j, k] = self.constants[i][j][k].code
-        return t
+    def _bracket_terms(self):
+        """Nonzero structure constants grouped by (i, j): (i, j, ((k, code), ...))."""
+        terms = []
+        for i, row in enumerate(self.constants):
+            for j, cij in enumerate(row):
+                nonzero = tuple((k, s.code) for k, s in enumerate(cij) if not s.is_zero())
+                if nonzero:
+                    terms.append((i, j, nonzero))
+        return tuple(terms)
 
     def batch_bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Bracket of element-code arrays of shape (N, dim)."""
+        """Bracket of element-code arrays of shape (N, dim).
+
+        Prime fields sum the products in int64 and reduce mod p once;
+        extension fields go through the BatchField tables term by term.
+        """
         bf = batch_field(self.spec)
-        if self.spec.k == 1:
-            return np.einsum("ijk,ni,nj->nk", self.structure_tensor, u, v) % self.spec.p
         out = bf.zeros(u.shape)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                cij = self.constants[i][j]
-                if all(x.is_zero() for x in cij):
-                    continue
-                prod = bf.mul(u[:, i], v[:, j])
-                for k, s in enumerate(cij):
-                    if not s.is_zero():
-                        out[:, k] = bf.add(out[:, k], bf.scale(s.code, prod))
+        if self.spec.k == 1:
+            for i, j, nonzero in self._bracket_terms:
+                prod = u[:, i] * v[:, j]
+                for k, s in nonzero:
+                    out[:, k] += s * prod
+            out %= self.spec.p
+            return out
+        for i, j, nonzero in self._bracket_terms:
+            prod = bf.mul(u[:, i], v[:, j])
+            for k, s in nonzero:
+                out[:, k] = bf.add(out[:, k], bf.scale(s, prod))
         return out
 
     # -- validation -------------------------------------------------------------

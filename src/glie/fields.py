@@ -7,7 +7,9 @@ order used by find_nonsquare and by all exhaustive searches.
 
 Scalar arithmetic lives on FieldElement (operator overloading).  Hot loops
 use BatchField, which works on numpy arrays of codes: direct mod-p ops for
-prime fields, precomputed lookup tables for extensions.
+prime fields, precomputed lookup tables for extensions.  Linear algebra runs
+on code arrays too: linalg.rref_codes is the one elimination kernel, and
+FieldElement rows are converted to codes and back at its edge.
 """
 
 from __future__ import annotations
@@ -289,6 +291,10 @@ class BatchField:
             self._add = np.array([[(a + b).code for b in els] for a in els], dtype=np.int64)
             self._mul = np.array([[(a * b).code for b in els] for a in els], dtype=np.int64)
             self._neg = np.array([(-a).code for a in els], dtype=np.int64)
+            self._inv = np.argmax(self._mul == 1, axis=1)  # row 0 has no 1: maps 0 to 0
+        else:
+            self._inv = np.array([pow(c, self.p - 2, self.p) for c in range(self.p)],
+                                 dtype=np.int64)
 
     def add(self, a, b):
         if self.k == 1:
@@ -309,6 +315,10 @@ class BatchField:
         if self.k == 1:
             return (a * b) % self.p
         return self._mul[a, b]
+
+    def inv(self, a):
+        """Multiplicative inverse; zero maps to zero."""
+        return self._inv[a]
 
     def scale(self, code: int, a):
         if self.k == 1:

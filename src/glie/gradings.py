@@ -124,7 +124,6 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
         raise UnsupportedField("automorphism scan needs a prime field")
     p = spec.p
     alg = sl2(spec)
-    tensor = alg.structure_tensor  # (3,3,3) codes
     pairs = [(i, j, np.array([c.code for c in alg.constants[i][j]], dtype=np.int64))
              for i in range(3) for j in range(i + 1, 3)]
     chunk = p ** _CHUNK_DIGITS
@@ -143,8 +142,9 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
         for i, j, cij in pairs:
             if not mask.any():
                 break
-            lhs = np.einsum("nka,a->nk", m, cij) % p
-            rhs = np.einsum("abk,na,nb->nk", tensor, m[:, :, i], m[:, :, j]) % p
+            lhs = m @ cij
+            lhs %= p
+            rhs = alg.batch_bracket(m[:, :, i], m[:, :, j])
             mask &= (lhs == rhs).all(axis=1)
         if mask.any():
             found.append(m[mask])
@@ -230,7 +230,7 @@ def enumerate_z2_gradings(target: str, spec: FieldSpec):
                 descriptors.append(d)
     elif key == "sl2_lie":
         autos = sl2_automorphisms(spec)
-        square = np.einsum("nij,njk->nik", autos, autos) % spec.p
+        square = (autos @ autos) % spec.p
         ident = np.eye(3, dtype=np.int64)
         involutive = autos[(square == ident).all(axis=(1, 2))]
         for m in involutive:

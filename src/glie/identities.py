@@ -43,7 +43,7 @@ from .freelie import (
     y,
     z,
 )
-from .linalg import MatrixGF, SubspaceBasis, rref_rows
+from .linalg import SubspaceBasis, kernel_codes, rref_codes
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def check_poly_identity(poly: LiePolynomial, alg: GradedLieAlgebra,
 # ---------------------------------------------------------------------------
 
 
-_REDUCE_BLOCK = 1024  # evaluation rows converted to field elements at a time
+_REDUCE_BLOCK = 1024  # evaluation rows stacked under the reduced rows per elimination
 
 
 @dataclass(frozen=True)
@@ -393,13 +393,19 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
         stacked = np.stack(cols, axis=2)  # (N, dim, C)
         return stacked.reshape(count * alg.dim, len(ambient.monomials))
 
-    row_set: set = set()
+    # the running RREF of all evaluation rows; chunks are reduced into it
+    # block by block, because eliminating a whole chunk at once raises the
+    # memory peak by several of its copies
+    reduced = np.zeros((0, ambient.dim), dtype=np.int64)
+    pivots: list[int] = []
 
     def add_rows(rows):
-        for r in rows:
-            t = tuple(int(v) for v in r)
-            if any(t):
-                row_set.add(t)
+        nonlocal reduced, pivots
+        for start in range(0, len(rows), _REDUCE_BLOCK):
+            if len(pivots) == ambient.dim:
+                return  # full rank: no row can shrink the kernel further
+            reduced, pivots = rref_codes(
+                spec, np.concatenate([reduced, rows[start:start + _REDUCE_BLOCK]]))
 
     if exhaustive:
         done = 0
@@ -414,18 +420,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
 
     check_settings = CheckSettings(budget=max(total, 1), chunk=settings.chunk)
     while True:
-        sorted_rows = sorted(row_set)
-        if sorted_rows:
-            # reduce block by block: the row space, and so the kernel, is the
-            # same, but only one block of rows is held as field elements
-            reduced: list = []
-            for start in range(0, len(sorted_rows), _REDUCE_BLOCK):
-                block = [[spec.from_code(c) for c in r]
-                         for r in sorted_rows[start:start + _REDUCE_BLOCK]]
-                reduced, _ = rref_rows(spec, reduced + block)
-            kernel = MatrixGF.from_rows(spec, reduced).kernel()
-        else:
-            kernel = SubspaceBasis.full(spec, ambient.dim)
+        kernel = SubspaceBasis.from_rref_codes(spec, kernel_codes(spec, reduced, pivots))
         new_rows = False
         for vec in kernel.rows:
             poly = ambient.poly_of(spec, vec)

@@ -1,17 +1,23 @@
 """Dense exact linear algebra over GF(q): RREF, kernels, eigensplits,
 subspace lattice operations.
 
-Subspaces are always kept in reduced row echelon form, so two spans are
-equal exactly when their row lists are equal.  Everything here is immutable
-after construction and safe to share.
+rref_codes, an elimination on int64 arrays of element codes through
+BatchField, is the one elimination kernel.  FieldElement rows are adapted at
+the edge: rref_rows, MatrixGF and SubspaceBasis convert them to codes and
+back.  Subspaces are always kept in reduced row echelon form, so two spans
+are equal exactly when their row lists are equal.  Everything here is
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import AmbientMismatch, NotDiagonalizable
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, batch_field
 
 
 def _as_vector(spec: FieldSpec, vec) -> tuple[FieldElement, ...]:
@@ -26,34 +32,69 @@ def _as_vector(spec: FieldSpec, vec) -> tuple[FieldElement, ...]:
     return tuple(out)
 
 
-def rref_rows(spec: FieldSpec, rows):
-    """Reduced row echelon form of a list of vectors; returns (rows, pivots).
+@lru_cache(maxsize=None)
+def _elements(spec: FieldSpec) -> tuple[FieldElement, ...]:
+    return tuple(spec.elements())
 
-    Zero rows are dropped; pivot columns are strictly increasing with pivot
-    entry 1 and zeros elsewhere in the pivot column.
+
+def _to_codes(rows, ncols: int) -> np.ndarray:
+    return np.array([[x.code for x in r] for r in rows], dtype=np.int64).reshape(-1, ncols)
+
+
+def _from_codes(spec: FieldSpec, codes: np.ndarray) -> tuple[tuple[FieldElement, ...], ...]:
+    els = _elements(spec)
+    return tuple(tuple(els[c] for c in row) for row in codes.tolist())
+
+
+def rref_codes(spec: FieldSpec, codes):
+    """Reduced row echelon form of an (N, n) array of element codes; returns
+    (rows, pivots).
+
+    rows is a new (rank, n) int64 array: zero rows are dropped; pivot columns
+    are strictly increasing with pivot entry 1 and zeros elsewhere in the
+    pivot column.
     """
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
+    bf = batch_field(spec)
+    work = np.array(codes, dtype=np.int64)
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if not work[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
+    for col in range(work.shape[1]):
+        rank = len(pivots)
+        if rank == work.shape[0]:
+            break
+        nonzero = np.flatnonzero(work[rank:, col])
+        if not nonzero.size:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [inv * x for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        r = rank + nonzero[0]
+        if r != rank:
+            work[[rank, r]] = work[[r, rank]]
+        work[rank] = bf.scale(bf.inv(work[rank, col]), work[rank])
+        others = np.flatnonzero(work[:, col])
+        others = others[others != rank]
+        work[others] = bf.sub(work[others], bf.mul(work[others, col][:, None], work[rank]))
         pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in work[:rank]], pivots
+    return work[:len(pivots)], pivots
+
+
+def kernel_codes(spec: FieldSpec, reduced: np.ndarray, pivots) -> np.ndarray:
+    """RREF codes of the right kernel {v : R v = 0} of an RREF matrix R with
+    the given pivot columns: one vector per free column, then reduced."""
+    bf = batch_field(spec)
+    ncols = reduced.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = bf.zeros((len(free), ncols))
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = bf.neg(reduced[:, free]).T
+    return rref_codes(spec, basis)[0]
+
+
+def rref_rows(spec: FieldSpec, rows):
+    """rref_codes for a list of FieldElement vectors; returns (rows, pivots)
+    with the rows as tuples of field elements."""
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return [], []
+    reduced, pivots = rref_codes(spec, _to_codes(rows, len(rows[0])))
+    return list(_from_codes(spec, reduced)), pivots
 
 
 @dataclass(frozen=True)
@@ -72,6 +113,11 @@ class SubspaceBasis:
                 raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
         rows, _ = rref_rows(spec, vecs)
         return cls(spec, ambient_dim, tuple(rows))
+
+    @classmethod
+    def from_rref_codes(cls, spec: FieldSpec, codes: np.ndarray) -> "SubspaceBasis":
+        """The span of the rows of an RREF code array, taken as they are."""
+        return cls(spec, codes.shape[1], _from_codes(spec, codes))
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "SubspaceBasis":
@@ -117,25 +163,13 @@ class SubspaceBasis:
         )
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        """Zassenhaus-style intersection via the kernel of the stacked system.
-
-        A coefficient vector (x | y) with x*A = y*B lies in the kernel of the
-        (a+b) x n matrix [A ; -B] transposed; the intersection is x*A.
-        """
+        """Zassenhaus intersection: in the RREF of [A A ; B 0], the rows whose
+        left half is zero have the rows of the intersection's RREF as right half."""
         self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return SubspaceBasis.zero(self.spec, self.ambient_dim)
-        stacked = [list(r) for r in self.rows] + [[-x for x in r] for r in other.rows]
-        m = MatrixGF.from_rows(self.spec, stacked).transpose()
-        coeffs = m.kernel()
-        vectors = []
-        for c in coeffs.rows:
-            vec = [self.spec.zero()] * self.ambient_dim
-            for i, row in enumerate(self.rows):
-                if not c[i].is_zero():
-                    vec = [a + c[i] * b for a, b in zip(vec, row)]
-            vectors.append(tuple(vec))
-        return SubspaceBasis.from_vectors(self.spec, self.ambient_dim, vectors)
+        n = self.ambient_dim
+        a, b = _to_codes(self.rows, n), _to_codes(other.rows, n)
+        reduced, pivots = rref_codes(self.spec, np.block([[a, a], [b, np.zeros_like(b)]]))
+        return SubspaceBasis.from_rref_codes(self.spec, reduced[np.array(pivots) >= n, n:])
 
     def __le__(self, other: "SubspaceBasis") -> bool:
         return other.contains_space(self)
@@ -249,17 +283,9 @@ class MatrixGF:
 
     def kernel(self) -> SubspaceBasis:
         """Right kernel {v : M v = 0}, as an RREF SubspaceBasis of F^cols."""
-        reduced, _, pivots = self.rref()
-        free_cols = [c for c in range(self.cols) if c not in pivots]
-        one, zero = self.spec.one(), self.spec.zero()
-        basis = []
-        for fc in free_cols:
-            v = [zero] * self.cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced.entries[r][fc]
-            basis.append(tuple(v))
-        return SubspaceBasis.from_vectors(self.spec, self.cols, basis)
+        reduced, pivots = rref_codes(self.spec, _to_codes(self.entries, self.cols))
+        return SubspaceBasis.from_rref_codes(
+            self.spec, kernel_codes(self.spec, reduced, pivots))
 
     def inverse(self) -> "MatrixGF":
         if self.rows != self.cols:

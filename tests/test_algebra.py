@@ -23,6 +23,8 @@ from glie.algebra import (
     heisenberg,
     is_graded_subspace,
     is_ideal,
+    m2_grading_i,
+    m2_grading_ii,
     m2_grading_iii,
     product_space,
     root_decomposition,
@@ -144,16 +146,23 @@ def test_bracket_parent_mismatch():
 def test_batch_bracket_matches_scalar():
     import numpy as np
 
-    for spec in (GF5, GF25):
-        L = sl2(spec)
-        rng = random.Random(3)
-        pairs = [(L.element_from_code(rng.randrange(spec.q ** 3)),
-                  L.element_from_code(rng.randrange(spec.q ** 3))) for _ in range(30)]
-        u = np.stack([a.codes() for a, _ in pairs])
-        v = np.stack([b.codes() for _, b in pairs])
-        out = L.batch_bracket(u, v)
-        for row, (a, b) in zip(out, pairs):
-            assert list(row) == [x.code for x in L.bracket(a, b).coeffs]
+    constructors = (sl2, gl2, m2_grading_i, m2_grading_ii, m2_grading_iii, span_e11_e12,
+                    heisenberg, lambda spec: abelian(spec, (0, 1, 1)),
+                    lambda spec: direct_sum([sl2(spec), heisenberg(spec)]))
+    for spec in (GF5, GF7, GF25):
+        for make in constructors:
+            L = make(spec)
+            rng = random.Random(3)
+            pairs = [(L.element_from_code(rng.randrange(spec.q ** L.dim)),
+                      L.element_from_code(rng.randrange(spec.q ** L.dim))) for _ in range(30)]
+            pairs += [(L.zero_element(), L.zero_element()),
+                      (L.zero_element(), pairs[0][1]), (pairs[0][0], L.zero_element())]
+            u = np.stack([a.codes() for a, _ in pairs])
+            v = np.stack([b.codes() for _, b in pairs])
+            out = L.batch_bracket(u, v)
+            assert out.dtype == np.int64 and out.shape == u.shape
+            for row, (a, b) in zip(out, pairs):
+                assert list(row) == [x.code for x in L.bracket(a, b).coeffs], (L.name, spec)
 
 
 def test_spec_file_roundtrip():

@@ -21,6 +21,15 @@ the first rows; poly_batch_evaluate of a GF(25) polynomial with proper
 extension-field coefficients; and expr_expand terms of a fixed list of
 expressions, among them AdPolyDiff slots whose terms are not given in
 ascending exponent order.
+
+data/linalg_golden.json holds what rref_rows (rows and pivots),
+MatrixGF.kernel and SubspaceBasis.intersect returned when elimination still
+ran on FieldElement objects, on seeded matrices and subspace pairs at GF(5),
+GF(7) and GF(25): tall, wide, rank-deficient, all-zero, duplicate-row,
+sparse and single-row matrices, and intersections of generic, nested, equal,
+zero and rank-deficient spans.  data/sl2_automorphisms_p5.json holds the
+sorted p = 5 sl2_automorphisms list from before the scan called
+batch_bracket.
 """
 
 import json
@@ -59,6 +68,7 @@ from glie.freelie import (
     zyq_zy,
     zz,
 )
+from glie.gradings import sl2_automorphisms
 from glie.identities import (
     IdentitySettings,
     SpanSettings,
@@ -67,11 +77,14 @@ from glie.identities import (
     identity_space,
     total_degree_windows,
 )
+from glie.linalg import MatrixGF, SubspaceBasis, rref_rows
 
 DATA = Path(__file__).parent / "data"
 SPAN_GOLDEN = json.loads((DATA / "consequence_span_golden.json").read_text(encoding="utf-8"))
 IDS_GOLDEN = json.loads((DATA / "identity_space_golden.json").read_text(encoding="utf-8"))
 FREELIE_GOLDEN = json.loads((DATA / "freelie_golden.json").read_text(encoding="utf-8"))
+LINALG_GOLDEN = json.loads((DATA / "linalg_golden.json").read_text(encoding="utf-8"))
+AUTOMORPHISMS_P5 = json.loads((DATA / "sl2_automorphisms_p5.json").read_text(encoding="utf-8"))
 GENS = {"S": set_s, "lema5": lema5_set}
 ALGEBRAS = {"sl2": sl2, "e11e12": span_e11_e12}
 WINDOWS = {"default": default_sl2_windows, "total3": lambda q: total_degree_windows(3, q)}
@@ -261,3 +274,52 @@ def test_expr_expand_frozen():
         assert field_of(frozen[name]["field"]) == spec
         terms = [[[str(v) for v in w], c.code] for w, c in expr_expand(e, spec).terms]
         assert terms == frozen[name]["terms"], name
+
+
+# -- linear algebra and the automorphism scan ----------------------------------------
+
+
+GOLDEN_FIELDS = {"GF5": FieldSpec.prime(5), "GF7": FieldSpec.prime(7),
+                 "GF25": FieldSpec.extension(5, 2)}
+MATRIX_CASES = [c for c in LINALG_GOLDEN if c["kind"] == "matrix"]
+INTERSECT_CASES = [c for c in LINALG_GOLDEN if c["kind"] == "intersect"]
+
+
+def elements(spec, rows):
+    return [[spec.from_code(c) for c in r] for r in rows]
+
+
+def test_frozen_linalg_cases_cover_the_shapes():
+    names = {"tall", "wide", "rank-deficient", "all-zero", "duplicate-rows", "sparse"}
+    for field in GOLDEN_FIELDS:
+        assert names <= {c["name"] for c in MATRIX_CASES if c["field"] == field}
+        assert len([c for c in INTERSECT_CASES if c["field"] == field]) == 8
+    assert {len(c["rows"]) for c in INTERSECT_CASES} == {0, 1, 2, 4}
+    assert {len(c["kernel"]) for c in MATRIX_CASES} >= {0, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES,
+                         ids=[f"{c['field']}-{c['name']}" for c in MATRIX_CASES])
+def test_rref_and_kernel_frozen(case):
+    spec = GOLDEN_FIELDS[case["field"]]
+    matrix = elements(spec, case["input"])
+    rows, pivots = rref_rows(spec, matrix)
+    assert [[x.code for x in r] for r in rows] == case["rref"]
+    assert pivots == case["pivots"]
+    assert codes(MatrixGF.from_rows(spec, matrix).kernel()) == case["kernel"]
+
+
+@pytest.mark.parametrize("case", INTERSECT_CASES,
+                         ids=[f"{c['field']}-{c['name']}" for c in INTERSECT_CASES])
+def test_intersect_frozen(case):
+    spec = GOLDEN_FIELDS[case["field"]]
+    a = SubspaceBasis.from_vectors(spec, 6, elements(spec, case["a"]))
+    b = SubspaceBasis.from_vectors(spec, 6, elements(spec, case["b"]))
+    assert codes(a.intersect(b)) == case["rows"]
+
+
+def test_sl2_automorphisms_p5_frozen():
+    autos = sl2_automorphisms(FieldSpec.prime(5))
+    assert autos.dtype == np.int64
+    assert autos.tolist() == AUTOMORPHISMS_P5
+    assert len(AUTOMORPHISMS_P5) == 120

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,25 @@ def test_identity_space_triple_z_empty():
     ids = identity_space(L, win)
     assert ids.dim == 0
     assert brute_force_identity_space(L, win).dim == 0
+
+
+# tracemalloc peak of identity_space(sl2(GF(7)), (z:1,1,1)) with the default
+# settings, measured when the evaluation rows were still reduced as
+# FieldElement objects; the code-array reduction must not need more
+IDENTITY_SPACE_Q7_PEAK_BYTES = 13_020_720
+
+
+def test_identity_space_q7_memory_stays_bounded():
+    L = sl2(FieldSpec.prime(7))
+    win = next(w for w in default_sl2_windows(7) if w.label == "(z:1,1,1)")
+    tracemalloc.start()
+    try:
+        ids = identity_space(L, win)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids.dim == 0
+    assert peak <= IDENTITY_SPACE_Q7_PEAK_BYTES
 
 
 def test_identity_space_yzz_window():
