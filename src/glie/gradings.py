@@ -5,10 +5,14 @@ natural grading of sl2.
 
 In characteristic != 2 every Z2-grading is the eigensplit of the involutive
 automorphism that negates the odd part, so enumeration reduces to finding
-involutions: conjugations g with g^2 scalar for M2, and brute-forced
-bracket-compatible invertible 3x3 matrices for sl2 (the full automorphism
-list doubles as the isomorphism group for orbit classification, with no
-reliance on Aut = PGL2 as an input fact).
+involutions: conjugations g with g^2 scalar for M2, and bracket-compatible
+invertible 3x3 matrices for sl2, found by an exhaustive scan over the images
+of e and f (the full automorphism list doubles as the isomorphism group for
+orbit classification, with no reliance on Aut = PGL2 as an input fact).
+
+The scan, the orbits and the q-power check run on int64 arrays of element
+codes: a map list is applied to all rows of a subspace at once, and each
+image is reduced with linalg.rref_codes.
 """
 
 from __future__ import annotations
@@ -30,17 +34,27 @@ from .errors import SpecError, TheoremViolation, UnsupportedField
 from .fields import FieldElement, FieldSpec, find_nonsquare
 from .freelie import zyq_zy
 from .identities import CheckSettings, check_identity
-from .linalg import MatrixGF, SubspaceBasis
+from .linalg import MatrixGF, SubspaceBasis, rref_codes
 
-_CHUNK_DIGITS = 7  # brute-force candidate matrices are scanned p^7 at a time
+_SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 
 
+@lru_cache(maxsize=None)
 def _parent_algebra(spec: FieldSpec, kind: str) -> GradedLieAlgebra:
     if kind == "m2":
         return gl2(spec)
     if kind == "sl2":
         return sl2(spec)
     raise SpecError(f"unknown grading parent {kind!r}")
+
+
+def _codes(space: SubspaceBasis) -> np.ndarray:
+    return np.array([[x.code for x in r] for r in space.rows],
+                    dtype=np.int64).reshape(-1, space.ambient_dim)
+
+
+def _key(even: np.ndarray, odd: np.ndarray):
+    return tuple(tuple(map(tuple, part.tolist())) for part in (even, odd))
 
 
 @dataclass(frozen=True)
@@ -67,9 +81,7 @@ class GradingDescriptor:
                 raise SpecError("bracket closure fails for the split")
 
     def key(self):
-        even = tuple(tuple(x.code for x in r) for r in self.even.rows)
-        odd = tuple(tuple(x.code for x in r) for r in self.odd.rows)
-        return (even, odd)
+        return _key(_codes(self.even), _codes(self.odd))
 
     def dims(self):
         return (self.even.dim, self.odd.dim)
@@ -106,8 +118,7 @@ def descriptor_to_algebra(d: GradingDescriptor) -> GradedLieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _det3_mod(m: np.ndarray, p: int) -> np.ndarray:
-    a = m.astype(np.int64)
+def _det3_mod(a: np.ndarray, p: int) -> np.ndarray:
     det = (
         a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
         - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
@@ -119,35 +130,33 @@ def _det3_mod(m: np.ndarray, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
     """All invertible 3x3 matrices over GF(p) commuting with the sl2 bracket,
-    found by a chunked exhaustive scan of all p^9 candidates."""
+    sorted, as an (N, 3, 3) int64 array whose column i is the image of b_i.
+
+    The scan is exhaustive over the p^6 choices of (phi(e), phi(f)), taken
+    _SCAN_ROWS at a time so that its memory does not grow with p.  As
+    [e, f] = h, phi(h) := [phi(e), phi(f)]; a candidate is kept when it is
+    invertible and respects [h, e] and [h, f].  [e, f] then holds by
+    construction, and the remaining brackets follow by antisymmetry.
+    """
     if spec.k != 1:
         raise UnsupportedField("automorphism scan needs a prime field")
     p = spec.p
-    alg = sl2(spec)
-    pairs = [(i, j, np.array([c.code for c in alg.constants[i][j]], dtype=np.int64))
-             for i in range(3) for j in range(i + 1, 3)]
-    chunk = p ** _CHUNK_DIGITS
-    total = p ** 9
-    digits = np.arange(chunk, dtype=np.int64)
-    base_digits = np.stack([(digits // p ** t) % p for t in range(_CHUNK_DIGITS)], axis=1)
+    alg = _parent_algebra(spec, "sl2")
+    relations = [(j, np.array([c.code for c in alg.constants[0][j]], dtype=np.int64))
+                 for j in (1, 2)]
+    powers = p ** np.arange(6, dtype=np.int64)
     found = []
-    for high in range(p ** (9 - _CHUNK_DIGITS)):
-        high_digits = [(high // p ** t) % p for t in range(9 - _CHUNK_DIGITS)]
-        flat = np.concatenate(
-            [base_digits,
-             np.broadcast_to(np.array(high_digits, dtype=np.int64), (chunk, len(high_digits)))],
-            axis=1)
-        m = flat.reshape(chunk, 3, 3)
+    for start in range(0, p ** 6, _SCAN_ROWS):
+        digits = np.arange(start, min(start + _SCAN_ROWS, p ** 6))[:, None] // powers % p
+        m = np.empty((len(digits), 3, 3), dtype=np.int64)
+        m[:, :, 1], m[:, :, 2] = digits[:, :3], digits[:, 3:]
+        m[:, :, 0] = alg.batch_bracket(m[:, :, 1], m[:, :, 2])
         mask = _det3_mod(m, p) != 0
-        for i, j, cij in pairs:
-            if not mask.any():
-                break
-            lhs = m @ cij
+        for j, c0j in relations:
+            lhs = m @ c0j
             lhs %= p
-            rhs = alg.batch_bracket(m[:, :, i], m[:, :, j])
-            mask &= (lhs == rhs).all(axis=1)
-        if mask.any():
-            found.append(m[mask])
+            mask &= (lhs == alg.batch_bracket(m[:, :, 0], m[:, :, j])).all(axis=1)
+        found.append(m[mask])
     out = np.concatenate(found, axis=0)
     order = np.lexsort(tuple(out.reshape(len(out), 9).T[::-1]))
     return out[order]
@@ -164,16 +173,11 @@ def _gl2_elements(spec: FieldSpec):
 
 
 def _conjugation_matrix(spec: FieldSpec, g) -> MatrixGF:
-    """The 4x4 matrix of x -> g x g^-1 on (e11, e12, e21, e22) coordinates."""
-    a, b, c, d = g
-    det = a * d - b * c
-    inv_det = det.inverse()
-    ginv = (d * inv_det, -b * inv_det, -c * inv_det, a * inv_det)
-    cols = []
-    for idx in range(4):
-        basis_vec = tuple(spec.one() if t == idx else spec.zero() for t in range(4))
-        cols.append(_m2_mult(_m2_mult(g, basis_vec, spec), ginv, spec))
-    return MatrixGF.from_rows(spec, cols).transpose()
+    """The 4x4 matrix of x -> g x g^-1 on (e11, e12, e21, e22) coordinates:
+    the Kronecker product of g and the transpose of g^-1 (prime fields)."""
+    a, b, c, d = (x.code for x in g)
+    ginv_t = np.array([[d, -c], [-b, a]]) * pow(a * d - b * c, -1, spec.p)
+    return MatrixGF.from_rows(spec, (np.kron([[a, b], [c, d]], ginv_t) % spec.p).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +238,7 @@ def enumerate_z2_gradings(target: str, spec: FieldSpec):
         ident = np.eye(3, dtype=np.int64)
         involutive = autos[(square == ident).all(axis=(1, 2))]
         for m in involutive:
-            phi = MatrixGF.from_rows(spec, [[int(x) for x in row] for row in m])
-            d = _eigensplit(spec, phi, "sl2", "involution")
+            d = _eigensplit(spec, MatrixGF.from_rows(spec, m.tolist()), "sl2", "involution")
             if d.key() not in seen:
                 seen.add(d.key())
                 descriptors.append(d)
@@ -314,16 +317,21 @@ class GradingClass:
     zyq_identity_holds: bool
 
 
-def _apply_map(spec: FieldSpec, phi: MatrixGF, space: SubspaceBasis) -> SubspaceBasis:
-    rows = [phi.matvec(r) for r in space.rows]
-    return SubspaceBasis.from_vectors(spec, space.ambient_dim, rows)
+def _image_keys(d: GradingDescriptor, maps: np.ndarray):
+    """The key of phi(d) for every map phi, in map order: all maps are
+    applied at once, and each image is reduced on its own."""
+    even, odd = (_codes(s) @ maps.transpose(0, 2, 1) % d.spec.p for s in (d.even, d.odd))
+    for e, o in zip(even, odd):
+        yield _key(rref_codes(d.spec, e)[0], rref_codes(d.spec, o)[0])
 
 
 def classify_up_to_iso(gradings) -> list:
     """Group descriptors into orbits of the parent automorphism group.
 
-    Each class carries separating certificates: part dimensions and whether
-    [z1, y1^q] = [z1, y1] holds as a graded identity of the representative.
+    One orbit is computed per class; its minimum key is the class label of
+    every listed member in it (the map lists are groups).  Each class carries
+    separating certificates: part dimensions and whether [z1, y1^q] = [z1, y1]
+    holds as a graded identity of the representative.
     """
     if not gradings:
         return []
@@ -332,25 +340,20 @@ def classify_up_to_iso(gradings) -> list:
     if any(d.spec != spec or d.parent_kind != kind for d in gradings):
         raise SpecError("classification needs a homogeneous descriptor list")
     if kind == "m2":
-        maps = list(m2_automorphisms(spec))
+        maps = np.array([[[x.code for x in r] for r in m.entries]
+                         for m in m2_automorphisms(spec)], dtype=np.int64)
     else:
-        maps = [MatrixGF.from_rows(spec, [[int(x) for x in row] for row in m])
-                for m in sl2_automorphisms(spec)]
-    index_of = {d.key(): i for i, d in enumerate(gradings)}
+        maps = sl2_automorphisms(spec)
+    keys = [d.key() for d in gradings]
     canonical = {}
-    for d in gradings:
-        orbit_keys = set()
-        for phi in maps:
-            even = _apply_map(spec, phi, d.even)
-            odd = _apply_map(spec, phi, d.odd)
-            orbit_keys.add((
-                tuple(tuple(x.code for x in r) for r in even.rows),
-                tuple(tuple(x.code for x in r) for r in odd.rows),
-            ))
-        canonical[d.key()] = min(orbit_keys)
+    for d, key in zip(gradings, keys):
+        if key not in canonical:
+            orbit = set(_image_keys(d, maps))
+            low = min(orbit)
+            canonical.update((k, low) for k in keys if k in orbit)
     classes = {}
-    for d in gradings:
-        classes.setdefault(canonical[d.key()], []).append(d)
+    for d, key in zip(gradings, keys):
+        classes.setdefault(canonical[key], []).append(d)
     out = []
     q = spec.q
     for canon in sorted(classes):
@@ -423,30 +426,25 @@ class NaturalVerdict:
 
 def _qpower_hypothesis(d: GradingDescriptor):
     """[a, c^q] = [a, c] for all homogeneous a odd and c in F.1 + even,
-    computed inside gl2 (scalars of the identity act trivially)."""
+    computed inside gl2 (scalars of the identity act trivially).  Every
+    (a, c) pair, in vectors() order, is one row of a batch; the witness is
+    the first failing row."""
     spec = d.spec
-    q = spec.q
-    parent = gl2(spec)
-    embed = MatrixGF.from_rows(spec, [
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-        [-1, 0, 0],
-    ])
-    odd_g = SubspaceBasis.from_vectors(spec, 4, [embed.matvec(r) for r in d.odd.rows])
-    even_rows = [embed.matvec(r) for r in d.even.rows] + [(1, 0, 0, 1)]
-    even_g = SubspaceBasis.from_vectors(spec, 4, even_rows)
-    for a_vec in odd_g.vectors():
-        a = parent.element(a_vec)
-        for c_vec in even_g.vectors():
-            c = parent.element(c_vec)
-            once = parent.bracket(a, c)
-            val = a
-            for _ in range(q):
-                val = parent.bracket(val, c)
-            if val != once:
-                return (f"a = {a}, c = {c}")
-    return None
+    lift = lift_sl2_grading_to_gl2(d, unit_in_even=True)
+    odd, even = (np.array([[x.code for x in v] for v in s.vectors()], dtype=np.int64)
+                 for s in (lift.odd, lift.even))
+    a = np.repeat(odd, len(even), axis=0)
+    c = np.tile(even, (len(odd), 1))
+    parent = _parent_algebra(spec, "m2")
+    once = parent.batch_bracket(a, c)
+    val = a
+    for _ in range(spec.q):
+        val = parent.batch_bracket(val, c)
+    failing = np.flatnonzero((val != once).any(axis=1))
+    if not failing.size:
+        return None
+    i = failing[0]
+    return f"a = {tuple(a[i].tolist())}, c = {tuple(c[i].tolist())}"
 
 
 def natural_characterization(d: GradingDescriptor,
@@ -462,12 +460,11 @@ def natural_characterization(d: GradingDescriptor,
     witness = _qpower_hypothesis(d)
     if witness is not None:
         return NaturalVerdict(False, "q-power", witness, None)
-    natural = natural_sl2_descriptor(spec)
-    for m in sl2_automorphisms(spec):
-        phi = MatrixGF.from_rows(spec, [[int(x) for x in row] for row in m])
-        if (_apply_map(spec, phi, d.even).rows == natural.even.rows
-                and _apply_map(spec, phi, d.odd).rows == natural.odd.rows):
-            return NaturalVerdict(True, None, None, phi)
+    natural = natural_sl2_descriptor(spec).key()
+    maps = sl2_automorphisms(spec)
+    for m, key in zip(maps, _image_keys(d, maps)):
+        if key == natural:
+            return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, m.tolist()))
     if require_iso:
         raise TheoremViolation(
             f"hypotheses hold for {d!r} but no graded isomorphism to the "

@@ -30,8 +30,19 @@ sparse and single-row matrices, and intersections of generic, nested, equal,
 zero and rank-deficient spans.  data/sl2_automorphisms_p5.json holds the
 sorted p = 5 sl2_automorphisms list from before the scan called
 batch_bracket.
+
+data/gradings_golden.json holds what the gradings layer returned at p = 5
+and 7 when it still scanned all p^9 matrices, applied maps one MatrixGF at a
+time and checked the q-power identity with scalar brackets: the length and
+sha256 of the sorted sl2_automorphisms array, the m2_automorphisms codes, the
+enumerate_z2_gradings keys of both targets, each class of classify_up_to_iso
+(on the enumerated M2 and sl2 lists, on reference_m2_descriptors, and on the
+references mixed with the enumerated M2 list), every natural_characterization
+verdict with its witness and isomorphism, every unit_component_check, and the
+unit_component_check of both lifts of every sl2 grading.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -68,7 +79,16 @@ from glie.freelie import (
     zyq_zy,
     zz,
 )
-from glie.gradings import sl2_automorphisms
+from glie.gradings import (
+    classify_up_to_iso,
+    enumerate_z2_gradings,
+    lift_sl2_grading_to_gl2,
+    m2_automorphisms,
+    natural_characterization,
+    reference_m2_descriptors,
+    sl2_automorphisms,
+    unit_component_check,
+)
 from glie.identities import (
     IdentitySettings,
     SpanSettings,
@@ -85,6 +105,7 @@ IDS_GOLDEN = json.loads((DATA / "identity_space_golden.json").read_text(encoding
 FREELIE_GOLDEN = json.loads((DATA / "freelie_golden.json").read_text(encoding="utf-8"))
 LINALG_GOLDEN = json.loads((DATA / "linalg_golden.json").read_text(encoding="utf-8"))
 AUTOMORPHISMS_P5 = json.loads((DATA / "sl2_automorphisms_p5.json").read_text(encoding="utf-8"))
+GRADINGS_GOLDEN = json.loads((DATA / "gradings_golden.json").read_text(encoding="utf-8"))
 GENS = {"S": set_s, "lema5": lema5_set}
 ALGEBRAS = {"sl2": sl2, "e11e12": span_e11_e12}
 WINDOWS = {"default": default_sl2_windows, "total3": lambda q: total_degree_windows(3, q)}
@@ -323,3 +344,84 @@ def test_sl2_automorphisms_p5_frozen():
     assert autos.dtype == np.int64
     assert autos.tolist() == AUTOMORPHISMS_P5
     assert len(AUTOMORPHISMS_P5) == 120
+
+
+GRADING_CASES = GRADINGS_GOLDEN["cases"]
+SL2_CASES = [c for c in GRADING_CASES if c["target"] == "sl2_lie"]
+M2_CASES = [c for c in GRADING_CASES if c["target"] == "m2_assoc"]
+
+
+def case_id(case):
+    return f"{case['target']}-p{case['p']}"
+
+
+def key_json(d):
+    return [[list(r) for r in part] for part in d.key()]
+
+
+def classes_json(classes):
+    return [{"representative": key_json(c.representative), "size": c.size,
+             "dims": [c.even_dim, c.odd_dim], "zyq": c.zyq_identity_holds}
+            for c in classes]
+
+
+def test_frozen_gradings_cover_both_targets_and_primes():
+    assert {(c["p"], c["target"]) for c in GRADING_CASES} == {
+        (p, t) for p in (5, 7) for t in ("sl2_lie", "m2_assoc")}
+    assert {c["p"]: len(c["keys"]) for c in SL2_CASES} == {5: 26, 7: 50}
+    for case in SL2_CASES:  # both verdicts and both failure kinds occur
+        assert {(n["hypotheses_hold"], n["failing"]) for n in case["natural"]} == {
+            (True, None), (False, "dim-even"), (False, "q-power")}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_sl2_automorphisms_frozen_digest(p):
+    autos = sl2_automorphisms(FieldSpec.prime(p))
+    frozen = GRADINGS_GOLDEN["sl2_automorphisms"][str(p)]
+    assert len(autos) == frozen["len"]
+    digest = hashlib.sha256(np.ascontiguousarray(autos, dtype="<i8").tobytes()).hexdigest()
+    assert digest == frozen["sha256"]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_m2_automorphisms_frozen(p):
+    maps = m2_automorphisms(FieldSpec.prime(p))
+    assert [[[x.code for x in r] for r in m.entries] for m in maps] == \
+        GRADINGS_GOLDEN["m2_automorphisms"][str(p)]
+
+
+@pytest.mark.parametrize("case", GRADING_CASES, ids=case_id)
+def test_enumeration_and_classes_frozen(case):
+    gradings = enumerate_z2_gradings(case["target"], FieldSpec.prime(case["p"]))
+    assert [key_json(d) for d in gradings] == case["keys"]
+    assert classes_json(classify_up_to_iso(gradings)) == case["classes"]
+
+
+@pytest.mark.parametrize("case", SL2_CASES, ids=case_id)
+def test_natural_characterization_frozen(case):
+    got = []
+    for d in enumerate_z2_gradings("sl2_lie", FieldSpec.prime(case["p"])):
+        v = natural_characterization(d)
+        iso = None if v.isomorphism is None else [[x.code for x in r]
+                                                  for r in v.isomorphism.entries]
+        got.append({"hypotheses_hold": v.hypotheses_hold, "failing": v.failing,
+                    "witness": v.witness, "isomorphism": iso})
+    assert got == case["natural"]
+
+
+@pytest.mark.parametrize("case", SL2_CASES, ids=case_id)
+def test_lifted_unit_component_frozen(case):
+    gradings = enumerate_z2_gradings("sl2_lie", FieldSpec.prime(case["p"]))
+    assert [[unit_component_check(lift_sl2_grading_to_gl2(d, flag)) for flag in (True, False)]
+            for d in gradings] == case["lifted_unit"]
+
+
+@pytest.mark.parametrize("case", M2_CASES, ids=case_id)
+def test_m2_unit_component_and_reference_classes_frozen(case):
+    spec = FieldSpec.prime(case["p"])
+    gradings = enumerate_z2_gradings("m2_assoc", spec)
+    assert [unit_component_check(d) for d in gradings] == case["unit"]
+    refs = reference_m2_descriptors(spec)
+    assert [key_json(d) for d in refs] == case["reference_keys"]
+    assert classes_json(classify_up_to_iso(refs)) == case["reference_classes"]
+    assert classes_json(classify_up_to_iso(refs + gradings)) == case["mixed_classes"]

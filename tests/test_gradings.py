@@ -1,5 +1,10 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from glie.algebra import gl2, sl2
 from glie.errors import SpecError, TheoremViolation, UnsupportedField
 from glie.fields import FieldSpec, find_nonsquare
 from glie.gradings import (
@@ -20,6 +25,10 @@ from glie.gradings import (
 from glie.linalg import MatrixGF, SubspaceBasis
 
 GF5 = FieldSpec.prime(5)
+
+# tracemalloc peak of sl2_automorphisms(GF(7)) when it scanned all p^9
+# candidate matrices in blocks of p^7
+P9_SCAN_PEAK_P7 = 231_460_745
 
 
 def test_sl2_automorphism_count_and_closure():
@@ -214,3 +223,101 @@ def test_remark_boboc_gf7():
     assert report.lhs == (0, 2, 1, 0)
     assert report.rhs == (0, 5, 6, 0)   # (4b)^3 = 12^3 = -1: rhs = -lhs
     assert report.differ and report.control_equal
+
+
+def uncached_scan(p):
+    """sl2_automorphisms(GF(p)) past its cache, with its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        autos = sl2_automorphisms.__wrapped__(FieldSpec.prime(p))
+        return autos, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sl2_scan_memory_stays_bounded():
+    autos, peak = uncached_scan(7)
+    assert len(autos) == 336
+    assert peak < P9_SCAN_PEAK_P7
+
+
+def test_sl2_automorphisms_p11_exhaustive():
+    spec = FieldSpec.prime(11)
+    autos, peak = uncached_scan(11)
+    assert len(autos) == 1320  # |PGL2(F11)|, which the scan does not assume
+    assert len(np.unique(autos.reshape(-1, 9), axis=0)) == 1320
+    assert peak < 2 * uncached_scan(7)[1]  # memory does not grow with p
+    L = sl2(spec)
+    for i in range(3):
+        for j in range(3):
+            cij = np.array([c.code for c in L.constants[i][j]])
+            assert ((autos @ cij) % 11 == L.batch_bracket(autos[:, :, i], autos[:, :, j])).all()
+
+
+def brute_force_classes(gradings, maps):
+    """Orbits by scalar matvec and from_vectors: {(representative key, size)}."""
+    def image(phi, d):
+        return tuple(
+            tuple(tuple(x.code for x in r) for r in SubspaceBasis.from_vectors(
+                d.spec, s.ambient_dim, [phi.matvec(r) for r in s.rows]).rows)
+            for s in (d.even, d.odd))
+
+    members = {}
+    for d in gradings:
+        members.setdefault(min(image(phi, d) for phi in maps), []).append(d.key())
+    return {(min(keys), len(keys)) for keys in members.values()}
+
+
+def sl2_maps(spec):
+    return [MatrixGF.from_rows(spec, m.tolist()) for m in sl2_automorphisms(spec)]
+
+
+@pytest.mark.parametrize("target", ["sl2_lie", "m2_assoc"])
+def test_classify_shuffled_subset_matches_brute_force_orbits(target):
+    gradings = random.Random(11).sample(enumerate_z2_gradings(target, GF5), 12)
+    maps = sl2_maps(GF5) if target == "sl2_lie" else m2_automorphisms(GF5)
+    classes = classify_up_to_iso(gradings)
+    assert sum(c.size for c in classes) == 12
+    assert {(c.representative.key(), c.size) for c in classes} == \
+        brute_force_classes(gradings, maps)
+
+
+def test_classify_references_mixed_with_enumerated_matches_brute_force():
+    gradings = (reference_m2_descriptors(GF5)
+                + random.Random(12).sample(enumerate_z2_gradings("m2_assoc", GF5), 9))
+    random.Random(13).shuffle(gradings)
+    classes = classify_up_to_iso(gradings)
+    assert {(c.representative.key(), c.size) for c in classes} == \
+        brute_force_classes(gradings, m2_automorphisms(GF5))
+
+
+def scalar_qpower_witness(d):
+    """The first (a, c), in vectors() order, with [a, c^q] != [a, c], by
+    scalar gl2 brackets."""
+    spec = d.spec
+    parent = gl2(spec)
+    embed = MatrixGF.from_rows(spec, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]])
+    odd = SubspaceBasis.from_vectors(spec, 4, [embed.matvec(r) for r in d.odd.rows])
+    even = SubspaceBasis.from_vectors(
+        spec, 4, [embed.matvec(r) for r in d.even.rows] + [(1, 0, 0, 1)])
+    for a_vec in odd.vectors():
+        a = parent.element(a_vec)
+        for c_vec in even.vectors():
+            c = parent.element(c_vec)
+            val = a
+            for _ in range(spec.q):
+                val = parent.bracket(val, c)
+            if val != parent.bracket(a, c):
+                return f"a = {a}, c = {c}"
+    return None
+
+
+def test_qpower_witness_matches_scalar_loop():
+    gradings = [d for d in enumerate_z2_gradings("sl2_lie", GF5) if d.even.dim == 1]
+    failing = [d for d in gradings if not descriptor_zyq(d)]
+    holding = [d for d in gradings if descriptor_zyq(d)][:2]
+    for d in failing + holding:
+        verdict = natural_characterization(d)
+        assert verdict.witness == scalar_qpower_witness(d)
+        assert verdict.failing == ("q-power" if verdict.witness else None)
+    assert all(natural_characterization(d).witness for d in failing)

@@ -10,14 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import glie.algebra as algebra
+import glie.gradings as gradings
 import glie.identities as identities
 from glie.algebra import abelian, centralizer_of_ideal, full_space, sl2
 from glie.errors import TheoremViolation
 from glie.fields import FieldSpec
 from glie.freelie import yy, z, zz
+from glie.gradings import GradingDescriptor, natural_characterization, unit_component_check
 from glie.identities import (
     basis_check,
     check_identity,
@@ -95,8 +98,42 @@ def centralizer_not_graded():
     centralizer_with_kernel(A, SubspaceBasis.from_vectors(GF5, 2, [[GF5.one(), GF5.one()]]))
 
 
+def natural_grading_without_isomorphism():
+    """exp(ad e) carries the natural grading to even = span{h - 2e}, odd =
+    span{e, f + h}, which meets both recognition hypotheses.  With the
+    automorphism list cut down to the identity, no isomorphism is found."""
+    original = gradings.sl2_automorphisms
+    gradings.sl2_automorphisms = lambda spec: np.eye(3, dtype=np.int64)[None]
+    try:
+        natural_characterization(GradingDescriptor(
+            "sl2", GF5,
+            SubspaceBasis.from_vectors(GF5, 3, [[1, -2, 0]]),
+            SubspaceBasis.from_vectors(GF5, 3, [[0, 1, 0], [1, 0, 1]]),
+            "exp(ad e) of the natural grading"))
+    finally:
+        gradings.sl2_automorphisms = original
+
+
+def unit_criterion_disagrees():
+    """even = span{1, e12} holds the unit, but with odd = span{e11, e21} the
+    product e11 e12 = e12 leaves the odd part, so the two sides of the
+    criterion disagree.  The split is no Lie grading ([e12, e11] = -e12), so
+    the descriptor is built with its validation switched off."""
+    original = GradingDescriptor.__post_init__
+    GradingDescriptor.__post_init__ = lambda self: None
+    try:
+        d = GradingDescriptor("m2", GF5,
+                              SubspaceBasis.from_vectors(GF5, 4, [[1, 0, 0, 1], [0, 1, 0, 0]]),
+                              SubspaceBasis.from_vectors(GF5, 4, [[1, 0, 0, 0], [0, 0, 1, 0]]),
+                              "no Lie grading")
+    finally:
+        GradingDescriptor.__post_init__ = original
+    unit_component_check(d)
+
+
 SCENARIOS = [non_identity_generator, non_identity_consequence, counterexample_not_reproduced,
-             centralizer_not_an_ideal, centralizer_not_graded]
+             centralizer_not_an_ideal, centralizer_not_graded,
+             natural_grading_without_isomorphism, unit_criterion_disagrees]
 
 
 def raises_theorem_violation(scenario) -> bool:
@@ -123,4 +160,4 @@ def test_obligations_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "[True,", "True,", "True,", "True,", "True]"]
+    assert proc.stdout.split() == ["1", "[True,"] + ["True,"] * 5 + ["True]"]
