@@ -12,6 +12,7 @@ everything is sized for dim <= 6 over q <= 25.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -31,6 +32,31 @@ from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .linalg import EigenBasis, MatrixGF, SubspaceBasis, eigen_decomposition, rref_rows
 
 RADICAL_DIM_CAP = 6
+
+# batch_ad_powers squares ad matrices once the largest exponent reaches this;
+# below it repeated batch_bracket is faster.  Measured for sl2 over GF(5) and
+# GF(7) on 15,625 and 16,384 rows: break-even between exponents 14 and 16.
+AD_SQUARING_FROM = 15
+_AD_BLOCK = 2048  # rows per block of ad matrices, so the squares stay small
+
+
+def repeated_brackets(bracket, u, w, exponents) -> list:
+    """u (ad w)^e for each e in exponents: bracket with w up to each exponent
+    in ascending order."""
+    powers, cur, done = {}, u, 0
+    for e in sorted(set(exponents)):
+        for _ in range(done, e):
+            cur = bracket(cur, w)
+        powers[e], done = cur, e
+    return [powers[e] for e in exponents]
+
+
+def _code_matmul(bf, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of code matrices stored with the rows on the last
+    axis: (I, J, N) times (J, K, N) is (I, K, N)."""
+    if bf.k == 1:
+        return np.einsum("ijn,jkn->ikn", a, b) % bf.p
+    return functools.reduce(bf.add, bf.mul(a[:, :, None], b[None]).swapaxes(0, 1))
 
 
 class GradedLieAlgebra:
@@ -139,6 +165,7 @@ class GradedLieAlgebra:
 
         Prime fields sum the products in int64 and reduce mod p once;
         extension fields go through the BatchField tables term by term.
+        Powers of one ad go through batch_ad_powers instead.
         """
         bf = batch_field(self.spec)
         out = bf.zeros(u.shape)
@@ -154,6 +181,42 @@ class GradedLieAlgebra:
             for k, s in nonzero:
                 out[:, k] = bf.add(out[:, k], bf.scale(s, prod))
         return out
+
+    def batch_ad_powers(self, u: np.ndarray, w: np.ndarray, exponents) -> list:
+        """u (ad w)^e, row by row, for each e in exponents; u and w are
+        element-code arrays of shape (N, dim).
+
+        Below AD_SQUARING_FROM this brackets repeatedly.  Otherwise each block
+        of rows gets its (dim, dim, rows) array of ad w matrices.  Each square
+        is applied to every exponent whose current bit is set, then replaced
+        by its own square, so only one is kept.
+        """
+        top = max(exponents, default=0)
+        if top < AD_SQUARING_FROM:
+            return repeated_brackets(self.batch_bracket, u, w, exponents)
+        bf = batch_field(self.spec)
+        outs = [np.empty_like(u) for _ in exponents]
+        for start in range(0, len(u), _AD_BLOCK):
+            rows = slice(start, start + _AD_BLOCK)
+            ws = w[rows]
+            square = bf.zeros((self.dim, self.dim, len(ws)))
+            for i, j, nonzero in self._bracket_terms:
+                for k, s in nonzero:
+                    if self.spec.k == 1:
+                        square[i, k] += s * ws[:, j]
+                    else:
+                        square[i, k] = bf.add(square[i, k], bf.scale(s, ws[:, j]))
+            if self.spec.k == 1:
+                square %= self.spec.p
+            vals = [u[rows].T] * len(exponents)
+            for bit in range(top.bit_length()):
+                if bit:
+                    square = _code_matmul(bf, square, square)
+                vals = [_code_matmul(bf, v[None], square)[0] if e >> bit & 1 else v
+                        for e, v in zip(exponents, vals)]
+            for out, v in zip(outs, vals):
+                out[rows] = v.T
+        return outs
 
     # -- validation -------------------------------------------------------------
 

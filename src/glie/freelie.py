@@ -20,13 +20,13 @@ which is exactly the convention that turns the classical two-variable
 identities of sl2 over GF(q) into well-formed Lie elements.
 
 One walker, _interpret, gives expressions their meaning.  It runs over a
-backend of four operations (zero, add, scale, bracket) plus the value of a
+backend of four operations (zero, add, scale, ad_powers) plus the value of a
 variable, and there are three backends:
 
-    scalar        AlgebraElement arithmetic and alg.bracket (evaluate)
-    batch         BatchField code arrays and alg.batch_bracket (batch_evaluate)
-    free algebra  dicts from words to coefficients, bracketed by the
-                  commutator (assoc_expand, expr_expand, poly_bracket)
+    scalar        AlgebraElement arithmetic, repeated alg.bracket (evaluate)
+    batch         BatchField code arrays and alg.batch_ad_powers (batch_evaluate)
+    free algebra  dicts from words to coefficients, repeated commutators
+                  (assoc_expand, expr_expand, poly_bracket)
 
 The scalar backend is not a batch of one: counterexample re-evaluation in
 identities and the tests use it as a reference that shares no arithmetic
@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, GradedLieAlgebra
+from .algebra import AlgebraElement, GradedLieAlgebra, repeated_brackets
 from .errors import (
     ExpansionTooLarge,
     MissingAssignment,
@@ -500,50 +500,42 @@ class _Backend(NamedTuple):
     passes accumulators it got from zero."""
 
     spec: FieldSpec
-    zero: Callable     # () -> value
-    add: Callable      # (accumulator, value) -> value
-    scale: Callable    # (FieldElement, value) -> value
-    bracket: Callable  # (value, value) -> value
-    leaf: Callable     # Variable -> value
+    zero: Callable       # () -> value
+    add: Callable        # (accumulator, value) -> value
+    scale: Callable      # (FieldElement, value) -> value
+    ad_powers: Callable  # (u, w, exponents) -> [u (ad w)^e for each e]
+    leaf: Callable       # Variable -> value
 
 
 def _interpret(e, ops: _Backend):
-    """The one walk of the expression AST.  An AdPower slot brackets
-    exponent times; an AdPolyDiff slot brackets up to each exponent in
-    ascending order and adds the scaled partial results."""
-    spec = ops.spec
-
-    def walk(node):
-        if isinstance(node, Var):
-            return ops.leaf(node.var)
-        if isinstance(node, Scale):
-            return ops.scale(spec.from_int(node.coeff), walk(node.expr))
-        if isinstance(node, Sum):
+    """The one walk of the expression AST.  An AdPower slot asks the backend
+    for one power of ad; an AdPolyDiff slot asks for all of its exponents at
+    once and adds the scaled powers.  It is no nested closure on purpose: one
+    that calls itself is a reference cycle, which would keep each chunk's
+    assignment arrays alive until the garbage collector runs."""
+    if isinstance(e, Var):
+        return ops.leaf(e.var)
+    if isinstance(e, Scale):
+        return ops.scale(ops.spec.from_int(e.coeff), _interpret(e.expr, ops))
+    if isinstance(e, Sum):
+        acc = ops.zero()
+        for t in e.terms:
+            acc = ops.add(acc, _interpret(t, ops))
+        return acc
+    if isinstance(e, BracketChain):
+        val = _interpret(e.head, ops)
+        for s in e.slots:
+            w = _interpret(s.base, ops)
+            if isinstance(s, AdPower):
+                (val,) = ops.ad_powers(val, w, (s.exponent,))
+                continue
             acc = ops.zero()
-            for t in node.terms:
-                acc = ops.add(acc, walk(t))
-            return acc
-        if isinstance(node, BracketChain):
-            val = walk(node.head)
-            for s in node.slots:
-                w = walk(s.base)
-                if isinstance(s, AdPower):
-                    for _ in range(s.exponent):
-                        val = ops.bracket(val, w)
-                else:
-                    acc = ops.zero()
-                    cur = val
-                    done = 0
-                    for coeff, eexp in sorted(s.terms, key=lambda t: t[1]):
-                        while done < eexp:
-                            cur = ops.bracket(cur, w)
-                            done += 1
-                        acc = ops.add(acc, ops.scale(spec.from_int(coeff), cur))
-                    val = acc
-            return val
-        raise TypeError(f"not a LieExpr node: {node!r}")
-
-    return walk(e)
+            powers = ops.ad_powers(val, w, [x for _, x in s.terms])
+            for (coeff, _), power in zip(s.terms, powers):
+                acc = ops.add(acc, ops.scale(ops.spec.from_int(coeff), power))
+            val = acc
+        return val
+    raise TypeError(f"not a LieExpr node: {e!r}")
 
 
 def _poly_value(poly: LiePolynomial, ops: _Backend):
@@ -567,14 +559,14 @@ def _algebra_backend(alg: GradedLieAlgebra, assignment: dict) -> _Backend:
     arithmetic with the batch backend, so it stays an independent reference
     for re-evaluating counterexamples."""
     return _Backend(alg.spec, alg.zero_element, operator.add, lambda c, a: a.scale(c),
-                    alg.bracket, _lookup(assignment))
+                    partial(repeated_brackets, alg.bracket), _lookup(assignment))
 
 
 def _batch_backend(alg: GradedLieAlgebra, assignment: dict, count: int) -> _Backend:
     """(count, dim) arrays of coordinate codes, one row per assignment."""
     bf = batch_field(alg.spec)
     return _Backend(alg.spec, lambda: bf.zeros((count, alg.dim)), bf.add,
-                    lambda c, a: bf.scale(c.code, a), alg.batch_bracket, _lookup(assignment))
+                    lambda c, a: bf.scale(c.code, a), alg.batch_ad_powers, _lookup(assignment))
 
 
 def _free_backend(spec: FieldSpec) -> _Backend:
@@ -583,7 +575,7 @@ def _free_backend(spec: FieldSpec) -> _Backend:
     one = spec.one()
     return _Backend(spec, dict, lambda acc, b: _nc_add_scaled(spec, acc, b, one),
                     lambda c, a: _nc_add_scaled(spec, {}, a, c),
-                    lambda a, b: _nc_comm(spec, a, b), lambda v: {(v,): one})
+                    partial(repeated_brackets, partial(_nc_comm, spec)), lambda v: {(v,): one})
 
 
 def _row_count(assignment: dict) -> int:
@@ -717,7 +709,7 @@ def expr_expand(e, spec: FieldSpec, caps: dict | None = None,
 def poly_bracket(a: LiePolynomial, b: LiePolynomial) -> LiePolynomial:
     """[a, b] in the Lyndon basis, computed in the free associative algebra."""
     ops = _free_backend(a.spec)
-    return lyndon_decompose(a.spec, ops.bracket(_poly_value(a, ops), _poly_value(b, ops)))
+    return lyndon_decompose(a.spec, _nc_comm(a.spec, _poly_value(a, ops), _poly_value(b, ops)))
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,8 @@ def _det3_mod(a: np.ndarray, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
     """All invertible 3x3 matrices over GF(p) commuting with the sl2 bracket,
-    sorted, as an (N, 3, 3) int64 array whose column i is the image of b_i.
+    sorted, as a read-only (N, 3, 3) int64 array whose column i is the image
+    of b_i.
 
     The scan is exhaustive over the p^6 choices of (phi(e), phi(f)), taken
     _SCAN_ROWS at a time so that its memory does not grow with p.  As
@@ -158,8 +159,9 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
             mask &= (lhs == alg.batch_bracket(m[:, :, 0], m[:, :, j])).all(axis=1)
         found.append(m[mask])
     out = np.concatenate(found, axis=0)
-    order = np.lexsort(tuple(out.reshape(len(out), 9).T[::-1]))
-    return out[order]
+    out = out[np.lexsort(tuple(out.reshape(len(out), 9).T[::-1]))]
+    out.flags.writeable = False  # the cached array is shared by every caller
+    return out
 
 
 def _gl2_elements(spec: FieldSpec):
@@ -436,10 +438,7 @@ def _qpower_hypothesis(d: GradingDescriptor):
     a = np.repeat(odd, len(even), axis=0)
     c = np.tile(even, (len(odd), 1))
     parent = _parent_algebra(spec, "m2")
-    once = parent.batch_bracket(a, c)
-    val = a
-    for _ in range(spec.q):
-        val = parent.batch_bracket(val, c)
+    once, val = parent.batch_ad_powers(a, c, (1, spec.q))
     failing = np.flatnonzero((val != once).any(axis=1))
     if not failing.size:
         return None

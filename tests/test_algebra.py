@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+
+import glie.algebra as algebra
 
 from glie.errors import (
     AmbientMismatch,
@@ -163,6 +166,62 @@ def test_batch_bracket_matches_scalar():
             assert out.dtype == np.int64 and out.shape == u.shape
             for row, (a, b) in zip(out, pairs):
                 assert list(row) == [x.code for x in L.bracket(a, b).coeffs], (L.name, spec)
+
+
+AD_POWER_ALGEBRAS = {
+    "sl2": sl2, "gl2": gl2, "m2_i": m2_grading_i, "m2_ii": m2_grading_ii,
+    "m2_iii": m2_grading_iii, "heisenberg": heisenberg,
+    "abelian": lambda spec: abelian(spec, (0, 1, 1)),
+    "sl2+heisenberg": lambda spec: direct_sum([sl2(spec), heisenberg(spec)]),
+}
+
+
+def repeated_ad_powers(L, u, w, top):
+    """u (ad w)^e for e = 0 .. top, by top calls of batch_bracket."""
+    powers = [u]
+    for _ in range(top):
+        powers.append(L.batch_bracket(powers[-1], w))
+    return powers
+
+
+def ad_power_inputs(L, rows, seed):
+    """Random code rows, with all-zero rows in u, in w and in both."""
+    rng = np.random.default_rng(seed)
+    u, w = (rng.integers(0, L.spec.q, (rows, L.dim)) for _ in range(2))
+    u[:4] = 0
+    w[2:6] = 0
+    return u, w
+
+
+@pytest.mark.parametrize("spec", [GF5, GF7, GF25], ids=lambda s: f"GF{s.q}")
+@pytest.mark.parametrize("name", AD_POWER_ALGEBRAS)
+def test_batch_ad_powers_matches_repeated_brackets(name, spec, monkeypatch):
+    """Exponents 1 to q^2 + 2 on both sides of the crossover, alone and in
+    sets, over several blocks of rows of which the last is partial."""
+    block = 64
+    monkeypatch.setattr(algebra, "_AD_BLOCK", block)
+    L = AD_POWER_ALGEBRAS[name](spec)
+    u, w = ad_power_inputs(L, 3 * block + 5, spec.q)
+    top = spec.q ** 2 + 2
+    expected = repeated_ad_powers(L, u, w, top)
+    cross = algebra.AD_SQUARING_FROM
+    exponent_sets = [tuple(range(1, top + 1)), (3, top), (1, top - 2), (top, 3), (0, top),
+                     (cross - 1,), (cross,), (cross + 1,), (1, 2, cross - 1), (top,)]
+    for exponents in exponent_sets:
+        got = L.batch_ad_powers(u, w, exponents)
+        assert len(got) == len(exponents)
+        for e, g in zip(exponents, got):
+            assert g.shape == u.shape and (g == expected[e]).all(), (e, exponents)
+
+
+def test_batch_ad_powers_full_blocks():
+    """The default block size, with a partial last block."""
+    L = sl2(GF7)
+    u, w = ad_power_inputs(L, 2 * algebra._AD_BLOCK + 3, 11)
+    expected = repeated_ad_powers(L, u, w, 51)
+    for exponents in [(51,), (3, 51), (49, 1), (48, 47)]:
+        for e, g in zip(exponents, L.batch_ad_powers(u, w, exponents)):
+            assert (g == expected[e]).all(), (e, exponents)
 
 
 def test_spec_file_roundtrip():

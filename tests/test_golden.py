@@ -383,6 +383,19 @@ def test_sl2_automorphisms_frozen_digest(p):
     assert digest == frozen["sha256"]
 
 
+def test_sl2_automorphisms_read_only():
+    """The cached array is shared by every caller: a write into it must fail
+    and leave the frozen classification as it was."""
+    spec = FieldSpec.prime(5)
+    autos = sl2_automorphisms(spec)
+    assert not autos.flags.writeable
+    with pytest.raises(ValueError):
+        autos[0] = 0
+    case = next(c for c in SL2_CASES if c["p"] == 5)
+    gradings = enumerate_z2_gradings("sl2_lie", spec)
+    assert classes_json(classify_up_to_iso(gradings)) == case["classes"]
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_m2_automorphisms_frozen(p):
     maps = m2_automorphisms(FieldSpec.prime(p))

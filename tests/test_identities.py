@@ -14,6 +14,7 @@ from glie.freelie import (
     bracket,
     lema5_set,
     poly_batch_evaluate,
+    sem2_graded,
     set_s,
     y,
     yy,
@@ -210,6 +211,25 @@ def test_identity_space_q7_memory_stays_bounded():
         tracemalloc.stop()
     assert ids.dim == 0
     assert peak <= IDENTITY_SPACE_Q7_PEAK_BYTES
+
+
+# tracemalloc peak of check_identity(sem2_graded(7), sl2(GF(7))), measured
+# when every ad power was taken by repeated brackets; squaring the ad
+# matrices must not need more
+SEM2_CHECK_Q7_PEAK_BYTES = 14_577_448
+
+
+def test_sem2_check_q7_memory_stays_bounded():
+    L = sl2(FieldSpec.prime(7))
+    e = sem2_graded(7)
+    tracemalloc.start()
+    try:
+        report = check_identity(e, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.evaluations == 7 ** 6
+    assert peak <= SEM2_CHECK_Q7_PEAK_BYTES
 
 
 def test_identity_space_yzz_window():

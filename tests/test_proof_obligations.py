@@ -16,10 +16,10 @@ import pytest
 import glie.algebra as algebra
 import glie.gradings as gradings
 import glie.identities as identities
-from glie.algebra import abelian, centralizer_of_ideal, full_space, sl2
+from glie.algebra import GradedLieAlgebra, abelian, centralizer_of_ideal, full_space, sl2
 from glie.errors import TheoremViolation
 from glie.fields import FieldSpec
-from glie.freelie import yy, z, zz
+from glie.freelie import sem1_graded, yy, z, zz
 from glie.gradings import GradingDescriptor, natural_characterization, unit_component_check
 from glie.identities import (
     basis_check,
@@ -60,6 +60,24 @@ def counterexample_not_reproduced():
         check_identity(zz(), sl2(GF5))
     finally:
         identities.evaluate = original
+
+
+def ad_power_kernel_corrupted():
+    """batch_ad_powers with one row of its first power corrupted: sem1 holds
+    on sl2, so the scalar re-evaluation of the false counterexample vanishes."""
+    original = GradedLieAlgebra.batch_ad_powers
+
+    def corrupted(self, u, w, exponents):
+        powers = original(self, u, w, exponents)
+        bad = powers[0].copy()
+        bad[5] = (bad[5] + 1) % self.spec.p
+        return [bad, *powers[1:]]
+
+    GradedLieAlgebra.batch_ad_powers = corrupted
+    try:
+        check_identity(sem1_graded(5), sl2(GF5))
+    finally:
+        GradedLieAlgebra.batch_ad_powers = original
 
 
 class _KernelReturning:
@@ -132,7 +150,7 @@ def unit_criterion_disagrees():
 
 
 SCENARIOS = [non_identity_generator, non_identity_consequence, counterexample_not_reproduced,
-             centralizer_not_an_ideal, centralizer_not_graded,
+             ad_power_kernel_corrupted, centralizer_not_an_ideal, centralizer_not_graded,
              natural_grading_without_isomorphism, unit_criterion_disagrees]
 
 
@@ -160,4 +178,4 @@ def test_obligations_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "[True,"] + ["True,"] * 5 + ["True]"]
+    assert proc.stdout.split() == ["1", "[True,"] + ["True,"] * 6 + ["True]"]
