@@ -33,11 +33,24 @@ from .linalg import EigenBasis, MatrixGF, SubspaceBasis, eigen_decomposition, rr
 
 RADICAL_DIM_CAP = 6
 
-# batch_ad_powers squares ad matrices once the largest exponent reaches this;
-# below it repeated batch_bracket is faster.  Measured for sl2 over GF(5) and
-# GF(7) on 15,625 and 16,384 rows: break-even between exponents 14 and 16.
-AD_SQUARING_FROM = 15
-_AD_BLOCK = 2048  # rows per block of ad matrices, so the squares stay small
+_AD_BLOCK = 2048  # distinct bases, or rows, per block of ad matrices
+_MAX_KEY = 1 << 62  # element codes up to this serve as int64 keys of rows
+
+
+def _ad_matrices_pay(rows: int, distinct: int, dim: int, exponents) -> bool:
+    """Whether batch_ad_powers should raise the ad matrices of the distinct
+    bases to powers rather than bracket each row repeatedly.
+
+    Bracketing costs about rows * top; powering costs one gathered product
+    per exponent and row plus about dim * bit_length(top) per distinct base.
+    Fitted on 625 to 16,384 rows of sl2 and gl2 over GF(5), GF(7), GF(25)
+    and sl2 + heisenberg over GF(7), with 1 to 16,384 distinct bases: the
+    rule picks the faster path, or one at most 10 % slower near break-even.
+    With every base distinct (dim 6, GF(7)) break-even is near exponent 31;
+    with the few hundred distinct bases of a q = 7 check it is exponent 2-3.
+    """
+    top = max(exponents)
+    return rows * (top - 1 - len(exponents)) > distinct * dim * top.bit_length()
 
 
 def repeated_brackets(bracket, u, w, exponents) -> list:
@@ -150,6 +163,17 @@ class GradedLieAlgebra:
     # -- batched evaluation support --------------------------------------------
 
     @cached_property
+    def _bracket_pairs(self):
+        """_bracket_terms as (i, j, ((k, code), ...), paired).  Where c_ji =
+        -c_ij holds exactly, (j, i) is folded into (i, j) with paired True:
+        the product is then u_i v_j - u_j v_i."""
+        terms = {(i, j): nonzero for i, j, nonzero in self._bracket_terms}
+        paired = {(i, j) for (i, j), nonzero in terms.items() if i < j and terms.get((j, i))
+                  == tuple((k, (-self.spec.from_code(s)).code) for k, s in nonzero)}
+        return tuple((i, j, nonzero, (i, j) in paired)
+                     for (i, j), nonzero in terms.items() if (j, i) not in paired)
+
+    @cached_property
     def _bracket_terms(self):
         """Nonzero structure constants grouped by (i, j): (i, j, ((k, code), ...))."""
         terms = []
@@ -170,14 +194,18 @@ class GradedLieAlgebra:
         bf = batch_field(self.spec)
         out = bf.zeros(u.shape)
         if self.spec.k == 1:
-            for i, j, nonzero in self._bracket_terms:
+            for i, j, nonzero, paired in self._bracket_pairs:
                 prod = u[:, i] * v[:, j]
+                if paired:
+                    prod -= u[:, j] * v[:, i]
                 for k, s in nonzero:
                     out[:, k] += s * prod
             out %= self.spec.p
             return out
-        for i, j, nonzero in self._bracket_terms:
+        for i, j, nonzero, paired in self._bracket_pairs:
             prod = bf.mul(u[:, i], v[:, j])
+            if paired:
+                prod = bf.sub(prod, bf.mul(u[:, j], v[:, i]))
             for k, s in nonzero:
                 out[:, k] = bf.add(out[:, k], bf.scale(s, prod))
         return out
@@ -186,37 +214,58 @@ class GradedLieAlgebra:
         """u (ad w)^e, row by row, for each e in exponents; u and w are
         element-code arrays of shape (N, dim).
 
-        Below AD_SQUARING_FROM this brackets repeatedly.  Otherwise each block
-        of rows gets its (dim, dim, rows) array of ad w matrices.  Each square
-        is applied to every exponent whose current bit is set, then replaced
-        by its own square, so only one is kept.
+        Rows of an exhaustive check share their bases: the rows of w take
+        few distinct values.  Each row of w is keyed by its element code.
+        When _ad_matrices_pay says so, the ad matrices of the distinct values
+        are raised to each exponent by repeated squaring, in blocks of
+        _AD_BLOCK values, and each row of u is multiplied by the power of its
+        own base, gathered _AD_BLOCK rows at a time.  Otherwise, and for
+        exponents below 2, this brackets repeatedly.
         """
         top = max(exponents, default=0)
-        if top < AD_SQUARING_FROM:
+        if top < 2 or not len(u) or self.spec.q ** self.dim > _MAX_KEY:
             return repeated_brackets(self.batch_bracket, u, w, exponents)
+        place = self.spec.q ** np.arange(self.dim, dtype=np.int64)
+        distinct, inverse = np.unique(w @ place, return_inverse=True)
+        if not _ad_matrices_pay(len(u), len(distinct), self.dim, exponents):
+            return repeated_brackets(self.batch_bracket, u, w, exponents)
+        bases = distinct[:, None] // place % self.spec.q
+        powers = [np.empty((self.dim, self.dim, len(bases)), dtype=np.int64) for _ in exponents]
+        for lo in range(0, len(bases), _AD_BLOCK):
+            block = self._ad_power_matrices(bases[lo:lo + _AD_BLOCK], exponents)
+            for power, part in zip(powers, block):
+                power[:, :, lo:lo + _AD_BLOCK] = part
         bf = batch_field(self.spec)
         outs = [np.empty_like(u) for _ in exponents]
         for start in range(0, len(u), _AD_BLOCK):
             rows = slice(start, start + _AD_BLOCK)
-            ws = w[rows]
-            square = bf.zeros((self.dim, self.dim, len(ws)))
-            for i, j, nonzero in self._bracket_terms:
-                for k, s in nonzero:
-                    if self.spec.k == 1:
-                        square[i, k] += s * ws[:, j]
-                    else:
-                        square[i, k] = bf.add(square[i, k], bf.scale(s, ws[:, j]))
-            if self.spec.k == 1:
-                square %= self.spec.p
-            vals = [u[rows].T] * len(exponents)
-            for bit in range(top.bit_length()):
-                if bit:
-                    square = _code_matmul(bf, square, square)
-                vals = [_code_matmul(bf, v[None], square)[0] if e >> bit & 1 else v
-                        for e, v in zip(exponents, vals)]
-            for out, v in zip(outs, vals):
-                out[rows] = v.T
+            ur, ids = u[rows].T[None], inverse[rows]
+            for out, power in zip(outs, powers):
+                out[rows] = _code_matmul(bf, ur, power.take(ids, axis=2))[0].T
         return outs
+
+    def _ad_power_matrices(self, w: np.ndarray, exponents) -> list:
+        """(dim, dim, len(w)) code arrays of (ad w)^e, one matrix per row of
+        w, for each e in exponents, by repeated squaring."""
+        bf = batch_field(self.spec)
+        square = bf.zeros((self.dim, self.dim, len(w)))
+        for i, j, nonzero in self._bracket_terms:
+            for k, s in nonzero:
+                if self.spec.k == 1:
+                    square[i, k] += s * w[:, j]
+                else:
+                    square[i, k] = bf.add(square[i, k], bf.scale(s, w[:, j]))
+        if self.spec.k == 1:
+            square %= self.spec.p
+        powers = {}
+        for bit in range(max(exponents).bit_length()):
+            if bit:
+                square = _code_matmul(bf, square, square)
+            for e in set(exponents):
+                if e >> bit & 1:
+                    powers[e] = _code_matmul(bf, powers[e], square) if e in powers else square
+        eye = np.broadcast_to(np.eye(self.dim, dtype=np.int64)[:, :, None], square.shape)
+        return [powers.get(e, eye) for e in exponents]
 
     # -- validation -------------------------------------------------------------
 

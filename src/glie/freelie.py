@@ -31,6 +31,11 @@ variable, and there are three backends:
 The scalar backend is not a batch of one: counterexample re-evaluation in
 identities and the tests use it as a reference that shares no arithmetic
 with the batch backend.  Only the walk is shared.
+
+Within one call the walker evaluates each structurally distinct
+subexpression once, the leading slots of a bracket chain counting as one:
+in sem2_graded(q), x1 = y1 + z1 is summed once, not at every slot that uses
+it.  Only the values asked for more than once are kept until the call ends.
 """
 
 from __future__ import annotations
@@ -507,41 +512,87 @@ class _Backend(NamedTuple):
     leaf: Callable       # Variable -> value
 
 
-def _interpret(e, ops: _Backend):
+def _children(e) -> tuple:
+    """The subexpressions _interpret asks for to evaluate e.  A chain with
+    slots is its prefix (the head itself for one slot) followed by its last
+    slot, so chains that share leading slots share their prefix."""
+    if isinstance(e, Scale):
+        return (e.expr,)
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, BracketChain):
+        if not e.slots:
+            return (e.head,)
+        *rest, last = e.slots
+        return (BracketChain(e.head, tuple(rest)) if rest else e.head), last.base
+    return ()
+
+
+def _memo_for(*exprs) -> dict:
+    """A memo for walking exprs in turn with one _interpret call each: it
+    holds None for every subexpression that the walks ask for more than once
+    and nothing else, so it keeps no value that is needed only once."""
+    seen, memo = set(), {}
+    todo = list(exprs)
+    while todo:
+        e = todo.pop()
+        if e in seen:
+            memo[e] = None
+        else:
+            seen.add(e)
+            todo.extend(_children(e))
+    return memo
+
+
+def _interpret(e, ops: _Backend, memo: dict | None = None):
     """The one walk of the expression AST.  An AdPower slot asks the backend
     for one power of ad; an AdPolyDiff slot asks for all of its exponents at
-    once and adds the scaled powers.  It is no nested closure on purpose: one
-    that calls itself is a reference cycle, which would keep each chunk's
-    assignment arrays alive until the garbage collector runs."""
+    once and adds the scaled powers.
+
+    memo comes from _memo_for, by default for e alone: each subexpression it
+    names is evaluated once and its value kept there.  Such a value may be handed out again, so it is
+    never the first argument of add, which may update that in place.  The
+    walk is no nested closure on purpose: one that calls itself is a
+    reference cycle, which would keep each chunk's assignment arrays alive
+    until the garbage collector runs."""
+    if memo is None:
+        memo = _memo_for(e)
+    val = memo.get(e)
+    if val is not None:
+        return val
     if isinstance(e, Var):
-        return ops.leaf(e.var)
-    if isinstance(e, Scale):
-        return ops.scale(ops.spec.from_int(e.coeff), _interpret(e.expr, ops))
-    if isinstance(e, Sum):
-        acc = ops.zero()
+        val = ops.leaf(e.var)
+    elif isinstance(e, Scale):
+        val = ops.scale(ops.spec.from_int(e.coeff), _interpret(e.expr, ops, memo))
+    elif isinstance(e, Sum):
+        val = ops.zero()
         for t in e.terms:
-            acc = ops.add(acc, _interpret(t, ops))
-        return acc
-    if isinstance(e, BracketChain):
-        val = _interpret(e.head, ops)
-        for s in e.slots:
-            w = _interpret(s.base, ops)
+            val = ops.add(val, _interpret(t, ops, memo))
+    elif isinstance(e, BracketChain):
+        children = [_interpret(c, ops, memo) for c in _children(e)]
+        val = children[0]
+        if e.slots:
+            s, w = e.slots[-1], children[1]
             if isinstance(s, AdPower):
                 (val,) = ops.ad_powers(val, w, (s.exponent,))
-                continue
-            acc = ops.zero()
-            powers = ops.ad_powers(val, w, [x for _, x in s.terms])
-            for (coeff, _), power in zip(s.terms, powers):
-                acc = ops.add(acc, ops.scale(ops.spec.from_int(coeff), power))
-            val = acc
-        return val
-    raise TypeError(f"not a LieExpr node: {e!r}")
+            else:
+                powers = ops.ad_powers(val, w, [x for _, x in s.terms])
+                val = ops.zero()
+                for (coeff, _), power in zip(s.terms, powers):
+                    val = ops.add(val, ops.scale(ops.spec.from_int(coeff), power))
+    else:
+        raise TypeError(f"not a LieExpr node: {e!r}")
+    if e in memo:
+        memo[e] = val
+    return val
 
 
 def _poly_value(poly: LiePolynomial, ops: _Backend):
+    exprs = [word_to_expr(w) for w, _ in poly.terms]
+    memo = _memo_for(*exprs)
     acc = ops.zero()
-    for w, c in poly.terms:
-        acc = ops.add(acc, ops.scale(c, _interpret(word_to_expr(w), ops)))
+    for (_, c), e in zip(poly.terms, exprs):
+        acc = ops.add(acc, ops.scale(c, _interpret(e, ops, memo)))
     return acc
 
 

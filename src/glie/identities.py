@@ -378,7 +378,8 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     Rows come from exhaustive enumeration when it fits the budget, otherwise
     from seeded samples; in both cases every kernel vector is certified by an
     exhaustive per-vector identity check before it is returned, so the result
-    is exact either way.
+    is exact either way.  That check has the default CheckSettings budget: a
+    window with more assignments raises BudgetExceeded.
     """
     spec = alg.spec
     if ambient.dim == 0:
@@ -418,7 +419,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
         assignment = _sample_assignment(variables, domains, settings.sample_rows, settings.seed)
         add_rows(monomial_rows(assignment, settings.sample_rows))
 
-    check_settings = CheckSettings(budget=max(total, 1), chunk=settings.chunk)
+    check_settings = CheckSettings(chunk=settings.chunk)
     while True:
         kernel = SubspaceBasis.from_rref_codes(spec, kernel_codes(spec, reduced, pivots))
         new_rows = False

@@ -193,35 +193,64 @@ def ad_power_inputs(L, rows, seed):
     return u, w
 
 
+def repeating_bases(L, rows, seed):
+    """Bases of three kinds: all rows equal, three distinct values (zero
+    among them), and every row distinct, which leaves at most q^dim rows."""
+    rng = np.random.default_rng(seed)
+    size = L.spec.q ** L.dim
+    codes = rng.choice(np.arange(1, size), min(rows, size - 1), replace=False)
+    decode = lambda c: c[:, None] // L.spec.q ** np.arange(L.dim) % L.spec.q
+    return {"equal": decode(np.repeat(codes[:1], rows)),
+            "few": decode(np.array([0, *codes[:2]])[rng.integers(0, 3, rows)]),
+            "distinct": decode(codes)}
+
+
 @pytest.mark.parametrize("spec", [GF5, GF7, GF25], ids=lambda s: f"GF{s.q}")
 @pytest.mark.parametrize("name", AD_POWER_ALGEBRAS)
 def test_batch_ad_powers_matches_repeated_brackets(name, spec, monkeypatch):
-    """Exponents 1 to q^2 + 2 on both sides of the crossover, alone and in
-    sets, over several blocks of rows of which the last is partial."""
+    """Exponents 0 to q^2 + 2, alone and in sets, on both sides of the path
+    rule, over several blocks of which the last is partial, for bases that
+    are all equal, take a few values or are all distinct."""
     block = 64
     monkeypatch.setattr(algebra, "_AD_BLOCK", block)
+    powered = []
+    ad_power_matrices = algebra.GradedLieAlgebra._ad_power_matrices
+    monkeypatch.setattr(algebra.GradedLieAlgebra, "_ad_power_matrices",
+                        lambda self, w, exponents: powered.append(len(w))
+                        or ad_power_matrices(self, w, exponents))
     L = AD_POWER_ALGEBRAS[name](spec)
-    u, w = ad_power_inputs(L, 3 * block + 5, spec.q)
+    u, _ = ad_power_inputs(L, 3 * block + 5, spec.q)
     top = spec.q ** 2 + 2
-    expected = repeated_ad_powers(L, u, w, top)
-    cross = algebra.AD_SQUARING_FROM
-    exponent_sets = [tuple(range(1, top + 1)), (3, top), (1, top - 2), (top, 3), (0, top),
-                     (cross - 1,), (cross,), (cross + 1,), (1, 2, cross - 1), (top,)]
-    for exponents in exponent_sets:
-        got = L.batch_ad_powers(u, w, exponents)
-        assert len(got) == len(exponents)
-        for e, g in zip(exponents, got):
-            assert g.shape == u.shape and (g == expected[e]).all(), (e, exponents)
+    paths = set()
+    for kind, bases in repeating_bases(L, len(u), spec.q).items():
+        rows = len(bases)
+        distinct = len(np.unique(bases, axis=0))
+        assert distinct == {"equal": 1, "few": 3, "distinct": rows}[kind]
+        expected = repeated_ad_powers(L, u[:rows], bases, top + 1)
+        cross = next((e for e in range(2, top + 1)
+                      if algebra._ad_matrices_pay(rows, distinct, L.dim, (e,))), top)
+        exponent_sets = [tuple(range(1, top + 1)), (3, top), (1, top - 2), (top, 3), (0, top),
+                         (0,), (2,), (cross - 1,), (cross,), (cross + 1,), (1, 2, cross - 1),
+                         (top,)]
+        for exponents in exponent_sets:
+            before = len(powered)
+            got = L.batch_ad_powers(u[:rows], bases, exponents)
+            paths.add(len(powered) > before)
+            assert len(got) == len(exponents)
+            for e, g in zip(exponents, got):
+                assert g.shape == (rows, L.dim) and (g == expected[e]).all(), (kind, e, exponents)
+    assert paths == {False, True}
 
 
 def test_batch_ad_powers_full_blocks():
-    """The default block size, with a partial last block."""
-    L = sl2(GF7)
-    u, w = ad_power_inputs(L, 2 * algebra._AD_BLOCK + 3, 11)
-    expected = repeated_ad_powers(L, u, w, 51)
-    for exponents in [(51,), (3, 51), (49, 1), (48, 47)]:
-        for e, g in zip(exponents, L.batch_ad_powers(u, w, exponents)):
-            assert (g == expected[e]).all(), (e, exponents)
+    """The default block size, with a partial last block of rows and, for
+    sl2 + heisenberg, of distinct bases too."""
+    for L in (sl2(GF7), direct_sum([sl2(GF7), heisenberg(GF7)])):
+        u, w = ad_power_inputs(L, 2 * algebra._AD_BLOCK + 3, 11)
+        expected = repeated_ad_powers(L, u, w, 51)
+        for exponents in [(51,), (3, 51), (49, 1), (48, 47)]:
+            for e, g in zip(exponents, L.batch_ad_powers(u, w, exponents)):
+                assert (g == expected[e]).all(), (e, exponents)
 
 
 def test_spec_file_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 
 from glie.algebra import algebra_from_matrix_basis, sl2, span_e11_e12
 from glie.errors import BudgetExceeded, ParityError
-from glie.fields import FieldSpec
+from glie.fields import BatchField, FieldSpec
 from glie.freelie import (
     LiePolynomial,
     MultiDegree,
@@ -230,6 +230,33 @@ def test_sem2_check_q7_memory_stays_bounded():
         tracemalloc.stop()
     assert report.holds and report.evaluations == 7 ** 6
     assert peak <= SEM2_CHECK_Q7_PEAK_BYTES
+
+
+def test_sem2_check_q7_evaluates_shared_subexpressions_once(monkeypatch):
+    """x1 = y1 + z1 and x2 = y2 + z2 are summed once per chunk, not at each
+    of the 21 slots that use them.  Per chunk that leaves 4 adds for these
+    two sums, 6 for the outer sum and 2 for each of the four AdPolyDiff
+    slots; a walk that evaluates every occurrence makes 448 in all."""
+    calls = []
+    add = BatchField.add
+    monkeypatch.setattr(BatchField, "add", lambda self, a, b: calls.append(1) or add(self, a, b))
+    report = check_identity(sem2_graded(7), sl2(FieldSpec.prime(7)))
+    assert report.holds and report.evaluations == 7 ** 6
+    chunks = -(-7 ** 6 // CheckSettings().chunk)
+    assert len(calls) == (4 + 6 + 2 * 4) * chunks
+
+
+def test_identity_space_certification_keeps_the_check_budget():
+    """(y1:1, z1..z4:1) at q = 7 has 7 * 49^4, about 40 M, assignments per
+    kernel vector: certification raises BudgetExceeded, and basis_check
+    records the window as inconclusive."""
+    L = sl2(FieldSpec.prime(7))
+    win = window_multilinear([y(1), z(1), z(2), z(3), z(4)])
+    with pytest.raises(BudgetExceeded):
+        identity_space(L, win)
+    report = basis_check(L, [yy()], [win])
+    assert report.verdict == "inconclusive"
+    assert [w.status for w in report.windows] == ["inconclusive"]
 
 
 def test_identity_space_yzz_window():
