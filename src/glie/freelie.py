@@ -417,20 +417,18 @@ def expr_variables(e) -> list:
     return sorted(out, key=lambda v: v.sort_key)
 
 
-def degree_bound(e, leaves: dict | None = None):
-    """Per-variable and total upper bounds on expansion degrees.
+def _slot_multiplicity(s) -> int:
+    """How many times a slot can bracket with its base: the exponent of an
+    AdPower, the largest exponent of an AdPolyDiff."""
+    return s.exponent if isinstance(s, AdPower) else max(eexp for _, eexp in s.terms)
 
-    leaves maps variables to (per, total) bounds that replace the bound of
-    their Var leaves.  Since substitute only replaces Var leaves,
-    degree_bound(f, {v: degree_bound(m[v])}) == degree_bound(substitute(f, m)),
-    without building the substituted expression.  The returned dict may be
-    one of the leaf dicts; callers must not mutate it.
-    """
-    leaves = leaves or {}
+
+def degree_bound(e):
+    """Per-variable and total upper bounds on expansion degrees."""
 
     def walk(node):
         if isinstance(node, Var):
-            return leaves.get(node.var) or ({node.var: 1}, 1)
+            return {node.var: 1}, 1
         if isinstance(node, Sum):
             per: dict = {}
             tot = 0
@@ -444,10 +442,9 @@ def degree_bound(e, leaves: dict | None = None):
             return walk(node.expr)
         if isinstance(node, BracketChain):
             per, tot = walk(node.head)
-            per = dict(per)
             for s in node.slots:
                 bp, bt = walk(s.base)
-                mult = s.exponent if isinstance(s, AdPower) else max(eexp for _, eexp in s.terms)
+                mult = _slot_multiplicity(s)
                 for v, d in bp.items():
                     per[v] = per.get(v, 0) + mult * d
                 tot += mult * bt
@@ -455,6 +452,41 @@ def degree_bound(e, leaves: dict | None = None):
         raise TypeError(f"not a LieExpr node: {node!r}")
 
     return walk(e)
+
+
+def degree_form(e, variables) -> tuple:
+    """degree_bound of e as a max-plus function of the bounds of its leaves.
+
+    Returns distinct multiplicity vectors t, indexed like variables (which
+    must hold every variable of e), such that for any substitution m of
+    those variables
+
+        degree_bound(substitute(e, m)) = max over t of sum_i t[i] * b_i,
+
+    per variable and in total alike, where b_i = degree_bound(m[variables[i]]).
+    A Sum takes the union of its terms' vectors; a BracketChain slot adds
+    _slot_multiplicity times each vector of its base to each of the head's.
+    The vectors come by decreasing total multiplicity, so the one most
+    likely to exceed a cap comes first.
+    """
+    unit = {v: tuple(int(v == u) for u in variables) for v in variables}
+
+    def walk(node) -> set:
+        if isinstance(node, Var):
+            return {unit[node.var]}
+        if isinstance(node, Sum):
+            return set().union(*map(walk, node.terms))
+        if isinstance(node, Scale):
+            return walk(node.expr)
+        if isinstance(node, BracketChain):
+            out = walk(node.head)
+            for s in node.slots:
+                mult, base = _slot_multiplicity(s), walk(s.base)
+                out = {tuple(a + mult * b for a, b in zip(t, u)) for t in out for u in base}
+            return out
+        raise TypeError(f"not a LieExpr node: {node!r}")
+
+    return tuple(sorted(walk(e), key=lambda t: (-sum(t), t)))
 
 
 def expr_parity(e):
@@ -502,7 +534,7 @@ class _Backend(NamedTuple):
     """What _interpret needs to give expressions values.  scale takes a field
     element, so Lie polynomials with extension-field coefficients go through
     it too.  add may update its first argument in place: the walker only
-    passes accumulators it got from zero."""
+    passes accumulators it got from zero or values no one else holds."""
 
     spec: FieldSpec
     zero: Callable       # () -> value
@@ -547,7 +579,7 @@ def _memo_for(*exprs) -> dict:
 def _interpret(e, ops: _Backend, memo: dict | None = None):
     """The one walk of the expression AST.  An AdPower slot asks the backend
     for one power of ad; an AdPolyDiff slot asks for all of its exponents at
-    once and adds the scaled powers.
+    once and adds the powers, scaling those whose coefficient is not 1.
 
     memo comes from _memo_for, by default for e alone: each subexpression it
     names is evaluated once and its value kept there.  Such a value may be handed out again, so it is
@@ -577,9 +609,15 @@ def _interpret(e, ops: _Backend, memo: dict | None = None):
                 (val,) = ops.ad_powers(val, w, (s.exponent,))
             else:
                 powers = ops.ad_powers(val, w, [x for _, x in s.terms])
-                val = ops.zero()
-                for (coeff, _), power in zip(s.terms, powers):
-                    val = ops.add(val, ops.scale(ops.spec.from_int(coeff), power))
+                first, *rest = [power if coeff == 1 else ops.scale(ops.spec.from_int(coeff), power)
+                                for (coeff, _), power in zip(s.terms, powers)]
+                # add may update the first term in place, so start from it
+                # only if no one else holds it: not the prefix value, which
+                # exponent 0 returns, nor a power of a repeated exponent
+                shared = first is val or any(first is t for t in rest)
+                val = ops.add(ops.zero(), first) if shared else first
+                for t in rest:
+                    val = ops.add(val, t)
     else:
         raise TypeError(f"not a LieExpr node: {e!r}")
     if e in memo:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .freelie import (
     MultiDegree,
     batch_evaluate,
     degree_bound,
+    degree_form,
     evaluate,
     expr_expand,
     expr_parity,
@@ -538,17 +540,27 @@ class _Pool:
             self.classes[index[key]][2].append(expr)
 
 
-def _instance_fits(gen, gvars, classes, caps: dict, max_total: int) -> bool:
-    """Would substituting images of these classes into gen pass the graded
-    parity check and stay within the degree caps?  Decided from gen's AST
-    and the class signatures alone, without building the instance."""
-    leaves = {}
-    for v, (parity, bound, _) in zip(gvars, classes):
+def _instance_fits(gvars, form, classes, caps: dict, max_total: int) -> bool:
+    """Would substituting images of these classes for gvars, the variables of
+    a generator, pass the graded parity check and stay within the degree
+    caps?  form is the generator's freelie.degree_form over gvars, so this
+    is decided from the class signatures alone, without building the
+    instance or walking the generator: the tuple is rejected at the first
+    vector of the form whose total exceeds max_total, else at the first
+    whose sum for a variable of the images exceeds that variable's cap."""
+    for v, (parity, _, _) in zip(gvars, classes):
         if v.parity is not None and parity != v.parity:
             return False
-        leaves[v] = bound
-    per, total = degree_bound(gen, leaves)
-    return total <= max_total and all(d <= caps.get(v, 0) for v, d in per.items())
+    bounds = [bound for _, bound, _ in classes]
+    if _form_exceeds(form, [total for _, total in bounds], max_total):
+        return False
+    return not any(_form_exceeds(form, [per.get(u, 0) for per, _ in bounds], caps.get(u, 0))
+                   for u in dict.fromkeys(u for per, _ in bounds for u in per))
+
+
+def _form_exceeds(form, leaf, cap: int) -> bool:
+    """Does some vector of the form, weighted by leaf, exceed cap?"""
+    return any(sum(map(operator.mul, t, leaf)) > cap for t in form)
 
 
 def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
@@ -570,10 +582,13 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
        count.  Exhaustive mode walks the product of signature classes;
        random mode draws single instances exactly as an unpruned search
        would and looks up the verdict of the draw's class tuple.
-    3. A class tuple is rejected when an image's parity differs from its
-       graded variable's, else when the generator's degree bound, composed
-       with the image bounds, exceeds a window cap or the window's total
-       degree.  A generator with no passing class tuple costs nothing more.
+    3. Each generator's degree bound is compiled once per call into its
+       degree form (freelie.degree_form): multiplicity vectors whose
+       maximum, weighted by the image bounds, is the bound of the instance.
+       A class tuple is rejected when an image's parity differs from its
+       graded variable's, else at the first vector of the form whose
+       weighted sum exceeds the window's total degree or a variable's cap.
+       A generator with no passing class tuple costs nothing more.
     4. Only instances of passing tuples are substituted and expanded.
 
     With check_algebra supplied, every returned basis vector is verified to
@@ -627,13 +642,13 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
         count = 1
         for pool in var_pools:
             count *= max(len(pool.exprs), 1)
-        all_maps.append((gen, gvars, var_pools, count))
+        all_maps.append((gen, gvars, degree_form(gen, gvars), var_pools, count))
 
-    total_maps = sum(c for _, _, _, c in all_maps)
+    total_maps = sum(c for *_, c in all_maps)
     if total_maps <= settings.exhaustive_pool_limit:
-        for gen, gvars, var_pools, _ in all_maps:
+        for gen, gvars, form, var_pools, _ in all_maps:
             for classes in itertools.product(*(pool.classes for pool in var_pools)):
-                if _instance_fits(gen, gvars, classes, caps, max_total):
+                if _instance_fits(gvars, form, classes, caps, max_total):
                     for combo in itertools.product(*(members for _, _, members in classes)):
                         process(gen, dict(zip(gvars, combo)))
     else:
@@ -643,12 +658,12 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
             before = acc.dim
             for _ in range(settings.batch_size):
                 g = rng.randrange(len(all_maps))
-                gen, gvars, var_pools, _ = all_maps[g]
+                gen, gvars, form, var_pools, _ = all_maps[g]
                 picks = [rng.randrange(len(pool.exprs)) for pool in var_pools]
                 key = (g, tuple(pool.class_of[i] for pool, i in zip(var_pools, picks)))
                 if key not in verdicts:
                     classes = [pool.classes[c] for pool, c in zip(var_pools, key[1])]
-                    verdicts[key] = _instance_fits(gen, gvars, classes, caps, max_total)
+                    verdicts[key] = _instance_fits(gvars, form, classes, caps, max_total)
                 if verdicts[key]:
                     process(gen, {v: pool.exprs[i]
                                   for v, pool, i in zip(gvars, var_pools, picks)})

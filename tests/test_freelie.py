@@ -219,6 +219,21 @@ def test_expand_operator_slot():
     }
 
 
+def test_operator_slot_sum_leaves_shared_powers_alone():
+    """An AdPolyDiff sum starts from its first power only where no one else
+    holds it.  The free backend adds in place, so a power repeated by a
+    duplicate exponent, or the exponent-0 power, which is the memoized
+    prefix [y1, y2], would be counted twice."""
+    p = bracket(Var(y(1)), Var(y(2)))
+    p_y3 = bracket(p, Var(y(3)))
+    triple = chain(Var(y(1)), AdPower(Var(y(2)), 1),
+                   AdPolyDiff(Var(y(3)), ((1, 1), (1, 1), (1, 1))))
+    assert assoc_expand(triple, GF5) == assoc_expand(Scale(3, p_y3), GF5)
+    with_prefix = chain(Var(y(1)), AdPower(Var(y(2)), 1), AdPolyDiff(Var(y(3)), ((1, 0), (1, 1))))
+    assert (assoc_expand(Sum((with_prefix, p)), GF5)
+            == assoc_expand(Sum((Scale(2, p), p_y3)), GF5))
+
+
 def test_expand_rejects_sem2():
     with pytest.raises(ExpansionTooLarge):
         expr_expand(sem2(5), GF5, caps={x(1): 5, x(2): 5})

@@ -235,15 +235,16 @@ def test_sem2_check_q7_memory_stays_bounded():
 def test_sem2_check_q7_evaluates_shared_subexpressions_once(monkeypatch):
     """x1 = y1 + z1 and x2 = y2 + z2 are summed once per chunk, not at each
     of the 21 slots that use them.  Per chunk that leaves 4 adds for these
-    two sums, 6 for the outer sum and 2 for each of the four AdPolyDiff
-    slots; a walk that evaluates every occurrence makes 448 in all."""
+    two sums, 6 for the outer sum and 1 for each of the four two-term
+    AdPolyDiff slots, whose sum starts from its first power; a walk that
+    evaluates every occurrence makes 448 in all."""
     calls = []
     add = BatchField.add
     monkeypatch.setattr(BatchField, "add", lambda self, a, b: calls.append(1) or add(self, a, b))
     report = check_identity(sem2_graded(7), sl2(FieldSpec.prime(7)))
     assert report.holds and report.evaluations == 7 ** 6
     chunks = -(-7 ** 6 // CheckSettings().chunk)
-    assert len(calls) == (4 + 6 + 2 * 4) * chunks
+    assert len(calls) == (4 + 6 + 4) * chunks
 
 
 def test_identity_space_certification_keeps_the_check_budget():

@@ -3,19 +3,32 @@
 Images are drawn from the real pools of consequence_span, zero image and
 two-term samples included, for graded generator sets and for the ungraded
 sem1/sem2 and [x1, x2], whose x variables take images of either parity.
+The degree form of a generator is also checked against substitution on
+random images whose per-variable and total bounds are unrelated, and on
+edge cases of the AST.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from glie import freelie, identities
+from glie.algebra import sl2
 from glie.errors import ParityError
 from glie.fields import FieldSpec
 from glie.freelie import (
+    AdPolyDiff,
+    AdPower,
+    BracketChain,
     LiePolynomial,
+    Scale,
+    Sum,
     Var,
     bracket,
+    chain,
     degree_bound,
+    degree_form,
     expr_parity,
     expr_variables,
     lema5_set,
@@ -25,9 +38,12 @@ from glie.freelie import (
     set_s,
     substitute,
     x,
+    y,
+    z,
 )
 from glie.identities import (
     SpanSettings,
+    basis_check,
     _image_pool,
     _instance_fits,
     _Pool,
@@ -42,6 +58,21 @@ GEN_SETS = {
     "ungraded": (5, lambda: [sem1(5), sem2(5), bracket(Var(x(1)), Var(x(2)))]),
 }
 DRAWS = 150
+
+
+def form_bound(form, bounds):
+    """(per, total) of the max-plus function form at the leaf bounds."""
+    keys = dict.fromkeys(u for per, _ in bounds for u in per)
+    per = {u: max(sum(k * p.get(u, 0) for k, (p, _) in zip(t, bounds)) for t in form)
+           for u in keys}
+    return per, max(sum(k * s for k, (_, s) in zip(t, bounds)) for t in form)
+
+
+def assert_form_matches(gen, mapping):
+    gvars = expr_variables(gen)
+    bounds = [degree_bound(mapping[v]) for v in gvars]
+    assert (form_bound(degree_form(gen, gvars), bounds)
+            == degree_bound(substitute(gen, mapping, graded=False)))
 
 
 def pools_for(spec, gvars, ambient, rng):
@@ -87,11 +118,9 @@ def test_prune_matches_substitution(name):
             for _ in range(DRAWS):
                 picks = [draw(pool, rng) for pool in pools]
                 mapping = {v: pool.exprs[i] for v, pool, i in zip(gvars, pools, picks)}
-                leaves = {v: degree_bound(e) for v, e in mapping.items()}
-                assert (degree_bound(gen, leaves)
-                        == degree_bound(substitute(gen, mapping, graded=False)))
+                assert_form_matches(gen, mapping)
                 classes = [pool.classes[pool.class_of[i]] for pool, i in zip(pools, picks)]
-                fits = _instance_fits(gen, gvars, classes, caps, max_total)
+                fits = _instance_fits(gvars, degree_form(gen, gvars), classes, caps, max_total)
                 assert fits != rejected_by_substitution(gen, mapping, caps, max_total)
                 verdicts.add(fits)
     assert verdicts == {True, False}
@@ -119,6 +148,92 @@ def test_zero_image_is_rejected_for_odd_variables():
     gen = lema5_set(5)[1]  # [z1, z2]
     gvars = expr_variables(gen)
     classes = [pool.classes[pool.class_of[0]], pool.classes[pool.class_of[1]]]
-    assert not _instance_fits(gen, gvars, classes, ambient.caps(), ambient.max_total)
+    assert not _instance_fits(gvars, degree_form(gen, gvars), classes,
+                              ambient.caps(), ambient.max_total)
     with pytest.raises(ParityError):
         substitute(gen, dict(zip(gvars, pool.exprs[:2])), graded=True)
+
+
+def monomial_image(degrees):
+    """An expression whose degree bound is exactly degrees (all >= 1)."""
+    (head, _), *rest = degrees.items()
+    slots = [AdPower(Var(v), d) for v, d in rest]
+    if degrees[head] > 1:
+        slots.append(AdPower(Var(head), degrees[head] - 1))
+    return chain(Var(head), *slots)
+
+
+def random_image(rng):
+    """A sum of one to three monomials in y1, y2 and z1, so that the per-
+    variable bounds and the total bound of the image are unrelated."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        picked = rng.sample([y(1), y(2), z(1)], rng.randint(1, 3))
+        terms.append(monomial_image({v: rng.randint(1, 6) for v in picked}))
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
+@pytest.mark.parametrize("name", sorted(GEN_SETS))
+def test_degree_form_matches_substitution_on_random_images(name):
+    _, make_gens = GEN_SETS[name]
+    rng = random.Random(name)
+    for gen in make_gens():
+        for _ in range(60):
+            assert_form_matches(gen, {v: random_image(rng) for v in expr_variables(gen)})
+
+
+UNSORTED_SLOTS = chain(
+    Var(y(1)),
+    AdPolyDiff(Var(z(1)), ((1, 4), (-1, 2))),
+    AdPolyDiff(Var(y(2)), ((-1, 1), (1, 5), (2, 3))),
+)
+
+
+@pytest.mark.parametrize("gen", [
+    UNSORTED_SLOTS,
+    BracketChain(Var(y(1)), ()),
+    chain(Var(y(1)), AdPower(BracketChain(Var(z(1)), ()), 2)),
+    chain(Var(x(1)), AdPower(Var(x(2)), 3)),
+], ids=["unsorted-exponents", "no-slots", "no-slot-base", "ungraded"])
+def test_degree_form_edge_cases(gen):
+    rng = random.Random(repr(gen))
+    zero = poly_to_expr(LiePolynomial.zero(FieldSpec.prime(5)))
+    assert zero == Scale(0, Var(y(1)))
+    gvars = expr_variables(gen)
+    for _ in range(40):
+        assert_form_matches(gen, {v: random_image(rng) for v in gvars})
+        # the zero image keeps its phantom y1 degree
+        assert_form_matches(gen, {v: zero if rng.random() < 0.5 else random_image(rng)
+                                  for v in gvars})
+
+
+def test_degree_form_takes_the_largest_exponent():
+    gvars = expr_variables(UNSORTED_SLOTS)
+    assert gvars == [y(1), y(2), z(1)]
+    assert degree_form(UNSORTED_SLOTS, gvars) == ((1, 5, 4),)
+
+
+def test_degree_bound_runs_once_per_image_and_expansion(monkeypatch):
+    """The prune walks no generator per class tuple: during the basis check
+    of S at q = 5, degree_bound runs once per pool image and once per
+    expr_expand call, however many class tuples are decided."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (freelie, identities):
+        monkeypatch.setattr(module, "degree_bound", counting("bound", module.degree_bound))
+    monkeypatch.setattr(identities, "expr_expand", counting("expand", identities.expr_expand))
+    monkeypatch.setattr(identities, "_instance_fits",
+                        counting("tuples", identities._instance_fits))
+    pool_init = identities._Pool.__init__
+    monkeypatch.setattr(identities._Pool, "__init__",
+                        lambda pool, images: counts.update(images=len(images))
+                        or pool_init(pool, images))
+    assert basis_check(sl2(FieldSpec.prime(5)), set_s(5), default_sl2_windows(5)).ok
+    assert counts["bound"] == counts["images"] + counts["expand"]
+    assert counts["tuples"] > counts["bound"] > 0
