@@ -3,35 +3,21 @@
 Built-in constructors cover the algebras the verification suites need:
 sl2 and gl2 with the diagonal/off-diagonal grading, the three Z2-gradings
 of M2 viewed as a Lie algebra, the two-dimensional span{e11, e12}, the
-Heisenberg control algebra, abelian algebras and direct sums.
-
-Structural analysis (series, center, radical, nilradical, minimal graded
-ideals, A-property probing, root decompositions) is exact and brute-force;
-everything is sized for dim <= 6 over q <= 25.
+Heisenberg algebra, abelian algebras and direct sums.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AmbientMismatch,
-    EigenspaceNotGraded,
-    NotAnIdeal,
-    NotDiagonalizable,
-    SpecError,
-    TheoremViolation,
-)
+from .errors import AmbientMismatch, SpecError
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
-from .linalg import EigenBasis, MatrixGF, SubspaceBasis, eigen_decomposition, rref_rows
-
-RADICAL_DIM_CAP = 6
+from .linalg import MatrixGF, SubspaceBasis, rref_rows
 
 _AD_BLOCK = 2048  # distinct bases, or rows, per block of ad matrices
 _MAX_KEY = 1 << 62  # element codes up to this serve as int64 keys of rows
@@ -76,7 +62,7 @@ class GradedLieAlgebra:
     """Lie algebra with a Z2 degree on each basis vector.
 
     constants[i][j] is the coordinate vector of [b_i, b_j].  Instances are
-    immutable after construction; analysis methods are pure.
+    immutable after construction.
     """
 
     def __init__(self, spec: FieldSpec, degrees, constants, name: str = "L"):
@@ -116,10 +102,6 @@ class GradedLieAlgebra:
             code //= q
         return AlgebraElement(self, tuple(coords))
 
-    def all_elements(self):
-        for code in range(self.spec.q ** self.dim):
-            yield self.element_from_code(code)
-
     def homogeneous_indices(self, degree: int):
         return [i for i, d in enumerate(self.degrees) if d == degree]
 
@@ -154,11 +136,6 @@ class GradedLieAlgebra:
                     if not s.is_zero():
                         out[k] = out[k] + c * s
         return AlgebraElement(self, tuple(out))
-
-    def ad_matrix(self, a: "AlgebraElement") -> MatrixGF:
-        """Matrix of x -> [a, x]; column j is [a, b_j]."""
-        cols = [self.bracket(a, self.basis_element(j)).coeffs for j in range(self.dim)]
-        return MatrixGF.from_rows(self.spec, cols).transpose()
 
     # -- batched evaluation support --------------------------------------------
 
@@ -343,13 +320,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.coeffs)
 
-    def homogeneous_component(self, degree: int) -> "AlgebraElement":
-        coords = tuple(
-            x if self.parent.degrees[i] == degree else self.parent.spec.zero()
-            for i, x in enumerate(self.coeffs)
-        )
-        return AlgebraElement(self.parent, coords)
-
     def degree(self) -> int | None:
         """0 or 1 for nonzero homogeneous elements, None for mixed or zero."""
         if self.is_zero():
@@ -502,7 +472,8 @@ def span_e11_e12(spec: FieldSpec) -> GradedLieAlgebra:
 def heisenberg(spec: FieldSpec) -> GradedLieAlgebra:
     """3-dim Heisenberg algebra [x,y] = z, graded with x,y odd and z even.
 
-    Nilpotent and non-abelian: the canonical failure of the A-property.
+    Nilpotent and non-abelian: the tests use it as an input whose ad
+    matrices are nilpotent.
     """
     z3 = (0, 0, 0)
     constants = [
@@ -540,91 +511,6 @@ def direct_sum(parts) -> GradedLieAlgebra:
     return GradedLieAlgebra(spec, degrees, [[tuple(v) for v in row] for row in constants], name)
 
 
-def from_spec_data(data: dict) -> GradedLieAlgebra:
-    """Load an algebra from the JSON spec schema.
-
-    Schema: {"name"?: str, "field": {"p": int, "k"?: int}, "dim": int,
-             "degrees": [0|1, ...],
-             "constants": [[i, j, [c_0, ..., c_{dim-1}]], ...]}  with i < j;
-    antisymmetry is enforced by construction, the remaining axioms are
-    validated and violations raise SpecError naming the axiom.
-    """
-    try:
-        fld = data["field"]
-        p, k = int(fld["p"]), int(fld.get("k", 1))
-        spec = FieldSpec.prime(p) if k == 1 else FieldSpec.extension(p, k)
-        dim = int(data["dim"])
-        degrees = [int(d) for d in data["degrees"]]
-        entries = data.get("constants", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed algebra spec: {exc}") from exc
-    if len(degrees) != dim:
-        raise SpecError("degrees length differs from dim")
-    if any(d not in (0, 1) for d in degrees):
-        raise SpecError("degrees must be 0 or 1")
-    zero = spec.zero()
-    constants = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for item in entries:
-        try:
-            i, j, vec = int(item[0]), int(item[1]), list(item[2])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise SpecError(f"malformed constants entry {item!r}") from exc
-        if not (0 <= i < j < dim):
-            raise SpecError(f"constants entry needs 0 <= i < j < dim, got ({i},{j})")
-        if len(vec) != dim:
-            raise SpecError(f"constants entry ({i},{j}) has wrong length")
-        vals = [spec.from_int(int(x)) for x in vec]
-        constants[i][j] = vals
-        constants[j][i] = [-x for x in vals]
-    alg = GradedLieAlgebra(spec, degrees,
-                           [[tuple(v) for v in row] for row in constants],
-                           str(data.get("name", "from-spec")))
-    report = alg.validate()
-    if not report.ok:
-        name, witness = report.failing()[0]
-        raise SpecError(f"axiom '{name}' fails: {witness}")
-    return alg
-
-
-def to_spec_data(alg: GradedLieAlgebra) -> dict:
-    constants = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            vec = alg.constants[i][j]
-            if any(not x.is_zero() for x in vec):
-                constants.append([i, j, [x.code for x in vec]])
-    return {
-        "name": alg.name,
-        "field": {"p": alg.spec.p, "k": alg.spec.k},
-        "dim": alg.dim,
-        "degrees": list(alg.degrees),
-        "constants": constants,
-    }
-
-
-CONSTRUCTORS = {
-    "sl2": sl2,
-    "gl2": gl2,
-    "m2-i": m2_grading_i,
-    "m2-ii": m2_grading_ii,
-    "m2-iii": m2_grading_iii,
-    "span-e11-e12": span_e11_e12,
-    "heisenberg": heisenberg,
-}
-
-
-def construct(kind: str, spec: FieldSpec, **kwargs) -> GradedLieAlgebra:
-    key = kind.lower().replace("_", "-")
-    if key not in CONSTRUCTORS:
-        raise SpecError(f"unknown algebra kind {kind!r}; known: {sorted(CONSTRUCTORS)}")
-    alg = CONSTRUCTORS[key](spec, **kwargs)
-    report = alg.validate()
-    if not report.ok:
-        name, witness = report.failing()[0]
-        raise SpecError(f"constructor {kind!r} produced an invalid algebra: {name}: {witness}")
-    return alg
-
-
 # ---------------------------------------------------------------------------
 # subspace helpers
 # ---------------------------------------------------------------------------
@@ -640,406 +526,3 @@ def product_space(alg: GradedLieAlgebra, a: SubspaceBasis, b: SubspaceBasis) -> 
         return SubspaceBasis.zero(alg.spec, alg.dim)
     return SubspaceBasis.from_vectors(alg.spec, alg.dim, vecs)
 
-
-def full_space(alg: GradedLieAlgebra) -> SubspaceBasis:
-    return SubspaceBasis.full(alg.spec, alg.dim)
-
-
-def is_ideal(alg: GradedLieAlgebra, space: SubspaceBasis) -> bool:
-    return space.contains_space(product_space(alg, full_space(alg), space))
-
-
-def is_subalgebra(alg: GradedLieAlgebra, space: SubspaceBasis) -> bool:
-    return space.contains_space(product_space(alg, space, space))
-
-
-def is_graded_subspace(alg: GradedLieAlgebra, space: SubspaceBasis) -> bool:
-    """A subspace is graded iff both homogeneous components of each basis
-    vector stay inside it."""
-    for row in space.rows:
-        el = alg.element(row)
-        for d in (0, 1):
-            if not space.contains(el.homogeneous_component(d).coeffs):
-                return False
-    return True
-
-
-def generated_ideal(alg: GradedLieAlgebra, gens, graded: bool = False) -> SubspaceBasis:
-    """Smallest ideal containing gens; with graded=True the generators are
-    first split into homogeneous components (giving the graded ideal)."""
-    seeds = []
-    for g in gens:
-        if graded:
-            seeds.extend([g.homogeneous_component(0).coeffs, g.homogeneous_component(1).coeffs])
-        else:
-            seeds.append(g.coeffs)
-    span = SubspaceBasis.from_vectors(alg.spec, alg.dim, seeds)
-    while True:
-        grown = span.sum(product_space(alg, full_space(alg), span))
-        if grown.dim == span.dim:
-            return span
-        span = grown
-
-
-def generated_subalgebra(alg: GradedLieAlgebra, gens) -> SubspaceBasis:
-    span = SubspaceBasis.from_vectors(alg.spec, alg.dim, [g.coeffs for g in gens])
-    while True:
-        grown = span.sum(product_space(alg, span, span))
-        if grown.dim == span.dim:
-            return span
-        span = grown
-
-
-def center(alg: GradedLieAlgebra) -> SubspaceBasis:
-    """Kernel of the stacked ad maps: a is central iff [a, b_j] = 0 for all j,
-    and [a, b_j]_k = sum_i a_i c[i][j][k]."""
-    rows = []
-    for j in range(alg.dim):
-        for k in range(alg.dim):
-            rows.append([alg.constants[i][j][k] for i in range(alg.dim)])
-    if not rows:
-        return full_space(alg)
-    return MatrixGF.from_rows(alg.spec, rows).kernel()
-
-
-def centralizer_of_ideal(alg: GradedLieAlgebra, ideal: SubspaceBasis) -> SubspaceBasis:
-    """C_L(I) = {a : [a, I] = 0}; requires I to actually be an ideal."""
-    if not is_ideal(alg, ideal):
-        raise NotAnIdeal("centralizer requested for a non-ideal subspace")
-    rows = []
-    for vec in ideal.rows:
-        v = alg.element(vec)
-        for k in range(alg.dim):
-            # coefficient of b_k in [b_i, v], as a function of i
-            row = []
-            for i in range(alg.dim):
-                acc = alg.spec.zero()
-                for j, vj in enumerate(v.coeffs):
-                    if not vj.is_zero():
-                        acc = acc + vj * alg.constants[i][j][k]
-                row.append(acc)
-            rows.append(row)
-    if not rows:
-        return full_space(alg)
-    result = MatrixGF.from_rows(alg.spec, rows).kernel()
-    if not is_ideal(alg, result):
-        raise TheoremViolation("centralizer of an ideal must be an ideal")
-    if is_graded_subspace(alg, ideal) and not is_graded_subspace(alg, result):
-        raise TheoremViolation("centralizer of graded ideal must be graded")
-    return result
-
-
-def derived_series(alg: GradedLieAlgebra):
-    """[L, L^(1), L^(2), ...] down to stabilization."""
-    series = [full_space(alg)]
-    while True:
-        nxt = product_space(alg, series[-1], series[-1])
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
-    return series
-
-
-def lower_central_series(alg: GradedLieAlgebra):
-    """[L^1 = L, L^2 = [L,L], L^3 = [L^2, L], ...] down to stabilization."""
-    series = [full_space(alg)]
-    while True:
-        nxt = product_space(alg, series[-1], full_space(alg))
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
-    return series
-
-
-def _restriction(alg: GradedLieAlgebra, space: SubspaceBasis) -> GradedLieAlgebra:
-    """The bracket restricted to an ideal/subalgebra, as its own algebra.
-
-    Degrees are fabricated as all-even: only used for solvability and
-    nilpotency tests, which ignore the grading.
-    """
-    rows = list(space.rows)
-    n = len(rows)
-    constants = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = alg.bracket(alg.element(rows[i]), alg.element(rows[j]))
-            row.append(_coords_in_rref(alg.spec, rows, val.coeffs))
-        constants.append(tuple(row))
-    return GradedLieAlgebra(alg.spec, (0,) * n, constants, f"{alg.name}|sub")
-
-
-def _coords_in_rref(spec, rref_rows_list, vector):
-    """Coordinates of vector against RREF rows (must lie in their span)."""
-    v = list(vector)
-    coords = []
-    for row in rref_rows_list:
-        pivot = next(i for i, x in enumerate(row) if not x.is_zero())
-        c = v[pivot]
-        coords.append(c)
-        if not c.is_zero():
-            v = [a - c * b for a, b in zip(v, row)]
-    if any(not x.is_zero() for x in v):
-        raise NotAnIdeal("subspace is not bracket-closed")
-    return tuple(coords)
-
-
-def is_solvable_space(alg: GradedLieAlgebra, space: SubspaceBasis) -> bool:
-    sub = _restriction(alg, space)
-    return derived_series(sub)[-1].dim == 0 if space.dim else True
-
-
-def is_nilpotent_space(alg: GradedLieAlgebra, space: SubspaceBasis) -> bool:
-    sub = _restriction(alg, space)
-    return lower_central_series(sub)[-1].dim == 0 if space.dim else True
-
-
-def is_abelian_space(alg: GradedLieAlgebra, space: SubspaceBasis) -> bool:
-    return product_space(alg, space, space).dim == 0
-
-
-def _projective_representatives(alg: GradedLieAlgebra, elements):
-    """One nonzero element per 1-dim span, deterministic order."""
-    seen = set()
-    reps = []
-    for el in elements:
-        if el.is_zero():
-            continue
-        key = SubspaceBasis.from_vectors(alg.spec, alg.dim, [el.coeffs]).rows
-        if key not in seen:
-            seen.add(key)
-            reps.append(el)
-    return reps
-
-
-def radical(alg: GradedLieAlgebra) -> SubspaceBasis:
-    """Greatest solvable ideal = sum of the solvable single-generated ideals."""
-    acc = SubspaceBasis.zero(alg.spec, alg.dim)
-    for x in _projective_representatives(alg, alg.all_elements()):
-        ideal = generated_ideal(alg, [x])
-        if is_solvable_space(alg, ideal):
-            acc = acc.sum(ideal)
-            if acc.dim == alg.dim:
-                break
-    return acc
-
-
-def nilradical(alg: GradedLieAlgebra) -> SubspaceBasis:
-    """Greatest nilpotent ideal = sum of the nilpotent single-generated ideals."""
-    acc = SubspaceBasis.zero(alg.spec, alg.dim)
-    for x in _projective_representatives(alg, alg.all_elements()):
-        ideal = generated_ideal(alg, [x])
-        if is_nilpotent_space(alg, ideal):
-            acc = acc.sum(ideal)
-            if acc.dim == alg.dim:
-                break
-    return acc
-
-
-def minimal_graded_ideals(alg: GradedLieAlgebra):
-    """Minimal elements among the graded ideals generated by one nonzero
-    homogeneous element.  Any minimal graded ideal is generated by each of
-    its nonzero homogeneous elements, so nothing is missed."""
-    ideals = []
-    seen = set()
-    for d in (0, 1):
-        for x in _projective_representatives(alg, alg.homogeneous_elements(d)):
-            ideal = generated_ideal(alg, [x], graded=True)
-            if ideal.dim and ideal.rows not in seen:
-                seen.add(ideal.rows)
-                ideals.append(ideal)
-    return [cand for cand in ideals
-            if not any(other.dim < cand.dim and cand.contains_space(other)
-                       for other in ideals)]
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    algebra_name: str
-    dim: int
-    derived: tuple[SubspaceBasis, ...]
-    lower_central: tuple[SubspaceBasis, ...]
-    center: SubspaceBasis
-    radical: SubspaceBasis | None
-    nilradical: SubspaceBasis | None
-    minimal_graded_ideals: tuple[SubspaceBasis, ...]
-    monolithic: bool
-    monolith: SubspaceBasis | None
-    graded_simple: bool
-    solvable: bool
-    nilpotent: bool
-    metabelian: bool
-    notes: tuple[str, ...] = ()
-
-
-def structure_report(alg: GradedLieAlgebra, dim_cap: int = RADICAL_DIM_CAP) -> StructureReport:
-    der = derived_series(alg)
-    low = lower_central_series(alg)
-    cen = center(alg)
-    notes = []
-    if alg.dim <= dim_cap:
-        rad = radical(alg)
-        nil = nilradical(alg)
-    else:
-        rad = nil = None
-        notes.append(f"radical/nilradical not computed: dim {alg.dim} > cap {dim_cap}")
-    minimal = tuple(minimal_graded_ideals(alg))
-    monolithic = len(minimal) == 1
-    monolith = minimal[0] if monolithic else None
-    first = product_space(alg, full_space(alg), full_space(alg))
-    second = product_space(alg, first, first)
-    graded_simple = first.dim > 0 and len(minimal) > 0 and all(
-        m.dim == alg.dim for m in minimal
-    )
-    return StructureReport(
-        algebra_name=alg.name,
-        dim=alg.dim,
-        derived=tuple(der),
-        lower_central=tuple(low),
-        center=cen,
-        radical=rad,
-        nilradical=nil,
-        minimal_graded_ideals=minimal,
-        monolithic=monolithic,
-        monolith=monolith,
-        graded_simple=graded_simple,
-        solvable=der[-1].dim == 0,
-        nilpotent=low[-1].dim == 0,
-        metabelian=second.dim == 0,
-        notes=tuple(notes),
-    )
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    exhaustive: bool
-    pairs_checked: int
-    violations: tuple[tuple[AlgebraElement, ...], ...]
-    message: str
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def a_property_probe(alg: GradedLieAlgebra, generator_cap: int = 2,
-                     budget: int = 100_000, seed: int = 0) -> ProbeReport:
-    """Searches for a nilpotent non-abelian subalgebra generated by at most
-    generator_cap elements.  A clean result is always partial: subalgebras
-    needing more generators are not examined.
-    """
-    n_elements = alg.spec.q ** alg.dim
-    total = n_elements ** generator_cap
-    exhaustive = total <= budget
-    rng = random.Random(seed)
-    seen_spans = set()
-    violations = []
-    checked = 0
-
-    def handle(gens):
-        nonlocal checked
-        checked += 1
-        span0 = SubspaceBasis.from_vectors(alg.spec, alg.dim, [g.coeffs for g in gens])
-        if span0.rows in seen_spans:
-            return
-        seen_spans.add(span0.rows)
-        sub = generated_subalgebra(alg, gens)
-        if sub.dim == 0:
-            return
-        if is_nilpotent_space(alg, sub) and not is_abelian_space(alg, sub):
-            violations.append(tuple(gens))
-
-    if exhaustive:
-        for codes in itertools.product(range(n_elements), repeat=generator_cap):
-            handle([alg.element_from_code(c) for c in codes])
-            if violations:
-                break
-    else:
-        for _ in range(budget):
-            handle([alg.element_from_code(rng.randrange(n_elements))
-                    for _ in range(generator_cap)])
-            if violations:
-                break
-    mode = "exhaustive" if exhaustive else f"sampled({budget}, seed={seed})"
-    msg = (f"violation found after {checked} generator tuples"
-           if violations else
-           f"no violation found over {mode} tuples of <= {generator_cap} generators (partial check)")
-    return ProbeReport(exhaustive, checked, tuple(violations), msg)
-
-
-@dataclass(frozen=True)
-class RootPair:
-    eigenvalue: FieldElement
-    plus_space: SubspaceBasis
-    minus_space: SubspaceBasis
-    bracket_span: SubspaceBasis
-    plus_subalgebra: bool
-    minus_subalgebra: bool
-    graded_ideal: bool
-
-
-@dataclass(frozen=True)
-class RootReport:
-    eigen: EigenBasis
-    homogeneous_split: tuple[tuple[FieldElement, SubspaceBasis, SubspaceBasis], ...]
-    pairs: tuple[RootPair, ...]
-    zero_space: SubspaceBasis
-    even_part_is_pair_bracket_sum: bool
-    zero_space_meets_odd_part: bool
-
-
-def root_decomposition(alg: GradedLieAlgebra, a0: AlgebraElement) -> RootReport:
-    """Eigenstructure of ad(a0) for even homogeneous a0, refined to
-    homogeneous eigenvectors, with the subalgebra/ideal facts the sl2
-    recognition argument relies on."""
-    if a0.parent is not alg:
-        raise AmbientMismatch("a0 belongs to a different algebra")
-    if not a0.is_zero() and a0.degree() != 0:
-        raise ValueError("a0 must be homogeneous of degree 0")
-    eig = eigen_decomposition(alg.ad_matrix(a0))
-    if not eig.diagonalizable:
-        raise NotDiagonalizable("ad(a0) has no eigenbasis over the ground field")
-    even = alg.homogeneous_part(0)
-    odd = alg.homogeneous_part(1)
-    split = []
-    for lam, space in eig.pairs:
-        s0 = space.intersect(even)
-        s1 = space.intersect(odd)
-        if s0.dim + s1.dim != space.dim:
-            raise EigenspaceNotGraded(f"eigenspace of {lam} does not split into homogeneous parts")
-        split.append((lam, s0, s1))
-    zero = alg.spec.zero()
-    zero_space = eig.space_for(zero) or SubspaceBasis.zero(alg.spec, alg.dim)
-    pairs = []
-    seen = set()
-    bracket_sum = SubspaceBasis.zero(alg.spec, alg.dim)
-    for lam, plus in eig.pairs:
-        if lam.is_zero() or lam.code in seen:
-            continue
-        minus = eig.space_for(-lam)
-        if minus is None:
-            continue
-        seen.add(lam.code)
-        seen.add((-lam).code)
-        bspan = product_space(alg, plus, minus)
-        bracket_sum = bracket_sum.sum(bspan)
-        plus_sub = is_subalgebra(alg, bspan.sum(plus))
-        minus_sub = is_subalgebra(alg, bspan.sum(minus))
-        ideal = bspan.sum(plus).sum(minus)
-        pairs.append(RootPair(
-            lam, plus, minus, bspan, plus_sub, minus_sub,
-            is_ideal(alg, ideal) and is_graded_subspace(alg, ideal),
-        ))
-    zero_odd = zero_space.intersect(odd)
-    return RootReport(
-        eigen=eig,
-        homogeneous_split=tuple(split),
-        pairs=tuple(pairs),
-        zero_space=zero_space,
-        even_part_is_pair_bracket_sum=(bracket_sum.rows == even.rows),
-        zero_space_meets_odd_part=zero_odd.dim > 0,
-    )

@@ -18,18 +18,6 @@ class SpecError(GlieError):
     """An algebra specification violates a structural axiom."""
 
 
-class NotAnIdeal(GlieError):
-    """A subspace passed where an ideal is required is not bracket-stable."""
-
-
-class NotDiagonalizable(GlieError):
-    """An adjoint operator has no eigenbasis over the ground field."""
-
-
-class EigenspaceNotGraded(GlieError):
-    """An eigenspace does not split into homogeneous parts."""
-
-
 class ParityError(GlieError):
     """A substitution maps a variable to an image of the wrong parity."""
 

@@ -1,5 +1,5 @@
-"""Dense exact linear algebra over GF(q): RREF, kernels, eigensplits,
-subspace lattice operations.
+"""Dense exact linear algebra over GF(q): RREF, kernels and subspace
+lattice operations.
 
 rref_codes, an elimination on int64 arrays of element codes through
 BatchField, is the one elimination kernel.  FieldElement rows are adapted at
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AmbientMismatch, NotDiagonalizable
+from .errors import AmbientMismatch
 from .fields import FieldElement, FieldSpec, batch_field
 
 
@@ -171,9 +171,6 @@ class SubspaceBasis:
         reduced, pivots = rref_codes(self.spec, np.block([[a, a], [b, np.zeros_like(b)]]))
         return SubspaceBasis.from_rref_codes(self.spec, reduced[np.array(pivots) >= n, n:])
 
-    def __le__(self, other: "SubspaceBasis") -> bool:
-        return other.contains_space(self)
-
     def vectors(self):
         """All q^dim elements of the subspace, in deterministic order."""
         els = self.spec.elements()
@@ -219,10 +216,6 @@ class MatrixGF:
         z = spec.zero()
         return cls(spec, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def transpose(self) -> "MatrixGF":
         return MatrixGF(self.spec, self.cols, self.rows,
                         tuple(zip(*self.entries)) if self.entries else ())
@@ -238,27 +231,6 @@ class MatrixGF:
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)
         ))
-
-    def scale(self, c: FieldElement) -> "MatrixGF":
-        return MatrixGF(self.spec, self.rows, self.cols, tuple(
-            tuple(c * a for a in r) for r in self.entries
-        ))
-
-    def matmul(self, other: "MatrixGF") -> "MatrixGF":
-        if self.cols != other.rows:
-            raise AmbientMismatch("inner dimensions disagree")
-        bt = other.transpose().entries
-        z = self.spec.zero()
-        out = []
-        for r in self.entries:
-            row = []
-            for c in bt:
-                acc = z
-                for a, b in zip(r, c):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return MatrixGF(self.spec, self.rows, other.cols, tuple(out))
 
     def matvec(self, vec) -> tuple[FieldElement, ...]:
         v = _as_vector(self.spec, vec)
@@ -278,9 +250,6 @@ class MatrixGF:
         padded = list(rows) + [tuple(z for _ in range(self.cols))] * (self.rows - len(rows))
         return MatrixGF(self.spec, self.rows, self.cols, tuple(padded)), len(pivots), pivots
 
-    def rank(self) -> int:
-        return self.rref()[1]
-
     def kernel(self) -> SubspaceBasis:
         """Right kernel {v : M v = 0}, as an RREF SubspaceBasis of F^cols."""
         reduced, pivots = rref_codes(self.spec, _to_codes(self.entries, self.cols))
@@ -298,54 +267,6 @@ class MatrixGF:
             raise ZeroDivisionError("matrix is singular")
         return MatrixGF.from_rows(self.spec, [r[n:] for r in rows])
 
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.entries for x in r)
-
     def __str__(self):
         return "\n".join("[" + " ".join(str(x) for x in r) + "]" for r in self.entries)
 
-
-@dataclass(frozen=True)
-class EigenBasis:
-    """Eigenvalues found over the ground field, with their eigenspaces."""
-
-    pairs: tuple[tuple[FieldElement, SubspaceBasis], ...]
-    diagonalizable: bool
-    ambient_dim: int
-
-    def eigenvalues(self):
-        return [lam for lam, _ in self.pairs]
-
-    def space_for(self, lam: FieldElement) -> SubspaceBasis | None:
-        for mu, space in self.pairs:
-            if mu == lam:
-                return space
-        return None
-
-
-def eigen_decomposition(m: MatrixGF) -> EigenBasis:
-    """Eigensplit by enumerating every candidate eigenvalue in GF(q).
-
-    q is tiny in all intended uses, so scanning all q shifts m - lam*I beats
-    any factorization machinery.  Non-diagonalizable input is a legal result.
-    """
-    if m.rows != m.cols:
-        raise AmbientMismatch("eigen decomposition needs a square matrix")
-    n = m.rows
-    ident = MatrixGF.identity(m.spec, n)
-    pairs = []
-    total = 0
-    for lam in m.spec.elements():
-        ker = (m - ident.scale(lam)).kernel()
-        if ker.dim > 0:
-            pairs.append((lam, ker))
-            total += ker.dim
-    return EigenBasis(tuple(pairs), total == n, n)
-
-
-def eigen_basis_matrix(eig: EigenBasis, spec: FieldSpec) -> MatrixGF:
-    """Columns = concatenated eigenvectors; only meaningful when diagonalizable."""
-    if not eig.diagonalizable:
-        raise NotDiagonalizable("no full eigenbasis over the ground field")
-    cols = [row for _, space in eig.pairs for row in space.rows]
-    return MatrixGF.from_rows(spec, cols).transpose()

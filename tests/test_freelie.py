@@ -9,7 +9,6 @@ from glie.fields import FieldSpec
 from glie.freelie import (
     AdPolyDiff,
     AdPower,
-    BracketChain,
     LiePolynomial,
     MultiDegree,
     Scale,
@@ -32,7 +31,6 @@ from glie.freelie import (
     set_s,
     standard_bracketing,
     substitute,
-    word_key,
     x,
     y,
     yy,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from glie.algebra import gl2, sl2
-from glie.errors import SpecError, TheoremViolation, UnsupportedField
-from glie.fields import FieldSpec, find_nonsquare
+from glie.errors import SpecError, UnsupportedField
+from glie.fields import FieldSpec
 from glie.gradings import (
     GradingDescriptor,
     associative_closure_ok,

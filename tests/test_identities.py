@@ -10,8 +10,6 @@ from glie.fields import BatchField, FieldSpec
 from glie.freelie import (
     LiePolynomial,
     MultiDegree,
-    Var,
-    bracket,
     lema5_set,
     poly_batch_evaluate,
     sem2_graded,
@@ -23,14 +21,11 @@ from glie.freelie import (
     zz,
 )
 from glie.identities import (
-    AmbientSpace,
-    BasisCheckReport,
     CheckSettings,
     IdentitySettings,
     SpanSettings,
     basis_check,
     check_identity,
-    check_poly_identity,
     consequence_span,
     default_sl2_windows,
     homogeneous_batch,
