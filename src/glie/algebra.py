@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AmbientMismatch, SpecError
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
-from .linalg import MatrixGF, SubspaceBasis, rref_rows
+from .linalg import MatrixGF, SubspaceBasis, row_pairs, rref_codes
 
 _AD_BLOCK = 2048  # distinct bases, or rows, per block of ad matrices
 _MAX_KEY = 1 << 62  # element codes up to this serve as int64 keys of rows
@@ -106,8 +106,8 @@ class GradedLieAlgebra:
         return [i for i, d in enumerate(self.degrees) if d == degree]
 
     def homogeneous_part(self, degree: int) -> SubspaceBasis:
-        rows = [self.basis_element(i).coeffs for i in self.homogeneous_indices(degree)]
-        return SubspaceBasis.from_vectors(self.spec, self.dim, rows)
+        rows = np.eye(self.dim, dtype=np.int64)[self.homogeneous_indices(degree)]
+        return SubspaceBasis(self.spec, self.dim, rows)
 
     def homogeneous_elements(self, degree: int):
         """All elements supported on the degree-d part of the basis."""
@@ -304,18 +304,12 @@ class AlgebraElement:
             raise AmbientMismatch("elements of different algebras")
         return AlgebraElement(self.parent, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.parent, tuple(-a for a in self.coeffs))
 
     def scale(self, c) -> "AlgebraElement":
         c = self.parent._as_el(c)
         return AlgebraElement(self.parent, tuple(c * a for a in self.coeffs))
-
-    def bracket(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self.parent.bracket(self, other)
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.coeffs)
@@ -357,50 +351,45 @@ class ValidationReport:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _m2_mult(a, b, spec):
-    """Associative product of 2x2 matrices in (e11,e12,e21,e22) coordinates."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-    )
-
-
-def _m2_comm(a, b, spec):
-    ab = _m2_mult(a, b, spec)
-    ba = _m2_mult(b, a, spec)
-    return tuple(x - y for x, y in zip(ab, ba))
+def _m2_mult(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise associative products of 2x2 matrices given as (N, 4) code
+    arrays in (e11, e12, e21, e22) coordinates."""
+    bf = batch_field(spec)
+    a, b = a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)
+    return bf.add(bf.mul(a[:, :, :1], b[:, :1, :]), bf.mul(a[:, :, 1:], b[:, 1:, :])).reshape(-1, 4)
 
 
 def algebra_from_matrix_basis(spec: FieldSpec, basis, degrees, name: str) -> GradedLieAlgebra:
     """Build structure constants from a list of 2x2 matrices (4-coordinate
-    tuples over the field) that must be bracket-closed and independent."""
-    basis = [tuple(spec.from_int(x) if isinstance(x, int) else x for x in m) for m in basis]
+    vectors of field elements or codes) that must be bracket-closed and
+    independent."""
+    basis = MatrixGF.from_rows(spec, basis).entries
+    left, right = row_pairs(basis, basis)
+    comms = batch_field(spec).sub(_m2_mult(spec, left, right), _m2_mult(spec, right, left))
+    return algebra_in_basis(spec, basis, comms, degrees, name)
+
+
+def algebra_in_basis(spec: FieldSpec, basis: np.ndarray, brackets: np.ndarray,
+                     degrees, name: str) -> GradedLieAlgebra:
+    """The algebra with the independent code rows of basis as its basis,
+    where row i * n + j of brackets is [b_i, b_j] in the ambient
+    coordinates."""
     n = len(basis)
-    constants = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            comm = _m2_comm(basis[i], basis[j], spec)
-            row.append(_solve_in_span(spec, basis, comm))
-        constants.append(tuple(row))
+    elements = spec.elements()
+    coords = _solve_in_span(spec, basis, brackets).tolist()
+    constants = [[tuple(elements[c] for c in coords[i * n + j]) for j in range(n)]
+                 for i in range(n)]
     return GradedLieAlgebra(spec, degrees, constants, name)
 
 
-def _solve_in_span(spec, basis, target):
-    """Coordinates of target in the span of the independent basis list."""
-    cols = MatrixGF.from_rows(spec, basis).transpose()
-    aug = [list(r) + [b] for r, b in zip(cols.entries, target)]
-    rows, pivots = rref_rows(spec, aug)
-    x = [spec.zero()] * len(basis)
-    for row, pc in zip(rows, pivots):
-        if pc == len(basis):
-            raise SpecError("matrix basis is not bracket-closed")
-        x[pc] = row[-1]
-    return tuple(x)
+def _solve_in_span(spec: FieldSpec, basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Codes of the coordinates of each target row in the span of the
+    independent basis rows: one elimination of [basis^T | targets^T]."""
+    n = len(basis)
+    reduced, pivots = rref_codes(spec, np.concatenate([basis, targets]).T)
+    if pivots != list(range(n)):
+        raise SpecError("matrix basis is not independent and bracket-closed")
+    return reduced[:, n:].T
 
 
 def sl2(spec: FieldSpec) -> GradedLieAlgebra:
@@ -516,13 +505,6 @@ def direct_sum(parts) -> GradedLieAlgebra:
 # ---------------------------------------------------------------------------
 
 def product_space(alg: GradedLieAlgebra, a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Span of [a_i, b_j] over basis rows."""
-    vecs = []
-    for ra in a.rows:
-        ea = alg.element(ra)
-        for rb in b.rows:
-            vecs.append(alg.bracket(ea, alg.element(rb)).coeffs)
-    if not vecs:
-        return SubspaceBasis.zero(alg.spec, alg.dim)
-    return SubspaceBasis.from_vectors(alg.spec, alg.dim, vecs)
+    """Span of [a_i, b_j] over basis rows: one batch_bracket of all pairs."""
+    return SubspaceBasis(alg.spec, alg.dim, alg.batch_bracket(*row_pairs(a.rows, b.rows)))
 

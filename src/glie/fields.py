@@ -7,9 +7,9 @@ order used by find_nonsquare and by all exhaustive searches.
 
 Scalar arithmetic lives on FieldElement (operator overloading).  Hot loops
 use BatchField, which works on numpy arrays of codes: direct mod-p ops for
-prime fields, precomputed lookup tables for extensions.  Linear algebra runs
-on code arrays too: linalg.rref_codes is the one elimination kernel, and
-FieldElement rows are converted to codes and back at its edge.
+prime fields, precomputed lookup tables for extensions.  Linear algebra and
+the gradings layer hold code arrays only: linalg converts FieldElement
+vectors to codes once, where they come in, and never converts back.
 """
 
 from __future__ import annotations

@@ -109,15 +109,6 @@ def word_key(word: Word):
     return tuple(v.sort_key for v in word)
 
 
-def word_parity(word: Word):
-    par = 0
-    for v in word:
-        if v.parity is None:
-            return None
-        par ^= v.parity
-    return par
-
-
 def is_lyndon(word: Word) -> bool:
     """Strictly smaller than every proper rotation (hence aperiodic)."""
     n = len(word)
@@ -263,33 +254,6 @@ class LiePolynomial:
             else:
                 acc[w] = s
         return LiePolynomial.from_dict(self.spec, acc)
-
-    def scale(self, coeff) -> "LiePolynomial":
-        c = coeff if isinstance(coeff, FieldElement) else self.spec.from_int(coeff)
-        if c.is_zero():
-            return LiePolynomial.zero(self.spec)
-        return LiePolynomial.from_dict(self.spec, {w: c * v for w, v in self.terms})
-
-    def neg(self) -> "LiePolynomial":
-        return self.scale(-1)
-
-    def sub(self, other: "LiePolynomial") -> "LiePolynomial":
-        return self.add(other.neg())
-
-    def support(self):
-        return [w for w, _ in self.terms]
-
-    def coefficient(self, word: Word) -> FieldElement:
-        for w, c in self.terms:
-            if w == word:
-                return c
-        return self.spec.zero()
-
-    def parity(self):
-        parities = {word_parity(w) for w, _ in self.terms}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
 
     def multidegrees(self):
         return sorted({MultiDegree.of_word(w) for w, _ in self.terms},

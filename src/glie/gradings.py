@@ -10,31 +10,27 @@ invertible 3x3 matrices for sl2, found by an exhaustive scan over the images
 of e and f (the full automorphism list doubles as the isomorphism group for
 orbit classification, with no reliance on Aut = PGL2 as an input fact).
 
-The scan, the orbits and the q-power check run on int64 arrays of element
-codes: a map list is applied to all rows of a subspace at once, and each
-image is reduced with linalg.rref_codes.
+Everything here runs on int64 arrays of element codes, like linalg: the
+scan, the orbits (a map list is applied to all rows of a subspace at once,
+and each image is reduced with linalg.rref_codes), the validation of a
+split (one batch of brackets and one rank test per closure), the structure
+constants of a grading and the q-power check.  FieldElement appears only in
+remark_boboc, which keeps scalar brackets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (
-    GradedLieAlgebra,
-    _m2_mult,
-    gl2,
-    product_space,
-    sl2,
-)
+from .algebra import GradedLieAlgebra, _m2_mult, algebra_in_basis, gl2, sl2
 from .errors import SpecError, TheoremViolation, UnsupportedField
-from .fields import FieldElement, FieldSpec, find_nonsquare
+from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
 from .identities import CheckSettings, check_identity
-from .linalg import MatrixGF, SubspaceBasis, rref_codes
+from .linalg import MatrixGF, SubspaceBasis, matmul_codes, row_pairs, rref_codes
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 
@@ -46,11 +42,6 @@ def _parent_algebra(spec: FieldSpec, kind: str) -> GradedLieAlgebra:
     if kind == "sl2":
         return sl2(spec)
     raise SpecError(f"unknown grading parent {kind!r}")
-
-
-def _codes(space: SubspaceBasis) -> np.ndarray:
-    return np.array([[x.code for x in r] for r in space.rows],
-                    dtype=np.int64).reshape(-1, space.ambient_dim)
 
 
 def _key(even: np.ndarray, odd: np.ndarray):
@@ -72,16 +63,16 @@ class GradingDescriptor:
         n = parent.dim
         if self.even.ambient_dim != n or self.odd.ambient_dim != n:
             raise SpecError("grading subspaces have the wrong ambient dimension")
-        if self.even.dim + self.odd.dim != n or self.even.intersect(self.odd).dim != 0:
+        if self.even.dim + self.odd.dim != n or self.even.sum(self.odd).dim != n:
             raise SpecError("even and odd parts do not split the algebra")
         for a, b, target in ((self.even, self.even, self.even),
                              (self.even, self.odd, self.odd),
                              (self.odd, self.odd, self.even)):
-            if not target.contains_space(product_space(parent, a, b)):
+            if not target.contains_rows(parent.batch_bracket(*row_pairs(a.rows, b.rows))):
                 raise SpecError("bracket closure fails for the split")
 
     def key(self):
-        return _key(_codes(self.even), _codes(self.odd))
+        return _key(self.even.rows, self.odd.rows)
 
     def dims(self):
         return (self.even.dim, self.odd.dim)
@@ -94,19 +85,10 @@ class GradingDescriptor:
 def descriptor_to_algebra(d: GradingDescriptor) -> GradedLieAlgebra:
     """The parent Lie algebra rewritten in a homogeneous basis."""
     parent = _parent_algebra(d.spec, d.parent_kind)
-    rows = list(d.even.rows) + list(d.odd.rows)
+    rows = np.concatenate([d.even.rows, d.odd.rows])
     degrees = (0,) * d.even.dim + (1,) * d.odd.dim
-    basis_matrix = MatrixGF.from_rows(d.spec, rows).transpose()
-    inv = basis_matrix.inverse()
-    constants = []
-    for u in rows:
-        row = []
-        for v in rows:
-            w = parent.bracket(parent.element(u), parent.element(v))
-            row.append(tuple(inv.matvec(w.coeffs)))
-        constants.append(tuple(row))
-    alg = GradedLieAlgebra(d.spec, degrees, constants,
-                           f"{d.parent_kind}[{d.origin}]")
+    alg = algebra_in_basis(d.spec, rows, parent.batch_bracket(*row_pairs(rows, rows)),
+                           degrees, f"{d.parent_kind}[{d.origin}]")
     report = alg.validate()
     if not report.ok:
         raise SpecError(f"descriptor does not define a graded algebra: {report.failing()}")
@@ -143,8 +125,8 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
         raise UnsupportedField("automorphism scan needs a prime field")
     p = spec.p
     alg = _parent_algebra(spec, "sl2")
-    relations = [(j, np.array([c.code for c in alg.constants[0][j]], dtype=np.int64))
-                 for j in (1, 2)]
+    eye = np.eye(3, dtype=np.int64)
+    relations = [(j, alg.batch_bracket(eye[:1], eye[j:j + 1])[0]) for j in (1, 2)]
     powers = p ** np.arange(6, dtype=np.int64)
     found = []
     for start in range(0, p ** 6, _SCAN_ROWS):
@@ -164,37 +146,36 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
     return out
 
 
-def _gl2_elements(spec: FieldSpec):
-    """Invertible 2x2 matrices as coordinate tuples (e11, e12, e21, e22)."""
-    out = []
-    for codes in itertools.product(range(spec.q), repeat=4):
-        a, b, c, d = (spec.from_code(t) for t in codes)
-        if not (a * d - b * c).is_zero():
-            out.append((a, b, c, d))
-    return out
+def _gl2_elements(spec: FieldSpec) -> np.ndarray:
+    """Invertible 2x2 matrices as (N, 4) code rows (e11, e12, e21, e22), in
+    code order with e22 changing fastest."""
+    bf = batch_field(spec)
+    g = np.indices((spec.q,) * 4, dtype=np.int64).reshape(4, -1).T
+    a, b, c, d = g.T
+    return g[bf.sub(bf.mul(a, d), bf.mul(b, c)) != 0]
 
 
-def _conjugation_matrix(spec: FieldSpec, g) -> MatrixGF:
-    """The 4x4 matrix of x -> g x g^-1 on (e11, e12, e21, e22) coordinates:
-    the Kronecker product of g and the transpose of g^-1 (prime fields)."""
-    a, b, c, d = (x.code for x in g)
-    ginv_t = np.array([[d, -c], [-b, a]]) * pow(a * d - b * c, -1, spec.p)
-    return MatrixGF.from_rows(spec, (np.kron([[a, b], [c, d]], ginv_t) % spec.p).tolist())
+def _conjugation_matrices(spec: FieldSpec, g: np.ndarray) -> np.ndarray:
+    """The (N, 4, 4) matrices of x -> g x g^-1 on (e11, e12, e21, e22)
+    coordinates: the Kronecker product of g and the transpose of g^-1
+    (prime fields)."""
+    a, b, c, d = g.T
+    inv_det = batch_field(spec).inv((a * d - b * c) % spec.p)
+    ginv_t = np.stack([d, -c, -b, a], axis=1).reshape(-1, 2, 2) * inv_det[:, None, None]
+    return np.einsum("nij,nkl->nikjl", g.reshape(-1, 2, 2), ginv_t).reshape(-1, 4, 4) % spec.p
 
 
 @lru_cache(maxsize=None)
-def m2_automorphisms(spec: FieldSpec):
-    """The distinct conjugation maps of M2 as 4x4 matrices (inner = all,
-    by Skolem-Noether); scalar multiples of g collapse."""
+def m2_automorphisms(spec: FieldSpec) -> np.ndarray:
+    """The distinct conjugation maps of M2 (inner = all, by Skolem-Noether;
+    scalar multiples of g collapse), sorted, as a read-only (N, 4, 4) int64
+    array."""
     if spec.k != 1:
         raise UnsupportedField("automorphism scan needs a prime field")
-    seen = {}
-    for g in _gl2_elements(spec):
-        m = _conjugation_matrix(spec, g)
-        key = tuple(tuple(x.code for x in r) for r in m.entries)
-        if key not in seen:
-            seen[key] = m
-    return tuple(seen[k] for k in sorted(seen))
+    maps = _conjugation_matrices(spec, _gl2_elements(spec)).reshape(-1, 16)
+    out = np.unique(maps, axis=0).reshape(-1, 4, 4)
+    out.flags.writeable = False  # the cached array is shared by every caller
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +205,12 @@ def enumerate_z2_gradings(target: str, spec: FieldSpec):
     descriptors = []
     seen = set()
     if key == "m2_assoc":
-        for g in _gl2_elements(spec):
-            gg = _m2_mult(g, g, spec)
-            if not (gg[1].is_zero() and gg[2].is_zero() and gg[0] == gg[3]):
-                continue
-            phi = _conjugation_matrix(spec, g)
-            d = _eigensplit(spec, phi, "m2",
-                            f"conj[{','.join(str(t) for t in g)}]")
+        gs = _gl2_elements(spec)
+        gg = _m2_mult(spec, gs, gs)
+        gs = gs[(gg[:, 1] == 0) & (gg[:, 2] == 0) & (gg[:, 0] == gg[:, 3])]  # g^2 scalar
+        for g, phi in zip(gs.tolist(), _conjugation_matrices(spec, gs)):
+            d = _eigensplit(spec, MatrixGF.from_rows(spec, phi), "m2",
+                            f"conj[{','.join(map(str, g))}]")
             if d.key() not in seen:
                 seen.add(d.key())
                 descriptors.append(d)
@@ -240,7 +220,7 @@ def enumerate_z2_gradings(target: str, spec: FieldSpec):
         ident = np.eye(3, dtype=np.int64)
         involutive = autos[(square == ident).all(axis=(1, 2))]
         for m in involutive:
-            d = _eigensplit(spec, MatrixGF.from_rows(spec, m.tolist()), "sl2", "involution")
+            d = _eigensplit(spec, MatrixGF.from_rows(spec, m), "sl2", "involution")
             if d.key() not in seen:
                 seen.add(d.key())
                 descriptors.append(d)
@@ -253,8 +233,7 @@ def enumerate_z2_gradings(target: str, spec: FieldSpec):
 def reference_m2_descriptors(spec: FieldSpec):
     """The three displayed M2 gradings: trivial, diagonal/off-diagonal, and
     the nonsquare one for b' = find_nonsquare."""
-    one, zero = spec.one(), spec.zero()
-    b = find_nonsquare(spec)
+    b = find_nonsquare(spec).code
     full = SubspaceBasis.full(spec, 4)
     trivial = GradingDescriptor("m2", spec, full, SubspaceBasis.zero(spec, 4), "reference-trivial")
     diagonal = GradingDescriptor(
@@ -264,8 +243,8 @@ def reference_m2_descriptors(spec: FieldSpec):
         "reference-diagonal")
     nonsquare = GradingDescriptor(
         "m2", spec,
-        SubspaceBasis.from_vectors(spec, 4, [[one, zero, zero, one], [zero, one, b, zero]]),
-        SubspaceBasis.from_vectors(spec, 4, [[one, zero, zero, -one], [zero, one, -b, zero]]),
+        SubspaceBasis.from_vectors(spec, 4, [[1, 0, 0, 1], [0, 1, b, 0]]),
+        SubspaceBasis.from_vectors(spec, 4, [[1, 0, 0, -1], [0, 1, -b, 0]]),
         f"reference-nonsquare(b'={b})")
     return [trivial, diagonal, nonsquare]
 
@@ -285,23 +264,16 @@ def lift_sl2_grading_to_gl2(d: GradingDescriptor, unit_in_even: bool) -> Grading
     if d.parent_kind != "sl2":
         raise SpecError("lift expects an sl2 grading")
     spec = d.spec
-    embed = MatrixGF.from_rows(spec, [
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-        [-1, 0, 0],
-    ])  # columns h, e, f in (e11,e12,e21,e22) coordinates
-    even_rows = [embed.matvec(r) for r in d.even.rows]
-    odd_rows = [embed.matvec(r) for r in d.odd.rows]
-    unit = [1, 0, 0, 1]
+    # rows h, e, f in (e11, e12, e21, e22) coordinates
+    embed = MatrixGF.from_rows(spec, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]).entries
+    unit = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    even, odd = (matmul_codes(spec, s.rows, embed) for s in (d.even, d.odd))
     if unit_in_even:
-        even_rows.append(unit)
+        even = np.concatenate([even, unit])
     else:
-        odd_rows.append(unit)
+        odd = np.concatenate([odd, unit])
     return GradingDescriptor(
-        "m2", spec,
-        SubspaceBasis.from_vectors(spec, 4, even_rows),
-        SubspaceBasis.from_vectors(spec, 4, odd_rows),
+        "m2", spec, SubspaceBasis(spec, 4, even), SubspaceBasis(spec, 4, odd),
         f"lift[{d.origin}, 1 in {'even' if unit_in_even else 'odd'}]")
 
 
@@ -322,7 +294,7 @@ class GradingClass:
 def _image_keys(d: GradingDescriptor, maps: np.ndarray):
     """The key of phi(d) for every map phi, in map order: all maps are
     applied at once, and each image is reduced on its own."""
-    even, odd = (_codes(s) @ maps.transpose(0, 2, 1) % d.spec.p for s in (d.even, d.odd))
+    even, odd = (s.rows @ maps.transpose(0, 2, 1) % d.spec.p for s in (d.even, d.odd))
     for e, o in zip(even, odd):
         yield _key(rref_codes(d.spec, e)[0], rref_codes(d.spec, o)[0])
 
@@ -341,11 +313,7 @@ def classify_up_to_iso(gradings) -> list:
     kind = gradings[0].parent_kind
     if any(d.spec != spec or d.parent_kind != kind for d in gradings):
         raise SpecError("classification needs a homogeneous descriptor list")
-    if kind == "m2":
-        maps = np.array([[[x.code for x in r] for r in m.entries]
-                         for m in m2_automorphisms(spec)], dtype=np.int64)
-    else:
-        maps = sl2_automorphisms(spec)
+    maps = m2_automorphisms(spec) if kind == "m2" else sl2_automorphisms(spec)
     keys = [d.key() for d in gradings]
     canonical = {}
     for d, key in zip(gradings, keys):
@@ -379,15 +347,9 @@ def associative_closure_ok(d: GradingDescriptor) -> bool:
     """Is the split multiplicative (R_g . R_h inside R_{g+h})?"""
     if d.parent_kind != "m2":
         raise SpecError("associative closure only makes sense inside M2")
-    spec = d.spec
 
     def closed(a: SubspaceBasis, b: SubspaceBasis, target: SubspaceBasis) -> bool:
-        for ra in a.rows:
-            for rb in b.rows:
-                prod = _m2_mult(ra, rb, spec)
-                if not target.contains(prod):
-                    return False
-        return True
+        return target.contains_rows(_m2_mult(d.spec, *row_pairs(a.rows, b.rows)))
 
     return (closed(d.even, d.even, d.even)
             and closed(d.even, d.odd, d.odd)
@@ -433,10 +395,7 @@ def _qpower_hypothesis(d: GradingDescriptor):
     the first failing row."""
     spec = d.spec
     lift = lift_sl2_grading_to_gl2(d, unit_in_even=True)
-    odd, even = (np.array([[x.code for x in v] for v in s.vectors()], dtype=np.int64)
-                 for s in (lift.odd, lift.even))
-    a = np.repeat(odd, len(even), axis=0)
-    c = np.tile(even, (len(odd), 1))
+    a, c = row_pairs(lift.odd.vectors(), lift.even.vectors())
     parent = _parent_algebra(spec, "m2")
     once, val = parent.batch_ad_powers(a, c, (1, spec.q))
     failing = np.flatnonzero((val != once).any(axis=1))
@@ -463,7 +422,7 @@ def natural_characterization(d: GradingDescriptor,
     maps = sl2_automorphisms(spec)
     for m, key in zip(maps, _image_keys(d, maps)):
         if key == natural:
-            return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, m.tolist()))
+            return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, m))
     if require_iso:
         raise TheoremViolation(
             f"hypotheses hold for {d!r} but no graded isomorphism to the "

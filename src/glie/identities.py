@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, GradedLieAlgebra
 from .errors import AmbientMismatch, BudgetExceeded, ParityError, TheoremViolation
-from .fields import FieldSpec
+from .fields import FieldElement, FieldSpec
 from .freelie import (
     LiePolynomial,
     MultiDegree,
@@ -98,10 +98,11 @@ class AmbientSpace:
         return tuple(vec)
 
     def poly_of(self, spec: FieldSpec, coords) -> LiePolynomial:
+        """The polynomial with these coordinates: FieldElements or element codes."""
         terms = {}
         for w, c in zip(self.monomials, coords):
-            if isinstance(c, int):
-                c = spec.from_int(c)
+            if not isinstance(c, FieldElement):
+                c = spec.from_code(int(c))
             if not c.is_zero():
                 terms[w] = c
         return LiePolynomial.from_dict(spec, terms)
@@ -423,7 +424,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
 
     check_settings = CheckSettings(chunk=settings.chunk)
     while True:
-        kernel = SubspaceBasis.from_rref_codes(spec, kernel_codes(spec, reduced, pivots))
+        kernel = SubspaceBasis(spec, ambient.dim, kernel_codes(spec, reduced, pivots))
         new_rows = False
         for vec in kernel.rows:
             poly = ambient.poly_of(spec, vec)
@@ -738,7 +739,7 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
             if not ids.contains_space(cons):
                 raise TheoremViolation(
                     f"window {window.label}: a consequence vector is not an identity")
-            if ids.rows == cons.rows:
+            if ids == cons:
                 records.append(WindowRecord(window.label, window.dim,
                                             ids.dim, cons.dim, "equal"))
             else:

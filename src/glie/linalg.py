@@ -1,18 +1,18 @@
-"""Dense exact linear algebra over GF(q): RREF, kernels and subspace
-lattice operations.
+"""Dense exact linear algebra over GF(q) on int64 arrays of element codes:
+RREF, kernels and subspace lattice operations.
 
-rref_codes, an elimination on int64 arrays of element codes through
-BatchField, is the one elimination kernel.  FieldElement rows are adapted at
-the edge: rref_rows, MatrixGF and SubspaceBasis convert them to codes and
-back.  Subspaces are always kept in reduced row echelon form, so two spans
-are equal exactly when their row lists are equal.  Everything here is
-immutable after construction and safe to share.
+rref_codes, a Gauss-Jordan pass through BatchField, is the one elimination
+kernel.  SubspaceBasis and MatrixGF hold read-only code arrays.  Vectors of
+FieldElements or ints are converted to codes once, at the input edge
+(SubspaceBasis.from_vectors, MatrixGF.from_rows, SubspaceBasis.contains).
+Subspaces are always kept in reduced row echelon form, so two spans are equal
+exactly when their row arrays are equal.  Everything here is immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,30 +20,33 @@ from .errors import AmbientMismatch
 from .fields import FieldElement, FieldSpec, batch_field
 
 
-def _as_vector(spec: FieldSpec, vec) -> tuple[FieldElement, ...]:
-    out = []
-    for x in vec:
-        if isinstance(x, FieldElement):
-            if x.spec != spec:
-                raise AmbientMismatch("vector entry from a different field")
-            out.append(x)
-        else:
-            out.append(spec.from_int(int(x)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _elements(spec: FieldSpec) -> tuple[FieldElement, ...]:
-    return tuple(spec.elements())
-
-
-def _to_codes(rows, ncols: int) -> np.ndarray:
-    return np.array([[x.code for x in r] for r in rows], dtype=np.int64).reshape(-1, ncols)
-
-
-def _from_codes(spec: FieldSpec, codes: np.ndarray) -> tuple[tuple[FieldElement, ...], ...]:
-    els = _elements(spec)
-    return tuple(tuple(els[c] for c in row) for row in codes.tolist())
+def _as_codes(spec: FieldSpec, vectors, ncols: int | None = None) -> np.ndarray:
+    """The input edge: vectors of FieldElements or ints as an (N, ncols)
+    int64 code array.  An int is an element code, and -c stands for minus
+    the element with code c; in a prime field any int is taken mod p."""
+    if isinstance(vectors, np.ndarray):
+        arr = vectors.astype(np.int64)
+    else:
+        rows = []
+        for vec in vectors:
+            row = []
+            for x in vec:
+                if isinstance(x, FieldElement):
+                    if x.spec != spec:
+                        raise AmbientMismatch("vector entry from a different field")
+                    x = x.code
+                row.append(int(x))
+            rows.append(row)
+        if len({len(r) for r in rows}) > 1:
+            raise AmbientMismatch("ragged matrix rows")
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else ncols or 0)
+    if ncols is not None and arr.shape[1] != ncols:
+        raise AmbientMismatch(f"vector length {arr.shape[1]} != ambient {ncols}")
+    if spec.k == 1:
+        return arr % spec.p
+    if (np.abs(arr) >= spec.q).any():
+        raise ValueError(f"code out of range for GF({spec.q})")
+    return np.where(arr < 0, batch_field(spec).neg(-arr), arr)
 
 
 def rref_codes(spec: FieldSpec, codes):
@@ -87,186 +90,151 @@ def kernel_codes(spec: FieldSpec, reduced: np.ndarray, pivots) -> np.ndarray:
     return rref_codes(spec, basis)[0]
 
 
-def rref_rows(spec: FieldSpec, rows):
-    """rref_codes for a list of FieldElement vectors; returns (rows, pivots)
-    with the rows as tuples of field elements."""
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return [], []
-    reduced, pivots = rref_codes(spec, _to_codes(rows, len(rows[0])))
-    return list(_from_codes(spec, reduced)), pivots
+def matmul_codes(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product of an (m, k) and a (k, n) code array."""
+    if spec.k == 1:
+        return a @ b % spec.p
+    bf = batch_field(spec)
+    out = bf.zeros((a.shape[0], b.shape[1]))
+    for j in range(a.shape[1]):
+        out = bf.add(out, bf.mul(a[:, j, None], b[j]))
+    return out
 
 
-@dataclass(frozen=True)
+def row_pairs(a: np.ndarray, b: np.ndarray):
+    """(a_i, b_j) for every pair of rows, i slowest, as two stacked arrays."""
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
+
+
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Row-reduced basis of a subspace of F^ambient_dim."""
+    """Row-reduced basis of a subspace of F^ambient_dim.
+
+    rows is a read-only (dim, ambient_dim) int64 RREF array; the constructor
+    reduces the code rows it is given.
+    """
 
     spec: FieldSpec
     ambient_dim: int
-    rows: tuple[tuple[FieldElement, ...], ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        if self.rows.ndim != 2 or self.rows.shape[1] != self.ambient_dim:
+            raise AmbientMismatch(f"rows of shape {self.rows.shape} in ambient {self.ambient_dim}")
+        reduced, _ = rref_codes(self.spec, self.rows)
+        reduced.flags.writeable = False
+        object.__setattr__(self, "rows", reduced)
 
     @classmethod
     def from_vectors(cls, spec: FieldSpec, ambient_dim: int, vectors) -> "SubspaceBasis":
-        vecs = [_as_vector(spec, v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
-        rows, _ = rref_rows(spec, vecs)
-        return cls(spec, ambient_dim, tuple(rows))
-
-    @classmethod
-    def from_rref_codes(cls, spec: FieldSpec, codes: np.ndarray) -> "SubspaceBasis":
-        """The span of the rows of an RREF code array, taken as they are."""
-        return cls(spec, codes.shape[1], _from_codes(spec, codes))
+        return cls(spec, ambient_dim, _as_codes(spec, vectors, ambient_dim))
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "SubspaceBasis":
-        return cls(spec, ambient_dim, ())
+        return cls(spec, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64))
 
     @classmethod
     def full(cls, spec: FieldSpec, ambient_dim: int) -> "SubspaceBasis":
-        one, zero = spec.one(), spec.zero()
-        rows = tuple(
-            tuple(one if i == j else zero for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(spec, ambient_dim, rows)
+        return cls(spec, ambient_dim, np.eye(ambient_dim, dtype=np.int64))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def __eq__(self, other):
+        return (isinstance(other, SubspaceBasis) and self.spec == other.spec
+                and self.ambient_dim == other.ambient_dim
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self):
+        return hash((self.spec, self.ambient_dim, self.rows.tobytes()))
+
     def _check_compatible(self, other: "SubspaceBasis"):
         if self.ambient_dim != other.ambient_dim or self.spec != other.spec:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
+    def contains_rows(self, codes: np.ndarray) -> bool:
+        """Whether every row of an (N, ambient_dim) code array lies in the
+        subspace: one rank test."""
+        return len(rref_codes(self.spec, np.concatenate([self.rows, codes]))[1]) == self.dim
+
     def contains(self, vector) -> bool:
-        """Exact membership by reduction against the RREF rows."""
-        v = list(_as_vector(self.spec, vector))
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector has wrong length")
-        for row in self.rows:
-            pivot = next(i for i, x in enumerate(row) if not x.is_zero())
-            if not v[pivot].is_zero():
-                c = v[pivot]
-                v = [a - c * b for a, b in zip(v, row)]
-        return all(x.is_zero() for x in v)
+        return self.contains_rows(_as_codes(self.spec, [vector], self.ambient_dim))
 
     def contains_space(self, other: "SubspaceBasis") -> bool:
         self._check_compatible(other)
-        return all(self.contains(r) for r in other.rows)
+        return self.contains_rows(other.rows)
 
     def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check_compatible(other)
-        return SubspaceBasis.from_vectors(
-            self.spec, self.ambient_dim, list(self.rows) + list(other.rows)
-        )
+        return SubspaceBasis(self.spec, self.ambient_dim, np.concatenate([self.rows, other.rows]))
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         """Zassenhaus intersection: in the RREF of [A A ; B 0], the rows whose
         left half is zero have the rows of the intersection's RREF as right half."""
         self._check_compatible(other)
-        n = self.ambient_dim
-        a, b = _to_codes(self.rows, n), _to_codes(other.rows, n)
+        n, a, b = self.ambient_dim, self.rows, other.rows
         reduced, pivots = rref_codes(self.spec, np.block([[a, a], [b, np.zeros_like(b)]]))
-        return SubspaceBasis.from_rref_codes(self.spec, reduced[np.array(pivots) >= n, n:])
+        return SubspaceBasis(self.spec, n, reduced[np.array(pivots, dtype=int) >= n, n:])
 
-    def vectors(self):
-        """All q^dim elements of the subspace, in deterministic order."""
-        els = self.spec.elements()
-        out = []
-
-        def rec(i, acc):
-            if i == len(self.rows):
-                out.append(tuple(acc))
-                return
-            for c in els:
-                rec(i + 1, [a + c * b for a, b in zip(acc, self.rows[i])])
-
-        rec(0, [self.spec.zero()] * self.ambient_dim)
-        return out
+    def vectors(self) -> np.ndarray:
+        """All q^dim elements of the subspace as a (q^dim, ambient_dim) code
+        array: the combinations of the rows with coefficients in code order,
+        the coefficient of row 0 changing slowest."""
+        q = self.spec.q
+        coeffs = np.indices((q,) * self.dim, dtype=np.int64).reshape(self.dim, q ** self.dim)
+        return matmul_codes(self.spec, coeffs.T, self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixGF:
-    """Dense matrix over GF(q), row-major, immutable."""
+    """Dense matrix over GF(q): a read-only (rows, cols) int64 code array."""
 
     spec: FieldSpec
     rows: int
     cols: int
-    entries: tuple[tuple[FieldElement, ...], ...]
+    entries: np.ndarray
+
+    def __post_init__(self):
+        self.entries.flags.writeable = False
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows) -> "MatrixGF":
-        ents = tuple(_as_vector(spec, r) for r in rows)
-        ncols = len(ents[0]) if ents else 0
-        if any(len(r) != ncols for r in ents):
-            raise AmbientMismatch("ragged matrix rows")
-        return cls(spec, len(ents), ncols, ents)
+        entries = _as_codes(spec, rows)
+        return cls(spec, *entries.shape, entries)
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "MatrixGF":
-        one, zero = spec.one(), spec.zero()
-        return cls(spec, n, n, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        ))
-
-    @classmethod
-    def zero(cls, spec: FieldSpec, rows: int, cols: int) -> "MatrixGF":
-        z = spec.zero()
-        return cls(spec, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls(spec, n, n, np.eye(n, dtype=np.int64))
 
     def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.spec, self.cols, self.rows,
-                        tuple(zip(*self.entries)) if self.entries else ())
+        return MatrixGF(self.spec, self.cols, self.rows, self.entries.T)
 
     def __add__(self, other: "MatrixGF") -> "MatrixGF":
-        return MatrixGF(self.spec, self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return MatrixGF(self.spec, self.rows, self.cols,
+                        batch_field(self.spec).add(self.entries, other.entries))
 
     def __sub__(self, other: "MatrixGF") -> "MatrixGF":
-        return MatrixGF(self.spec, self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return MatrixGF(self.spec, self.rows, self.cols,
+                        batch_field(self.spec).sub(self.entries, other.entries))
 
-    def matvec(self, vec) -> tuple[FieldElement, ...]:
-        v = _as_vector(self.spec, vec)
-        z = self.spec.zero()
-        out = []
-        for r in self.entries:
-            acc = z
-            for a, b in zip(r, v):
-                acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
-
-    def rref(self):
-        """Returns (rref: MatrixGF, rank: int, pivots: list[int])."""
-        rows, pivots = rref_rows(self.spec, self.entries)
-        z = self.spec.zero()
-        padded = list(rows) + [tuple(z for _ in range(self.cols))] * (self.rows - len(rows))
-        return MatrixGF(self.spec, self.rows, self.cols, tuple(padded)), len(pivots), pivots
+    def matvec(self, vec) -> np.ndarray:
+        """M v for a vector of element codes, as a code vector."""
+        return matmul_codes(self.spec, self.entries, np.asarray(vec, dtype=np.int64)[:, None])[:, 0]
 
     def kernel(self) -> SubspaceBasis:
         """Right kernel {v : M v = 0}, as an RREF SubspaceBasis of F^cols."""
-        reduced, pivots = rref_codes(self.spec, _to_codes(self.entries, self.cols))
-        return SubspaceBasis.from_rref_codes(
-            self.spec, kernel_codes(self.spec, reduced, pivots))
+        reduced, pivots = rref_codes(self.spec, self.entries)
+        return SubspaceBasis(self.spec, self.cols, kernel_codes(self.spec, reduced, pivots))
 
     def inverse(self) -> "MatrixGF":
         if self.rows != self.cols:
             raise AmbientMismatch("only square matrices invert")
         n = self.rows
-        aug = [list(r) + list(MatrixGF.identity(self.spec, n).entries[i])
-               for i, r in enumerate(self.entries)]
-        rows, pivots = rref_rows(self.spec, aug)
+        reduced, pivots = rref_codes(self.spec, np.hstack([self.entries, np.eye(n, dtype=np.int64)]))
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return MatrixGF.from_rows(self.spec, [r[n:] for r in rows])
+        return MatrixGF(self.spec, n, n, reduced[:, n:])
 
     def __str__(self):
-        return "\n".join("[" + " ".join(str(x) for x in r) + "]" for r in self.entries)
-
+        return "\n".join("[" + " ".join(map(str, r)) + "]" for r in self.entries.tolist())

@@ -22,7 +22,8 @@ extension-field coefficients; and expr_expand terms of a fixed list of
 expressions, among them AdPolyDiff slots whose terms are not given in
 ascending exponent order.
 
-data/linalg_golden.json holds what rref_rows (rows and pivots),
+data/linalg_golden.json holds what rref_rows (rows and pivots; now read
+through rref_codes),
 MatrixGF.kernel and SubspaceBasis.intersect returned when elimination still
 ran on FieldElement objects, on seeded matrices and subspace pairs at GF(5),
 GF(7) and GF(25): tall, wide, rank-deficient, all-zero, duplicate-row,
@@ -40,6 +41,17 @@ enumerate_z2_gradings keys of both targets, each class of classify_up_to_iso
 references mixed with the enumerated M2 list), every natural_characterization
 verdict with its witness and isomorphism, every unit_component_check, and the
 unit_component_check of both lifts of every sl2 grading.
+
+data/subspace_golden.json holds what linalg and the grading helpers returned
+when SubspaceBasis and MatrixGF still stored FieldElement tuples: for every
+subspace of linalg_golden.json at GF(5), GF(7) and GF(25), its RREF rows,
+vectors() in order (the full list up to 125 vectors, a sha256 of the code
+array up to 400,000 vectors) and contains() on seeded members and
+non-members; product_space rows of seeded subspace pairs of sl2, gl2 and
+m2_grading_iii at all three fields; the structure constants of those three
+algebras; and the descriptor_to_algebra constants of every class
+representative of both targets and of reference_m2_descriptors at p = 5 and
+7.
 """
 
 import hashlib
@@ -49,7 +61,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glie.algebra import sl2, span_e11_e12
+from glie.algebra import gl2, m2_grading_iii, product_space, sl2, span_e11_e12
 from glie.fields import FieldSpec
 from glie.freelie import (
     AdPolyDiff,
@@ -80,7 +92,9 @@ from glie.freelie import (
     zz,
 )
 from glie.gradings import (
+    GradingDescriptor,
     classify_up_to_iso,
+    descriptor_to_algebra,
     enumerate_z2_gradings,
     lift_sl2_grading_to_gl2,
     m2_automorphisms,
@@ -97,7 +111,7 @@ from glie.identities import (
     identity_space,
     total_degree_windows,
 )
-from glie.linalg import MatrixGF, SubspaceBasis, rref_rows
+from glie.linalg import MatrixGF, SubspaceBasis, rref_codes
 
 DATA = Path(__file__).parent / "data"
 SPAN_GOLDEN = json.loads((DATA / "consequence_span_golden.json").read_text(encoding="utf-8"))
@@ -106,6 +120,7 @@ FREELIE_GOLDEN = json.loads((DATA / "freelie_golden.json").read_text(encoding="u
 LINALG_GOLDEN = json.loads((DATA / "linalg_golden.json").read_text(encoding="utf-8"))
 AUTOMORPHISMS_P5 = json.loads((DATA / "sl2_automorphisms_p5.json").read_text(encoding="utf-8"))
 GRADINGS_GOLDEN = json.loads((DATA / "gradings_golden.json").read_text(encoding="utf-8"))
+SUBSPACE_GOLDEN = json.loads((DATA / "subspace_golden.json").read_text(encoding="utf-8"))
 GENS = {"S": set_s, "lema5": lema5_set}
 ALGEBRAS = {"sl2": sl2, "e11e12": span_e11_e12}
 WINDOWS = {"default": default_sl2_windows, "total3": lambda q: total_degree_windows(3, q)}
@@ -119,7 +134,7 @@ def window_of(case):
 
 
 def codes(basis):
-    return [[c.code for c in row] for row in basis.rows]
+    return basis.rows.tolist()
 
 
 def span_rows(case):
@@ -324,8 +339,8 @@ def test_frozen_linalg_cases_cover_the_shapes():
 def test_rref_and_kernel_frozen(case):
     spec = GOLDEN_FIELDS[case["field"]]
     matrix = elements(spec, case["input"])
-    rows, pivots = rref_rows(spec, matrix)
-    assert [[x.code for x in r] for r in rows] == case["rref"]
+    rows, pivots = rref_codes(spec, np.array(case["input"], dtype=np.int64))
+    assert rows.tolist() == case["rref"]
     assert pivots == case["pivots"]
     assert codes(MatrixGF.from_rows(spec, matrix).kernel()) == case["kernel"]
 
@@ -399,8 +414,8 @@ def test_sl2_automorphisms_read_only():
 @pytest.mark.parametrize("p", [5, 7])
 def test_m2_automorphisms_frozen(p):
     maps = m2_automorphisms(FieldSpec.prime(p))
-    assert [[[x.code for x in r] for r in m.entries] for m in maps] == \
-        GRADINGS_GOLDEN["m2_automorphisms"][str(p)]
+    assert not maps.flags.writeable
+    assert maps.tolist() == GRADINGS_GOLDEN["m2_automorphisms"][str(p)]
 
 
 @pytest.mark.parametrize("case", GRADING_CASES, ids=case_id)
@@ -415,8 +430,7 @@ def test_natural_characterization_frozen(case):
     got = []
     for d in enumerate_z2_gradings("sl2_lie", FieldSpec.prime(case["p"])):
         v = natural_characterization(d)
-        iso = None if v.isomorphism is None else [[x.code for x in r]
-                                                  for r in v.isomorphism.entries]
+        iso = None if v.isomorphism is None else v.isomorphism.entries.tolist()
         got.append({"hypotheses_hold": v.hypotheses_hold, "failing": v.failing,
                     "witness": v.witness, "isomorphism": iso})
     assert got == case["natural"]
@@ -438,3 +452,73 @@ def test_m2_unit_component_and_reference_classes_frozen(case):
     assert [key_json(d) for d in refs] == case["reference_keys"]
     assert classes_json(classify_up_to_iso(refs)) == case["reference_classes"]
     assert classes_json(classify_up_to_iso(refs + gradings)) == case["mixed_classes"]
+
+
+# -- subspaces, products and structure constants -------------------------------------
+
+
+SUBSPACE_CASES = SUBSPACE_GOLDEN["subspaces"]
+FROZEN_ALGEBRAS = {"sl2": sl2, "gl2": gl2, "m2_grading_iii": m2_grading_iii}
+
+
+def constants_json(alg):
+    return [[[x.code for x in v] for v in row] for row in alg.constants]
+
+
+def test_frozen_subspaces_cover_the_cases():
+    assert len(SUBSPACE_CASES) == 48  # the distinct spans among a, b and a & b
+    assert {(c["field"], c["source"].split("/")[0]) for c in SUBSPACE_CASES} <= {
+        (c["field"], c["name"]) for c in INTERSECT_CASES}
+    for field in GOLDEN_FIELDS:
+        verdicts = [v for c in SUBSPACE_CASES if c["field"] == field for v in c["contains"]]
+        assert set(verdicts) == {True, False}
+    assert any(ok and max(probe) >= 5 for c in SUBSPACE_CASES if c["field"] == "GF25"
+               for probe, ok in zip(c["probes"], c["contains"]))
+    assert max(c.get("count", 0) for c in SUBSPACE_CASES) == 25 ** 4
+
+
+@pytest.mark.parametrize("case", SUBSPACE_CASES,
+                         ids=[f"{c['field']}-{c['source']}" for c in SUBSPACE_CASES])
+def test_subspace_vectors_and_contains_frozen(case):
+    s = SubspaceBasis.from_vectors(GOLDEN_FIELDS[case["field"]], 6, case["rows"])
+    assert s.rows.tolist() == case["rows"]
+    assert [s.contains(probe) for probe in case["probes"]] == case["contains"]
+    if "count" in case:
+        vecs = s.vectors()
+        assert vecs.shape == (case["count"], 6)
+        digest = hashlib.sha256(np.ascontiguousarray(vecs, dtype="<i8").tobytes()).hexdigest()
+        assert digest == case["sha256"]
+        if "vectors" in case:
+            assert vecs.tolist() == case["vectors"]
+
+
+def test_product_space_frozen():
+    cases = SUBSPACE_GOLDEN["products"]
+    assert {(c["field"], c["algebra"]) for c in cases} == {
+        (f, a) for f in GOLDEN_FIELDS for a in FROZEN_ALGEBRAS}
+    for case in cases:
+        alg = FROZEN_ALGEBRAS[case["algebra"]](GOLDEN_FIELDS[case["field"]])
+        a, b = (SubspaceBasis.from_vectors(alg.spec, alg.dim, case[part]) for part in "ab")
+        assert product_space(alg, a, b).rows.tolist() == case["rows"], case
+
+
+def test_structure_constants_frozen():
+    for case in SUBSPACE_GOLDEN["constants"]:
+        alg = FROZEN_ALGEBRAS[case["algebra"]](GOLDEN_FIELDS[case["field"]])
+        assert list(alg.degrees) == case["degrees"]
+        assert constants_json(alg) == case["constants"], (case["field"], case["algebra"])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_descriptor_algebras_frozen(p):
+    spec = FieldSpec.prime(p)
+    cases = [c for c in SUBSPACE_GOLDEN["descriptor_algebras"] if c["p"] == p]
+    assert [c["target"] for c in cases] == [
+        t for t in ("sl2_lie", "m2_assoc", "m2_reference") for _ in range(3)]
+    for case in cases:
+        kind = "sl2" if case["target"] == "sl2_lie" else "m2"
+        even, odd = (SubspaceBasis.from_vectors(spec, 3 if kind == "sl2" else 4, rows)
+                     for rows in case["key"])
+        alg = descriptor_to_algebra(GradingDescriptor(kind, spec, even, odd, "frozen"))
+        assert list(alg.degrees) == case["degrees"]
+        assert constants_json(alg) == case["constants"], case["key"]

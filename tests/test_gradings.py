@@ -6,7 +6,7 @@ import pytest
 
 from glie.algebra import gl2, sl2
 from glie.errors import SpecError, UnsupportedField
-from glie.fields import FieldSpec
+from glie.fields import FieldElement, FieldSpec
 from glie.gradings import (
     GradingDescriptor,
     associative_closure_ok,
@@ -22,13 +22,22 @@ from glie.gradings import (
     sl2_automorphisms,
     unit_component_check,
 )
-from glie.linalg import MatrixGF, SubspaceBasis
+from glie.linalg import SubspaceBasis
 
 GF5 = FieldSpec.prime(5)
 
 # tracemalloc peak of sl2_automorphisms(GF(7)) when it scanned all p^9
 # candidate matrices in blocks of p^7
 P9_SCAN_PEAK_P7 = 231_460_745
+
+
+def apply(spec, matrix, vec):
+    """A code matrix times a vector of codes or field elements, by
+    FieldElement arithmetic: a reference independent of the program's
+    code-array products."""
+    vec = [x if isinstance(x, FieldElement) else spec.from_code(int(x)) for x in vec]
+    return tuple(sum((spec.from_code(a) * x for a, x in zip(row, vec)), spec.zero())
+                 for row in np.asarray(matrix).tolist())
 
 
 def test_sl2_automorphism_count_and_closure():
@@ -38,13 +47,12 @@ def test_sl2_automorphism_count_and_closure():
     from glie.algebra import sl2
 
     L = sl2(GF5)
-    for m in autos[:10]:
-        phi = MatrixGF.from_rows(GF5, [[int(v) for v in row] for row in m])
+    for phi in autos[:10]:
         for i in range(3):
             for j in range(i + 1, 3):
-                lhs = phi.matvec(L.bracket(L.basis_element(i), L.basis_element(j)).coeffs)
-                left = L.element(phi.matvec(L.basis_element(i).coeffs))
-                right = L.element(phi.matvec(L.basis_element(j).coeffs))
+                lhs = apply(GF5, phi, L.bracket(L.basis_element(i), L.basis_element(j)).coeffs)
+                left = L.element(apply(GF5, phi, L.basis_element(i).coeffs))
+                right = L.element(apply(GF5, phi, L.basis_element(j).coeffs))
                 assert list(lhs) == list(L.bracket(left, right).coeffs)
 
 
@@ -57,7 +65,7 @@ def test_enumerate_m2_gradings():
     assert len(gradings) == 26
     assert gradings[0].dims() == (4, 0)  # trivial included
     diagonal = SubspaceBasis.from_vectors(GF5, 4, [[1, 0, 0, 0], [0, 0, 0, 1]])
-    assert any(d.even.rows == diagonal.rows for d in gradings)
+    assert any(d.even == diagonal for d in gradings)
 
 
 def test_enumerate_sl2_gradings():
@@ -120,12 +128,12 @@ def test_conjugated_natural_grading_same_class():
     g = (GF5.from_int(1), GF5.zero(), GF5.zero(), GF5.from_int(2))
     # adjoint action of diag(1,2) on sl2 basis (h, e, f):
     # h -> h, e -> (1/2) e, f -> 2 f
-    phi = MatrixGF.from_rows(GF5, [[1, 0, 0], [0, 3, 0], [0, 0, 2]])
+    phi = [[1, 0, 0], [0, 3, 0], [0, 0, 2]]
     natural = natural_sl2_descriptor(GF5)
     conj = GradingDescriptor(
         "sl2", GF5,
-        SubspaceBasis.from_vectors(GF5, 3, [phi.matvec(r) for r in natural.even.rows]),
-        SubspaceBasis.from_vectors(GF5, 3, [phi.matvec(r) for r in natural.odd.rows]),
+        SubspaceBasis.from_vectors(GF5, 3, [apply(GF5, phi, r) for r in natural.even.rows]),
+        SubspaceBasis.from_vectors(GF5, 3, [apply(GF5, phi, r) for r in natural.odd.rows]),
         "conjugated-natural")
     classes = classify_up_to_iso([natural, conj])
     assert len(classes) == 1
@@ -155,11 +163,43 @@ def test_descriptor_validation_rejects_bad_split():
             "bad")
 
 
+# (parent, branch, ambient dim, even rows, odd rows).  sl2 rows are in (h, e, f)
+# coordinates, M2 rows in (e11, e12, e21, e22).  Each case breaks the named
+# check; all but sl2 even-even pass every other check, so dropping any one
+# check lets a case through.  (A 2-dim even part of sl2 that is no subalgebra
+# generates sl2, so no odd part can be invariant under it.)  The sum cases
+# span the algebra with too many dimensions: parts that fall short of n also
+# fail the rank test of even + odd.
+FULL3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+BAD_SPLITS = [
+    ("sl2", "ambient", 4, [[1, 0, 0, 0]], [[0, 1, 0, 0], [0, 0, 1, 0]]),
+    ("sl2", "sum", 3, FULL3, FULL3),
+    ("sl2", "overlap", 3, [[1, 0, 0], [0, 1, 0]], [[0, 1, 0]]),
+    ("sl2", "even-even", 3, [[0, 1, 0], [0, 0, 1]], [[1, 0, 0]]),
+    ("sl2", "even-odd", 3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]),
+    ("sl2", "odd-odd", 3, [], FULL3),
+    ("m2", "ambient", 5, [[1, 0, 0, 0, 0], [0, 0, 0, 1, 0]], [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]),
+    ("m2", "sum", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 1]]),
+    ("m2", "overlap", 4, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]], [[0, 1, 0, 0]]),
+    ("m2", "even-even", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 1]]),
+    ("m2", "even-odd", 4, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]], [[0, 0, 1, 0]]),
+    ("m2", "odd-odd", 4, [[1, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("kind, branch, n, even, odd", BAD_SPLITS,
+                         ids=[f"{c[0]}-{c[1]}" for c in BAD_SPLITS])
+def test_descriptor_validation_rejects_each_branch(kind, branch, n, even, odd):
+    with pytest.raises(SpecError):
+        GradingDescriptor(kind, GF5, SubspaceBasis.from_vectors(GF5, n, even),
+                          SubspaceBasis.from_vectors(GF5, n, odd), branch)
+
+
 def test_natural_characterization_identity_map():
     verdict = natural_characterization(natural_sl2_descriptor(GF5))
     assert verdict.hypotheses_hold
     iso = verdict.isomorphism
-    assert iso.entries == MatrixGF.identity(GF5, 3).entries
+    assert iso.entries.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_natural_characterization_nonsquare_fails_qpower():
@@ -198,13 +238,13 @@ def test_natural_characterization_all_qualifying_gradings():
         verdict = natural_characterization(d)
         if verdict.hypotheses_hold:
             qualified += 1
-            phi = verdict.isomorphism
+            phi = verdict.isomorphism.entries
             image_even = SubspaceBasis.from_vectors(
-                GF5, 3, [phi.matvec(r) for r in d.even.rows])
+                GF5, 3, [apply(GF5, phi, r) for r in d.even.rows])
             image_odd = SubspaceBasis.from_vectors(
-                GF5, 3, [phi.matvec(r) for r in d.odd.rows])
-            assert image_even.rows == natural.even.rows
-            assert image_odd.rows == natural.odd.rows
+                GF5, 3, [apply(GF5, phi, r) for r in d.odd.rows])
+            assert image_even == natural.even
+            assert image_odd == natural.odd
     assert qualified == 15  # the orbit of the natural grading
 
 
@@ -255,11 +295,11 @@ def test_sl2_automorphisms_p11_exhaustive():
 
 
 def brute_force_classes(gradings, maps):
-    """Orbits by scalar matvec and from_vectors: {(representative key, size)}."""
+    """Orbits by scalar images and from_vectors: {(representative key, size)}."""
     def image(phi, d):
         return tuple(
-            tuple(tuple(x.code for x in r) for r in SubspaceBasis.from_vectors(
-                d.spec, s.ambient_dim, [phi.matvec(r) for r in s.rows]).rows)
+            tuple(map(tuple, SubspaceBasis.from_vectors(
+                d.spec, s.ambient_dim, [apply(d.spec, phi, r) for r in s.rows]).rows.tolist()))
             for s in (d.even, d.odd))
 
     members = {}
@@ -268,14 +308,10 @@ def brute_force_classes(gradings, maps):
     return {(min(keys), len(keys)) for keys in members.values()}
 
 
-def sl2_maps(spec):
-    return [MatrixGF.from_rows(spec, m.tolist()) for m in sl2_automorphisms(spec)]
-
-
 @pytest.mark.parametrize("target", ["sl2_lie", "m2_assoc"])
 def test_classify_shuffled_subset_matches_brute_force_orbits(target):
     gradings = random.Random(11).sample(enumerate_z2_gradings(target, GF5), 12)
-    maps = sl2_maps(GF5) if target == "sl2_lie" else m2_automorphisms(GF5)
+    maps = sl2_automorphisms(GF5) if target == "sl2_lie" else m2_automorphisms(GF5)
     classes = classify_up_to_iso(gradings)
     assert sum(c.size for c in classes) == 12
     assert {(c.representative.key(), c.size) for c in classes} == \
@@ -296,10 +332,10 @@ def scalar_qpower_witness(d):
     scalar gl2 brackets."""
     spec = d.spec
     parent = gl2(spec)
-    embed = MatrixGF.from_rows(spec, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]])
-    odd = SubspaceBasis.from_vectors(spec, 4, [embed.matvec(r) for r in d.odd.rows])
+    embed = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [spec.p - 1, 0, 0]]
+    odd = SubspaceBasis.from_vectors(spec, 4, [apply(spec, embed, r) for r in d.odd.rows])
     even = SubspaceBasis.from_vectors(
-        spec, 4, [embed.matvec(r) for r in d.even.rows] + [(1, 0, 0, 1)])
+        spec, 4, [apply(spec, embed, r) for r in d.even.rows] + [(1, 0, 0, 1)])
     for a_vec in odd.vectors():
         a = parent.element(a_vec)
         for c_vec in even.vectors():

@@ -168,8 +168,8 @@ def test_identity_space_yy_window():
     ids = identity_space(L, win)
     assert ids.dim == 1
     expected = win.coords_of(LiePolynomial.monomial(GF5, (y(1), y(2))))
-    assert ids.rows == SubspaceBasis.from_vectors(GF5, win.dim, [expected]).rows
-    assert ids.rows == brute_force_identity_space(L, win).rows
+    assert ids == SubspaceBasis.from_vectors(GF5, win.dim, [expected])
+    assert ids == brute_force_identity_space(L, win)
 
 
 def test_identity_space_zz_window_empty():
@@ -233,10 +233,11 @@ def test_sem2_check_q7_evaluates_shared_subexpressions_once(monkeypatch):
     two sums, 6 for the outer sum and 1 for each of the four two-term
     AdPolyDiff slots, whose sum starts from its first power; a walk that
     evaluates every occurrence makes 448 in all."""
+    L = sl2(FieldSpec.prime(7))  # built before counting: only the check's adds count
     calls = []
     add = BatchField.add
     monkeypatch.setattr(BatchField, "add", lambda self, a, b: calls.append(1) or add(self, a, b))
-    report = check_identity(sem2_graded(7), sl2(FieldSpec.prime(7)))
+    report = check_identity(sem2_graded(7), L)
     assert report.holds and report.evaluations == 7 ** 6
     chunks = -(-7 ** 6 // CheckSettings().chunk)
     assert len(calls) == (4 + 6 + 4) * chunks
@@ -264,7 +265,7 @@ def test_identity_space_yzz_window():
     # spanned by [[z1,z2],y1] = -[y1,[z1,z2]]; the Lyndon word is y1 z1 z2
     member = LiePolynomial.monomial(GF5, (y(1), z(1), z(2)))
     assert ids.contains(win.coords_of(member))
-    assert ids.rows == brute_force_identity_space(L, win).rows
+    assert ids == brute_force_identity_space(L, win)
 
 
 def test_identity_space_box_zyq_window():
@@ -284,7 +285,7 @@ def test_identity_space_sampled_mode_certified():
     ids = identity_space(L, win, IdentitySettings(assignment_budget=10,
                                                   sample_rows=40, seed=5))
     exhaustive = identity_space(L, win)
-    assert ids.rows == exhaustive.rows
+    assert ids == exhaustive
 
 
 def test_identity_space_closed_under_components():
@@ -334,7 +335,20 @@ def test_consequence_deterministic():
     win = window_box({y(1): 1, z(1): 1, z(2): 1})
     a = consequence_span(GF5, set_s(5), win, SpanSettings(seed=9))
     b = consequence_span(GF5, set_s(5), win, SpanSettings(seed=9))
-    assert a.rows == b.rows
+    assert a == b
+
+
+def test_poly_of_reads_element_codes_gf25():
+    """Kernel and span rows are element codes: poly_of must read a GF(25)
+    code c >= 5 as that element, not as c mod 5 in the prime subfield."""
+    spec = FieldSpec.extension(5, 2)
+    win = window_box({y(1): 1, z(1): 1, z(2): 1})
+    codes = [(7 * i + 3) % 25 for i in range(win.dim)]
+    poly = win.poly_of(spec, codes)
+    assert any(c.code >= 5 for _, c in poly.terms)
+    assert [c.code for c in win.coords_of(poly)] == codes
+    assert win.poly_of(spec, np.array(codes)) == poly
+    assert win.poly_of(spec, [spec.from_code(c) for c in codes]) == poly
 
 
 def test_consequence_subset_of_identities():

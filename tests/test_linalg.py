@@ -1,14 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from glie.errors import AmbientMismatch
 from glie.fields import FieldSpec
-from glie.linalg import MatrixGF, SubspaceBasis
+from glie.linalg import MatrixGF, SubspaceBasis, rref_codes
 
 GF5 = FieldSpec.prime(5)
 GF7 = FieldSpec.prime(7)
+GF25 = FieldSpec.extension(5, 2)
+
+
+def scalar_matvec(m, vec):
+    """Codes of M v, by FieldElement arithmetic: a reference independent of
+    the program's code-array products."""
+    spec = m.spec
+    return [sum((spec.from_code(a) * spec.from_code(int(b)) for a, b in zip(row, vec)),
+                spec.zero()).code for row in m.entries.tolist()]
 
 
 def random_matrix(spec, rows, cols, rng):
@@ -19,28 +29,29 @@ def random_matrix(spec, rows, cols, rng):
 
 def test_rref_identity():
     m = MatrixGF.identity(GF5, 3)
-    red, rank, pivots = m.rref()
-    assert rank == 3
+    red, pivots = rref_codes(GF5, m.entries)
+    assert pivots == [0, 1, 2]
+    assert red.tolist() == m.entries.tolist()
     assert m.kernel().dim == 0
 
 
 def test_rref_zero_matrix():
-    m = MatrixGF.zero(GF5, 2, 4)
-    _, rank, _ = m.rref()
-    assert rank == 0
+    m = MatrixGF.from_rows(GF5, [[0] * 4] * 2)
+    red, pivots = rref_codes(GF5, m.entries)
+    assert pivots == [] and red.shape == (0, 4)
     assert m.kernel().dim == 4
 
 
 def test_kernel_frozen_example():
     # x + 2y = 0 over GF(5): kernel spanned by (3,1), RREF-normalized to (1,2)
     m = MatrixGF.from_rows(GF5, [[1, 2], [2, 4]])
-    red, rank, _ = m.rref()
-    assert rank == 1
+    assert len(rref_codes(GF5, m.entries)[1]) == 1
     ker = m.kernel()
     assert ker.dim == 1
-    assert [x.code for x in ker.rows[0]] == [1, 2]
+    assert ker.rows.tolist() == [[1, 2]]
     assert ker.contains([3, 1])
-    assert all(x.is_zero() for x in m.matvec(ker.rows[0]))
+    assert scalar_matvec(m, ker.rows[0]) == [0, 0]
+    assert m.matvec(ker.rows[0]).tolist() == [0, 0]
 
 
 def test_rank_nullity_on_random_matrices():
@@ -49,26 +60,28 @@ def test_rank_nullity_on_random_matrices():
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
         m = random_matrix(GF5, rows, cols, rng)
-        _, rank, _ = m.rref()
+        rank = len(rref_codes(GF5, m.entries)[1])
         assert rank + m.kernel().dim == cols
         for kv in m.kernel().rows:
-            assert all(x.is_zero() for x in m.matvec(kv))
+            assert scalar_matvec(m, kv) == [0] * rows
 
 
 def test_rref_idempotent():
     rng = random.Random(7)
     for _ in range(50):
         m = random_matrix(GF7, rng.randrange(1, 5), rng.randrange(1, 5), rng)
-        red, _, _ = m.rref()
-        red2, _, _ = red.rref()
-        assert red.entries == red2.entries
+        red, pivots = rref_codes(GF7, m.entries)
+        red2, pivots2 = rref_codes(GF7, red)
+        assert red.tolist() == red2.tolist() and pivots == pivots2
 
 
 def test_matrix_inverse():
     m = MatrixGF.from_rows(GF5, [[1, 2], [3, 4]])
     inv = m.inverse()
     columns = inv.transpose().entries
-    assert [m.matvec(c) for c in columns] == list(MatrixGF.identity(GF5, 2).entries)
+    assert [scalar_matvec(m, c) for c in columns] == [[1, 0], [0, 1]]
+    with pytest.raises(ZeroDivisionError):
+        MatrixGF.from_rows(GF5, [[1, 2], [2, 4]]).inverse()
 
 
 def test_subspace_sum_intersect_trivia():
@@ -78,7 +91,8 @@ def test_subspace_sum_intersect_trivia():
     full = SubspaceBasis.from_vectors(GF5, 2, [[1, 0], [0, 1]])
     line = SubspaceBasis.from_vectors(GF5, 2, [[1, 1]])
     inter = full.intersect(line)
-    assert inter.rows == line.rows
+    assert inter == line
+    assert inter != SubspaceBasis.from_vectors(GF7, 2, [[1, 1]])
 
 
 def test_contains_scalar_multiple():
@@ -113,7 +127,32 @@ def test_modular_dimension_law(seed):
 def test_vectors_enumeration():
     s = SubspaceBasis.from_vectors(GF5, 3, [[1, 0, 2], [0, 1, 3]])
     vecs = s.vectors()
-    assert len(vecs) == 25
-    assert len({tuple(x.code for x in v) for v in vecs}) == 25
+    assert vecs.shape == (25, 3)
+    assert len({tuple(v) for v in vecs.tolist()}) == 25
     for v in vecs:
         assert s.contains(v)
+
+
+def test_edge_reads_ints_as_codes():
+    """At the input edge an int is an element code, and -c is minus the
+    element with code c; FieldElements give their codes."""
+    b = GF25.from_code(7)
+    s = SubspaceBasis.from_vectors(GF25, 3, [[1, 7, -1], [0, 1, -7]])
+    assert s == SubspaceBasis.from_vectors(GF25, 3, [[1, b, -GF25.one()], [0, 1, -b]])
+    assert s.contains([2, GF25.from_code(2) * b, -2])
+    assert not s.contains([1, 2, 4])  # 7 is no prime-subfield residue
+    assert SubspaceBasis.from_vectors(GF5, 2, [[-1, 7]]).rows.tolist() == [[1, 3]]
+    with pytest.raises(AmbientMismatch):
+        SubspaceBasis.from_vectors(GF25, 2, [[GF5.one(), 0]])
+    with pytest.raises(ValueError):
+        SubspaceBasis.from_vectors(GF25, 2, [[25, 0]])
+    with pytest.raises(AmbientMismatch):
+        MatrixGF.from_rows(GF5, [[1, 2], [3]])
+
+
+def test_rows_and_entries_are_read_only():
+    s = SubspaceBasis.from_vectors(GF5, 2, [[1, 2]])
+    m = MatrixGF.from_rows(GF5, [[1, 2], [3, 4]])
+    for arr in (s.rows, m.entries, m.transpose().entries, m.inverse().entries):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0

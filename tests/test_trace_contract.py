@@ -39,3 +39,44 @@ def test_timed_entry_resolves(entry):
 def test_counted_ops_are_field_element_methods():
     missing = [op for op in TRACE.COUNTED_OPS if op not in FieldElement.__dict__]
     assert missing == []
+
+
+def test_tracer_counts_a_gradings_run(monkeypatch):
+    """A traced run of the grading layer and one kernel: every count the
+    tracer reports is an int, linalg.kernel.rows adds up the row counts of
+    the matrices given to MatrixGF.kernel, and restore() puts every patched
+    object back."""
+    import glie.gradings
+    from glie.fields import FieldSpec
+    from glie.linalg import MatrixGF
+
+    kernel = MatrixGF.kernel
+    seen_rows = []
+
+    def recording_kernel(self):
+        seen_rows.append(self.rows)
+        return kernel(self)
+
+    monkeypatch.setattr(MatrixGF, "kernel", recording_kernel)
+    enumerate_z2_gradings = glie.gradings.enumerate_z2_gradings
+    tracer = TRACE.Tracer()
+    tracer.install()
+    try:
+        spec = FieldSpec.prime(5)
+        gradings = glie.gradings.enumerate_z2_gradings("sl2_lie", spec)
+        verdict = glie.gradings.natural_characterization(gradings[1])
+        ker = MatrixGF.from_rows(spec, [[1, 2, 0], [2, 4, 0], [0, 0, 1], [1, 2, 1], [0, 0, 0]]).kernel()
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.restore()
+    assert len(gradings) == 26 and verdict.hypotheses_hold and ker.dim == 1
+    assert glie.gradings.enumerate_z2_gradings is enumerate_z2_gradings
+    assert MatrixGF.__dict__["kernel"] is recording_kernel
+    counts = {k: v for k, v in metrics.items()
+              if k.endswith((".calls", ".rows", ".evaluations", ".rank")) or k == "fields.elem_ops"}
+    assert [k for k, v in counts.items() if type(v) is not int] == []
+    assert metrics["gradings.enumerate_z2_gradings.calls"] == 1
+    assert metrics["gradings.natural_characterization.calls"] == 1
+    assert metrics["linalg.kernel.calls"] == len(seen_rows) > 1
+    assert metrics["linalg.kernel.rows"] == sum(seen_rows)
+    assert seen_rows[-1] == 5
