@@ -94,30 +94,8 @@ class GradedLieAlgebra:
     def basis_element(self, i: int) -> "AlgebraElement":
         return self.element([1 if j == i else 0 for j in range(self.dim)])
 
-    def element_from_code(self, code: int) -> "AlgebraElement":
-        q = self.spec.q
-        coords = []
-        for _ in range(self.dim):
-            coords.append(self.spec.from_code(code % q))
-            code //= q
-        return AlgebraElement(self, tuple(coords))
-
     def homogeneous_indices(self, degree: int):
         return [i for i, d in enumerate(self.degrees) if d == degree]
-
-    def homogeneous_part(self, degree: int) -> SubspaceBasis:
-        rows = np.eye(self.dim, dtype=np.int64)[self.homogeneous_indices(degree)]
-        return SubspaceBasis(self.spec, self.dim, rows)
-
-    def homogeneous_elements(self, degree: int):
-        """All elements supported on the degree-d part of the basis."""
-        idx = self.homogeneous_indices(degree)
-        q = self.spec.q
-        for codes in itertools.product(range(q), repeat=len(idx)):
-            coords = [self.spec.zero()] * self.dim
-            for i, c in zip(idx, codes):
-                coords[i] = self.spec.from_code(c)
-            yield AlgebraElement(self, tuple(coords))
 
     # -- bracket --------------------------------------------------------------
 

@@ -153,12 +153,6 @@ class MultiDegree:
             par ^= (v.parity * c) % 2
         return par
 
-    def degree_of(self, v: Variable) -> int:
-        for w, c in self.counts:
-            if w == v:
-                return c
-        return 0
-
     def variables(self):
         return [v for v, _ in self.counts]
 
@@ -255,10 +249,6 @@ class LiePolynomial:
                 acc[w] = s
         return LiePolynomial.from_dict(self.spec, acc)
 
-    def multidegrees(self):
-        return sorted({MultiDegree.of_word(w) for w, _ in self.terms},
-                      key=lambda md: (md.total, str(md)))
-
     def components(self):
         """Multihomogeneous components; they sum back to the polynomial."""
         groups: dict = {}
@@ -325,7 +315,7 @@ class Sum:
 
 @dataclass(frozen=True)
 class Scale:
-    coeff: int
+    coeff: int | FieldElement  # an int n stands for n * 1
     expr: "LieExpr"
 
 
@@ -559,7 +549,8 @@ def _interpret(e, ops: _Backend, memo: dict | None = None):
     if isinstance(e, Var):
         val = ops.leaf(e.var)
     elif isinstance(e, Scale):
-        val = ops.scale(ops.spec.from_int(e.coeff), _interpret(e.expr, ops, memo))
+        c = e.coeff if isinstance(e.coeff, FieldElement) else ops.spec.from_int(e.coeff)
+        val = ops.scale(c, _interpret(e.expr, ops, memo))
     elif isinstance(e, Sum):
         val = ops.zero()
         for t in e.terms:
@@ -783,25 +774,9 @@ def word_to_expr(word: Word):
 def poly_to_expr(poly: LiePolynomial):
     if poly.is_zero():
         return Scale(0, Var(y(1)))
-    terms = []
-    for w, c in poly.terms:
-        base = word_to_expr(w)
-        code = c.code if c.spec.k == 1 else None
-        if code == 1:
-            terms.append(base)
-        elif code is not None:
-            terms.append(Scale(code, base))
-        else:
-            terms.append(Scale(_int_of(c), base))
+    terms = [word_to_expr(w) if c.code == 1 else Scale(c, word_to_expr(w))
+             for w, c in poly.terms]
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-
-def _int_of(c: FieldElement) -> int:
-    # extension-field coefficients outside the prime field cannot be carried
-    # by integer Scale nodes
-    if any(c.coeffs[1:]):
-        raise ValueError("cannot embed a proper extension-field scalar into an expression")
-    return c.coeffs[0]
 
 
 def substitute(f, mapping: dict, graded: bool = True):

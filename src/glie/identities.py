@@ -3,8 +3,9 @@
 The pipeline compares, inside finite windows of the free graded Lie algebra,
 the space of graded identities of a concrete algebra (an evaluation kernel,
 exact) against the span of consequences of candidate generators (a certified
-lower bound of the verbal ideal's window part, built from substitution
-instances and left-normed bracket extensions).
+lower bound of the verbal ideal's window part: the substitution instances
+that fit the window's degree box, closed under linear combinations and
+brackets with the window variables, then intersected with the window).
 
 Statuses are honest about one asymmetry: the identity space is computed
 exactly, the consequence span is a lower bound, so "strict-inclusion" means
@@ -45,7 +46,7 @@ from .freelie import (
     y,
     z,
 )
-from .linalg import SubspaceBasis, kernel_codes, rref_codes
+from .linalg import SubspaceBasis, kernel_codes, matmul_codes, rref_codes
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,6 @@ class AmbientSpace:
         self.multidegrees = tuple(mds)
         self.monomials = tuple(monomials)
         self._index = {w: i for i, w in enumerate(self.monomials)}
-        self.md_set = frozenset(self.multidegrees)
 
     @property
     def dim(self) -> int:
@@ -89,13 +89,14 @@ class AmbientSpace:
             out.setdefault(v, 0)
         return out
 
-    def coords_of(self, poly: LiePolynomial):
-        vec = [poly.spec.zero()] * self.dim
+    def coords_of(self, poly: LiePolynomial) -> np.ndarray:
+        """The polynomial's coordinates, as an int64 row of element codes."""
+        vec = np.zeros(self.dim, dtype=np.int64)
         for w, c in poly.terms:
             if w not in self._index:
                 raise AmbientMismatch(f"monomial {w} outside window {self.label}")
-            vec[self._index[w]] = c
-        return tuple(vec)
+            vec[self._index[w]] = c.code
+        return vec
 
     def poly_of(self, spec: FieldSpec, coords) -> LiePolynomial:
         """The polynomial with these coordinates: FieldElements or element codes."""
@@ -107,25 +108,24 @@ class AmbientSpace:
                 terms[w] = c
         return LiePolynomial.from_dict(spec, terms)
 
-    def contains_poly(self, poly: LiePolynomial) -> bool:
-        return all(MultiDegree.of_word(w) in self.md_set for w, _ in poly.terms)
-
     def __repr__(self):
         return f"<window {self.label}: dim {self.dim}>"
+
+
+def _box_multidegrees(caps: dict):
+    """All multidegrees with 0 <= deg_v <= caps[v] (total degree >= 1)."""
+    variables = sorted(caps, key=lambda v: v.sort_key)
+    for counts in itertools.product(*(range(caps[v] + 1) for v in variables)):
+        if sum(counts):
+            yield MultiDegree.of(dict(zip(variables, counts)))
 
 
 def window_box(caps: dict, label: str | None = None) -> AmbientSpace:
     """All multidegrees with 0 <= deg_v <= caps[v] (total degree >= 1)."""
     variables = sorted(caps, key=lambda v: v.sort_key)
-    ranges = [range(caps[v] + 1) for v in variables]
-    mds = []
-    for counts in itertools.product(*ranges):
-        if sum(counts) == 0:
-            continue
-        mds.append(MultiDegree.of(dict(zip(variables, counts))))
     if label is None:
         label = "(" + ", ".join(f"{v}:{caps[v]}" for v in variables) + ")"
-    return AmbientSpace(label, variables, mds)
+    return AmbientSpace(label, variables, _box_multidegrees(caps))
 
 
 def window_multilinear(variables, label: str | None = None) -> AmbientSpace:
@@ -261,14 +261,11 @@ def _sample_assignment(variables, domains, count: int, seed: int):
 class CheckSettings:
     budget: int = 4_000_000
     chunk: int = 1 << 14
-    sample_size: int = 4096
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class CheckReport:
     holds: bool
-    mode: str
     evaluations: int
     counterexample: dict | None = None
     value: AlgebraElement | None = None
@@ -280,19 +277,15 @@ class CheckReport:
         return ", ".join(f"{v} = {el}" for v, el in items)
 
 
-def _run_check(alg, variables, domains, batch_fn, scalar_fn,
-               mode: str, settings: CheckSettings):
-    """Shared enumeration loop for expression and polynomial checks.
+def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSettings):
+    """Shared exhaustive enumeration loop for expression and polynomial checks.
 
     A refuted check reports as evaluations the number of assignments up to
     and including the first failing one, whatever the chunk size."""
     if not variables:
         val = scalar_fn({})
-        return CheckReport(val.is_zero(), "exhaustive", 1,
+        return CheckReport(val.is_zero(), 1,
                            None if val.is_zero() else {}, None if val.is_zero() else val)
-
-    n = min(settings.sample_size, settings.budget)
-    mode_str = "exhaustive" if mode == "exhaustive" else f"sampled({n}, seed={settings.seed})"
 
     def first_failure(assignment, offset: int):
         values = batch_fn(assignment)
@@ -307,28 +300,24 @@ def _run_check(alg, variables, domains, batch_fn, scalar_fn,
         value = scalar_fn(witness)
         if value.is_zero():
             raise TheoremViolation("counterexample failed re-evaluation")
-        return CheckReport(False, mode_str, offset + row + 1, witness, value)
+        return CheckReport(False, offset + row + 1, witness, value)
 
-    if mode != "exhaustive":
-        failed = first_failure(_sample_assignment(variables, domains, n, settings.seed), 0)
-        return failed or CheckReport(True, mode_str, n)
     total = math.prod(d.shape[0] for d in domains)
     if total > settings.budget:
         raise BudgetExceeded(
-            f"exhaustive check needs {total} evaluations (budget {settings.budget}); "
-            "use sampled mode")
+            f"exhaustive check needs {total} evaluations (budget {settings.budget})")
     for done in range(0, total, settings.chunk):
         failed = first_failure(
             _assignment_slice(variables, domains, done, min(done + settings.chunk, total)), done)
         if failed is not None:
             return failed
-    return CheckReport(True, mode_str, total)
+    return CheckReport(True, total)
 
 
 def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
-                   mode: str = "exhaustive",
                    settings: CheckSettings = CheckSettings()) -> CheckReport:
-    """Does the expression vanish on the algebra?
+    """Does the expression vanish on the algebra?  Every assignment is
+    evaluated, up to settings.budget of them (BudgetExceeded beyond).
 
     Graded mode substitutes homogeneous elements of matching parity only;
     ordinary mode ranges every variable over the whole algebra.
@@ -339,12 +328,12 @@ def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
         alg, variables, domains,
         lambda assignment: batch_evaluate(e, alg, assignment),
         lambda assignment: evaluate(e, alg, assignment, graded=graded),
-        mode, settings,
+        settings,
     )
 
 
 def check_poly_identity(poly: LiePolynomial, alg: GradedLieAlgebra,
-                        graded: bool = True, mode: str = "exhaustive",
+                        graded: bool = True,
                         settings: CheckSettings = CheckSettings()) -> CheckReport:
     variables = poly.variables()
     domains = _domains(alg, variables, graded)
@@ -353,7 +342,7 @@ def check_poly_identity(poly: LiePolynomial, alg: GradedLieAlgebra,
         lambda assignment: poly_batch_evaluate(
             poly, alg, assignment, next(iter(assignment.values())).shape[0]),
         lambda assignment: poly_evaluate(poly, alg, assignment),
-        mode, settings,
+        settings,
     )
 
 
@@ -428,8 +417,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
         new_rows = False
         for vec in kernel.rows:
             poly = ambient.poly_of(spec, vec)
-            report = check_poly_identity(poly, alg, graded=True,
-                                         mode="exhaustive", settings=check_settings)
+            report = check_poly_identity(poly, alg, graded=True, settings=check_settings)
             if not report.holds:
                 witness = {v: el.codes() for v, el in report.counterexample.items()}
                 assignment = {v: arr.reshape(1, -1) for v, arr in witness.items()}
@@ -449,42 +437,7 @@ class SpanSettings:
     image_degree_cap: int = 3
     include_zero_image: bool = True
     two_term_samples: int = 8
-    exhaustive_pool_limit: int = 200_000
-    batch_size: int = 512
-    rounds: int = 8
     seed: int = 0
-
-
-class _SpanAccumulator:
-    """Incremental row-reduced span of window coordinate vectors."""
-
-    def __init__(self, spec: FieldSpec, dim: int):
-        self.spec = spec
-        self.ambient_dim = dim
-        self.rows: list = []  # kept reduced, sorted by pivot
-
-    def add(self, vec) -> bool:
-        v = list(vec)
-        for pivot, row in self.rows:
-            if not v[pivot].is_zero():
-                c = v[pivot]
-                v = [a - c * b for a, b in zip(v, row)]
-        pivot = next((i for i, a in enumerate(v) if not a.is_zero()), None)
-        if pivot is None:
-            return False
-        inv = v[pivot].inverse()
-        v = [inv * a for a in v]
-        self.rows.append((pivot, v))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> SubspaceBasis:
-        return SubspaceBasis.from_vectors(
-            self.spec, self.ambient_dim, [row for _, row in self.rows])
 
 
 def _image_pool(spec: FieldSpec, parity: int, ambient: AmbientSpace,
@@ -492,9 +445,8 @@ def _image_pool(spec: FieldSpec, parity: int, ambient: AmbientSpace,
     """Candidate images for a generator variable of the given parity: scalar
     multiples of window-compatible Lyndon monomials of small degree, plus a
     few sampled two-term combinations."""
-    caps = ambient.caps()
     monomials = []
-    for md in window_box(caps).multidegrees:
+    for md in _box_multidegrees(ambient.caps()):
         if md.total > settings.image_degree_cap:
             continue
         if md.parity != parity:
@@ -527,8 +479,7 @@ class _Pool:
 
     def __init__(self, images):
         self.exprs = [poly_to_expr(img) for img in images]
-        self.class_of = []  # class index of each image
-        self.classes = []   # [(parity, (per, total), [member expressions])]
+        self.classes = []  # [(parity, (per, total), [member expressions])]
         index: dict = {}
         for expr in self.exprs:
             per, total = degree_bound(expr)
@@ -537,7 +488,6 @@ class _Pool:
             if key not in index:
                 index[key] = len(self.classes)
                 self.classes.append((parity, (per, total), []))
-            self.class_of.append(index[key])
             self.classes[index[key]][2].append(expr)
 
 
@@ -564,33 +514,76 @@ def _form_exceeds(form, leaf, cap: int) -> bool:
     return any(sum(map(operator.mul, t, leaf)) > cap for t in form)
 
 
+def _rows_vanishing_on(spec: FieldSpec, rows: np.ndarray, head: int) -> np.ndarray:
+    """RREF codes of the combinations of rows whose first head columns
+    vanish, without those columns: the rows of the RREF whose pivot lies
+    past the head."""
+    reduced, pivots = rref_codes(spec, rows)
+    return reduced[np.array(pivots, dtype=int) >= head, head:]
+
+
+def _ad_maps(spec: FieldSpec, box: AmbientSpace, caps: dict, max_total: int) -> list:
+    """For each variable v of the box, (columns, head, ad) for bracketing
+    with v.  ad is the code matrix of ad_v on the box monomials m whose
+    bracket [m, v] stays in the box: one row per such m, filled from
+    poly_bracket.  columns lists first, head of them, the box monomials
+    whose bracket leaves the box, v itself aside, then those whose bracket
+    stays, in the order of ad's rows."""
+    maps = []
+    for v in box.variables:
+        var = LiePolynomial.monomial(spec, (v,))
+        stays, leaves = [], []
+        for m in box.monomials:
+            if len(m) < max_total and m.count(v) < caps[v]:
+                stays.append(m)
+            elif m != (v,):
+                leaves.append(m)
+        ad = np.zeros((len(stays), box.dim), dtype=np.int64)
+        for row, m in enumerate(stays):
+            for w, c in poly_bracket(LiePolynomial.monomial(spec, m), var).terms:
+                ad[row, box._index[w]] = c.code
+        maps.append(([box._index[m] for m in leaves + stays], len(leaves), ad))
+    return maps
+
+
 def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
                      settings: SpanSettings = SpanSettings(),
                      check_algebra: GradedLieAlgebra | None = None) -> SubspaceBasis:
     """Certified lower bound of the verbal ideal of gens inside the window.
 
-    Substitution instances whose full expansion stays inside the window are
-    harvested directly; every instance is then extended by left-normed
-    brackets with the window variables (which, by Jacobi, spans the same
-    space as bracketing with arbitrary monomials) while the window's total
-    degree allows, and fully-inside extensions are harvested too.
-
-    Instances are pruned before any substitution is built, in this order:
+    The search runs in the box: every multidegree within the window's
+    per-variable caps and total degree (for a box window, the window itself).
 
     1. Each variable's image pool is turned into expressions once and
        grouped by signature (parity, per-variable and total degree bound).
-    2. The exhaustive-or-random choice is made on the unpruned instance
-       count.  Exhaustive mode walks the product of signature classes;
-       random mode draws single instances exactly as an unpruned search
-       would and looks up the verdict of the draw's class tuple.
-    3. Each generator's degree bound is compiled once per call into its
+    2. Each generator's degree bound is compiled once per call into its
        degree form (freelie.degree_form): multiplicity vectors whose
        maximum, weighted by the image bounds, is the bound of the instance.
-       A class tuple is rejected when an image's parity differs from its
-       graded variable's, else at the first vector of the form whose
-       weighted sum exceeds the window's total degree or a variable's cap.
-       A generator with no passing class tuple costs nothing more.
-    4. Only instances of passing tuples are substituted and expanded.
+       The product of signature classes is walked, and a class tuple is
+       rejected when an image's parity differs from its graded variable's,
+       else at the first vector of the form whose weighted sum exceeds the
+       window's total degree or a variable's cap.  A generator with no
+       passing class tuple costs nothing more.
+    3. Every instance of a passing tuple is substituted and expanded once,
+       into a row of box coordinates.
+    4. The row space is closed under ad_v for each window variable v, until
+       the rank stops growing.  Each round brackets with v every combination
+       of the span whose bracket stays in the box.  [m, v] has the
+       multidegree of m plus one v, so such a combination is one whose
+       components at the multidegrees that would leave the box vanish:
+       ad_v is injective on every multidegree but that of v alone (the
+       centralizer of a letter in the free Lie algebra is its span), and
+       distinct multidegrees stay distinct.  Components outside the box are
+       never dropped: over GF(q) the identities are not closed under
+       multihomogeneous components, so a truncated bracket need not be a
+       consequence.
+    5. The result is the part of the closure inside the window, found the
+       same way with the box monomials outside the window as leading
+       columns.
+
+    The closure contains every left-normed extension of every instance that
+    stays in the window, since the verbal ideal is closed under brackets with
+    variables and under linear combinations.
 
     With check_algebra supplied, every returned basis vector is verified to
     vanish identically on it (a soundness cross-check; the generators are
@@ -599,33 +592,11 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
     rng = random.Random(settings.seed)
     caps = ambient.caps()
     max_total = ambient.max_total
-    acc = _SpanAccumulator(spec, ambient.dim)
-    var_monos = {v: LiePolynomial.monomial(spec, (v,)) for v in ambient.variables}
+    box = AmbientSpace(ambient.label, ambient.variables,
+                       (md for md in _box_multidegrees(caps) if md.total <= max_total))
 
     pools = {}
-
-    def harvest(poly: LiePolynomial):
-        """Add the poly when fully inside the window, then keep extending by
-        single variables.  Degrees only grow along extensions, so any branch
-        with a component already over a cap is dead and gets pruned."""
-        if poly.is_zero():
-            return
-        mds = poly.multidegrees()
-        if any(c > caps.get(v, 0) for md in mds for v, c in md.counts):
-            return
-        if ambient.contains_poly(poly):
-            acc.add(ambient.coords_of(poly))
-        if max(md.total for md in mds) + 1 > max_total:
-            return
-        for v in ambient.variables:
-            if all(md.degree_of(v) + 1 <= caps.get(v, 0) for md in mds):
-                harvest(poly_bracket(poly, var_monos[v]))
-
-    def process(gen, mapping) -> None:
-        inst = substitute(gen, mapping, graded=True)
-        harvest(expr_expand(inst, spec, caps=caps, total_cap=max_total))
-
-    all_maps = []
+    rows = []
     for gen in gens:
         gvars = expr_variables(gen)
         var_pools = []
@@ -640,37 +611,28 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
                     pools[key] = _Pool(_image_pool(spec, key, ambient, settings, rng))
                 pool = pools[key]
             var_pools.append(pool)
-        count = 1
-        for pool in var_pools:
-            count *= max(len(pool.exprs), 1)
-        all_maps.append((gen, gvars, degree_form(gen, gvars), var_pools, count))
+        form = degree_form(gen, gvars)
+        for classes in itertools.product(*(pool.classes for pool in var_pools)):
+            if _instance_fits(gvars, form, classes, caps, max_total):
+                for combo in itertools.product(*(members for _, _, members in classes)):
+                    inst = substitute(gen, dict(zip(gvars, combo)), graded=True)
+                    rows.append(box.coords_of(
+                        expr_expand(inst, spec, caps=caps, total_cap=max_total)))
 
-    total_maps = sum(c for *_, c in all_maps)
-    if total_maps <= settings.exhaustive_pool_limit:
-        for gen, gvars, form, var_pools, _ in all_maps:
-            for classes in itertools.product(*(pool.classes for pool in var_pools)):
-                if _instance_fits(gvars, form, classes, caps, max_total):
-                    for combo in itertools.product(*(members for _, _, members in classes)):
-                        process(gen, dict(zip(gvars, combo)))
-    else:
-        verdicts: dict = {}
-        stable_rounds = 0
-        while stable_rounds < settings.rounds:
-            before = acc.dim
-            for _ in range(settings.batch_size):
-                g = rng.randrange(len(all_maps))
-                gen, gvars, form, var_pools, _ = all_maps[g]
-                picks = [rng.randrange(len(pool.exprs)) for pool in var_pools]
-                key = (g, tuple(pool.class_of[i] for pool, i in zip(var_pools, picks)))
-                if key not in verdicts:
-                    classes = [pool.classes[c] for pool, c in zip(var_pools, key[1])]
-                    verdicts[key] = _instance_fits(gvars, form, classes, caps, max_total)
-                if verdicts[key]:
-                    process(gen, {v: pool.exprs[i]
-                                  for v, pool, i in zip(gvars, var_pools, picks)})
-            stable_rounds = stable_rounds + 1 if acc.dim == before else 0
+    span = rref_codes(spec, np.array(rows, dtype=np.int64).reshape(len(rows), box.dim))[0]
+    ad_maps = _ad_maps(spec, box, caps, max_total)
+    while True:
+        images = [matmul_codes(spec, _rows_vanishing_on(spec, span[:, columns], head), ad)
+                  for columns, head, ad in ad_maps]
+        grown = rref_codes(spec, np.concatenate([span, *images]))[0]
+        if len(grown) == len(span):
+            break
+        span = grown
 
-    basis = acc.basis()
+    inside = [box._index[w] for w in ambient.monomials]
+    outside = sorted(set(range(box.dim)) - set(inside))
+    basis = SubspaceBasis(spec, ambient.dim,
+                          _rows_vanishing_on(spec, span[:, outside + inside], len(outside)))
     if check_algebra is not None:
         for vec in basis.rows:
             poly = ambient.poly_of(spec, vec)
@@ -720,8 +682,7 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
     soundness = []
     refuted = False
     for label, gen in zip(labels, gens):
-        report = check_identity(gen, alg, graded=True, mode="exhaustive",
-                                settings=check_settings)
+        report = check_identity(gen, alg, graded=True, settings=check_settings)
         soundness.append((label, report))
         if not report.holds:
             refuted = True

@@ -207,9 +207,6 @@ class MatrixGF:
     def identity(cls, spec: FieldSpec, n: int) -> "MatrixGF":
         return cls(spec, n, n, np.eye(n, dtype=np.int64))
 
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.spec, self.cols, self.rows, self.entries.T)
-
     def __add__(self, other: "MatrixGF") -> "MatrixGF":
         return MatrixGF(self.spec, self.rows, self.cols,
                         batch_field(self.spec).add(self.entries, other.entries))
@@ -217,10 +214,6 @@ class MatrixGF:
     def __sub__(self, other: "MatrixGF") -> "MatrixGF":
         return MatrixGF(self.spec, self.rows, self.cols,
                         batch_field(self.spec).sub(self.entries, other.entries))
-
-    def matvec(self, vec) -> np.ndarray:
-        """M v for a vector of element codes, as a code vector."""
-        return matmul_codes(self.spec, self.entries, np.asarray(vec, dtype=np.int64)[:, None])[:, 0]
 
     def kernel(self) -> SubspaceBasis:
         """Right kernel {v : M v = 0}, as an RREF SubspaceBasis of F^cols."""

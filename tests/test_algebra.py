@@ -25,6 +25,10 @@ GF7 = FieldSpec.prime(7)
 GF25 = FieldSpec.extension(5, 2)
 
 
+def random_element(L, rng):
+    return L.element([L.spec.from_code(rng.randrange(L.spec.q)) for _ in range(L.dim)])
+
+
 # -- constructors -------------------------------------------------------------
 
 
@@ -104,8 +108,8 @@ def test_bracket_bilinear_and_alternating():
     L = sl2(GF5)
     rng = random.Random(0)
     for _ in range(50):
-        a = L.element_from_code(rng.randrange(125))
-        b = L.element_from_code(rng.randrange(125))
+        a = random_element(L, rng)
+        b = random_element(L, rng)
         assert L.bracket(a, a).is_zero()
         assert L.bracket(a, b) == -L.bracket(b, a)
 
@@ -125,8 +129,7 @@ def test_batch_bracket_matches_scalar():
         for make in constructors:
             L = make(spec)
             rng = random.Random(3)
-            pairs = [(L.element_from_code(rng.randrange(spec.q ** L.dim)),
-                      L.element_from_code(rng.randrange(spec.q ** L.dim))) for _ in range(30)]
+            pairs = [(random_element(L, rng), random_element(L, rng)) for _ in range(30)]
             pairs += [(L.zero_element(), L.zero_element()),
                       (L.zero_element(), pairs[0][1]), (pairs[0][0], L.zero_element())]
             u = np.stack([a.codes() for a, _ in pairs])

@@ -6,6 +6,7 @@ import pytest
 from glie.algebra import sl2, span_e11_e12
 from glie.errors import ExpansionTooLarge, NotALieElement, ParityError
 from glie.fields import FieldSpec
+from glie.identities import homogeneous_batch
 from glie.freelie import (
     AdPolyDiff,
     AdPower,
@@ -25,6 +26,7 @@ from glie.freelie import (
     is_lyndon,
     lyndon_words,
     poly_evaluate,
+    poly_to_expr,
     print_word,
     sem1,
     sem2,
@@ -252,10 +254,8 @@ def test_expand_agrees_with_evaluation_exhaustive():
     for e in exprs:
         p = expr_expand(e, GF5, caps={y(1): 5, y(2): 5, z(1): 1, z(2): 1})
         variables = expr_variables(e)
-        pools = []
-        for v in variables:
-            pool = list(L.homogeneous_elements(v.parity))
-            pools.append(pool)
+        pools = [[L.element(list(row)) for row in homogeneous_batch(L, v.parity).tolist()]
+                 for v in variables]
         for combo in itertools.product(*pools):
             assignment = dict(zip(variables, combo))
             left = evaluate(e, L, assignment, graded=True)
@@ -337,7 +337,7 @@ def test_batch_evaluate_matches_scalar():
 
         variables = expr_variables(e)
         els = [
-            {v: L.element_from_code(rng.randrange(125)) for v in variables}
+            {v: L.element([rng.randrange(5) for _ in range(3)]) for v in variables}
             for _ in range(8)
         ]
         batch = {
@@ -347,6 +347,16 @@ def test_batch_evaluate_matches_scalar():
         for i, assignment in enumerate(els):
             scalar = evaluate(e, L, assignment, graded=False)
             assert list(out[i]) == [c.code for c in scalar.coeffs]
+
+
+def test_poly_to_expr_carries_extension_field_scalars():
+    gf25 = FieldSpec.extension(5, 2)
+    for code in (7, 12, 24, 3, 1):
+        poly = LiePolynomial.monomial(gf25, (y(1),), gf25.from_code(code))
+        assert expr_expand(poly_to_expr(poly), gf25) == poly
+    poly = LiePolynomial.monomial(gf25, (y(1), z(1)), gf25.from_code(7)).add(
+        LiePolynomial.monomial(gf25, (z(1),), gf25.from_code(13)))
+    assert expr_expand(poly_to_expr(poly), gf25) == poly
 
 
 # -- substitution ------------------------------------------------------------------
@@ -369,9 +379,7 @@ def test_substitute_composition_law():
     image = bracket(Var(z(2)), Var(z(3)))  # even image for y1
     g = substitute(f, {y(1): image})
     for _ in range(25):
-        za = L.homogeneous_part(1)
-        zvals = {z(i): L.element(za.rows[0]).scale(rng.randrange(5)) +
-                 L.element(za.rows[1]).scale(rng.randrange(5)) for i in (1, 2, 3)}
+        zvals = {z(i): L.element([0, rng.randrange(5), rng.randrange(5)]) for i in (1, 2, 3)}
         direct = evaluate(g, L, zvals)
         composed = evaluate(f, L, {z(1): zvals[z(1)],
                                    y(1): evaluate(image, L, zvals)})

@@ -7,9 +7,13 @@ and bounded one by one, before instances were pruned from composed degree
 bounds.  data/identity_space_golden.json holds the rows identity_space
 returned when it reduced all evaluation rows in one matrix, before it
 reduced them block by block.  Each case names its generator set or algebra,
-q, window family and label, and the settings fields it overrides.  Every row
-must be reproduced exactly, in the exhaustive and in the seeded random or
-sampled branches (the random span branch must consume the same rng draws).
+q, window family and label, and the settings fields it overrides.  Every
+identity-space row must be reproduced exactly, in the exhaustive and in the
+seeded sampled branch.  The span cases frozen from the exhaustive search
+must be reproduced exactly by the linear closure that replaced it.  The 104
+cases frozen from the search's seeded random walk lie below the span, so
+the closure, run with their seed, must contain every frozen row and equal
+the identity space.
 
 data/freelie_golden.json holds what evaluation and expansion returned when
 freelie still walked expressions separately for scalar evaluation, batch
@@ -123,6 +127,7 @@ GRADINGS_GOLDEN = json.loads((DATA / "gradings_golden.json").read_text(encoding=
 SUBSPACE_GOLDEN = json.loads((DATA / "subspace_golden.json").read_text(encoding="utf-8"))
 GENS = {"S": set_s, "lema5": lema5_set}
 ALGEBRAS = {"sl2": sl2, "e11e12": span_e11_e12}
+GENS_ALGEBRA = {"S": sl2, "lema5": span_e11_e12}  # an algebra each set holds on
 WINDOWS = {"default": default_sl2_windows, "total3": lambda q: total_degree_windows(3, q)}
 Q7_WINDOWS = {"(z:1,1,1)", "(y:1,z:1,1)"}
 
@@ -175,12 +180,28 @@ def test_span_lema5_total_degree_3_exhaustive():
     assert mismatches(cases, span_rows) == []
 
 
-def test_span_random_branch_same_draws():
+def test_span_contains_frozen_random_branch_rows():
+    """The 104 cases frozen from the seeded random walk that consequence_span
+    once took above a pool-size limit.  The walk stopped below the span, so
+    the linear closure, run on the same pools (the seed still picks their
+    two-term samples), must contain every frozen row and reach the identity
+    space of the algebra the generators hold on."""
     cases = [c for c in SPAN_GOLDEN if "exhaustive_pool_limit" in c["settings"]]
     assert len(cases) == 104
-    # the frozen ranks vary with the seed, so a change in the draws shows
+    # the frozen ranks vary with the seed: the walk found less than the span
     assert len({(c["gens"], c["window"], len(c["rows"])) for c in cases}) > 26
-    assert mismatches(cases, span_rows) == []
+    ids = {}
+    for case in cases:
+        q, window = case["q"], window_of(case)
+        spec = FieldSpec.prime(q)
+        span = consequence_span(spec, GENS[case["gens"]](q), window,
+                                SpanSettings(seed=case["settings"]["seed"]))
+        frozen = np.array(case["rows"], dtype=np.int64).reshape(-1, window.dim)
+        assert span.contains_rows(frozen), (case["gens"], case["window"])
+        key = (case["gens"], case["window"])
+        if key not in ids:
+            ids[key] = identity_space(GENS_ALGEBRA[case["gens"]](spec), window)
+        assert span == ids[key], key
 
 
 @pytest.mark.parametrize("case", IDS_DEFAULT,

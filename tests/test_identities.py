@@ -12,6 +12,7 @@ from glie.freelie import (
     MultiDegree,
     lema5_set,
     poly_batch_evaluate,
+    poly_bracket,
     sem2_graded,
     set_s,
     y,
@@ -74,7 +75,6 @@ def test_check_yy_on_sl2():
     report = check_identity(yy(), sl2(GF5), graded=True)
     assert report.holds
     assert report.evaluations == 25
-    assert report.mode == "exhaustive"
 
 
 def test_check_zz_fails_with_counterexample():
@@ -114,16 +114,6 @@ def test_check_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         check_identity(yy(), sl2(GF5), graded=True,
                        settings=CheckSettings(budget=10))
-
-
-def test_check_sampled_mode_deterministic():
-    L = sl2(GF5)
-    r1 = check_identity(zz(), L, graded=True, mode="sampled",
-                        settings=CheckSettings(sample_size=64, seed=3))
-    r2 = check_identity(zz(), L, graded=True, mode="sampled",
-                        settings=CheckSettings(sample_size=64, seed=3))
-    assert r1 == r2
-    assert r1.mode == "sampled(64, seed=3)"
 
 
 def test_refuted_check_count_and_witness_follow_no_chunk():
@@ -346,9 +336,47 @@ def test_poly_of_reads_element_codes_gf25():
     codes = [(7 * i + 3) % 25 for i in range(win.dim)]
     poly = win.poly_of(spec, codes)
     assert any(c.code >= 5 for _, c in poly.terms)
-    assert [c.code for c in win.coords_of(poly)] == codes
+    assert win.coords_of(poly).tolist() == codes
     assert win.poly_of(spec, np.array(codes)) == poly
     assert win.poly_of(spec, [spec.from_code(c) for c in codes]) == poly
+
+
+def test_consequence_span_gf25_equals_identity_space():
+    """Image pools hold every nonzero scalar multiple, so at GF(25) the span
+    substitutes proper extension-field scalars."""
+    spec = FieldSpec.extension(5, 2)
+    L = sl2(spec)
+    for win in default_sl2_windows(25):
+        if win.label in ("(y:1,1)", "(z:1,1,1)"):
+            span = consequence_span(spec, set_s(25), win, check_algebra=L)
+            assert span == identity_space(L, win)
+
+
+def test_consequence_span_intersects_the_box_with_the_window():
+    """The exact window (y1:5, z1:1) searches in the box of (z:1,y:5), where
+    the span is the line of zyq_zy(5).  Its part in the window, [z1,y1^5],
+    is no identity: the window holds no consequence, and a span projected
+    onto the window instead of intersected with it would fail the check."""
+    L = sl2(GF5)
+    win = window_exact(MultiDegree.of({y(1): 5, z(1): 1}))
+    span = consequence_span(GF5, set_s(5), win, check_algebra=L)
+    assert span.dim == 0 and identity_space(L, win).dim == 0
+
+
+def test_ad_v_is_injective_where_brackets_leave_the_box():
+    """The closure keeps the combinations of the span whose components at the
+    multidegrees that ad_v takes out of the box vanish.  That equals keeping
+    those whose brackets cancel outside the box because ad_v is injective
+    there: the brackets with v of those monomials are independent."""
+    for caps in ({z(1): 1, y(1): 5}, {y(1): 1, z(1): 3, z(2): 1}, {y(1): 2, y(2): 1, z(1): 2}):
+        box = window_box(caps)
+        for v in box.variables:
+            leaving = [m for m in box.monomials if m.count(v) == caps[v] and m != (v,)]
+            brackets = [poly_bracket(LiePolynomial.monomial(GF5, m),
+                                     LiePolynomial.monomial(GF5, (v,))) for m in leaving]
+            words = sorted({w for b in brackets for w, _ in b.terms})
+            rows = [[dict(b.terms).get(w, GF5.zero()) for w in words] for b in brackets]
+            assert SubspaceBasis.from_vectors(GF5, len(words), rows).dim == len(leaving)
 
 
 def test_consequence_subset_of_identities():

@@ -51,7 +51,6 @@ def test_kernel_frozen_example():
     assert ker.rows.tolist() == [[1, 2]]
     assert ker.contains([3, 1])
     assert scalar_matvec(m, ker.rows[0]) == [0, 0]
-    assert m.matvec(ker.rows[0]).tolist() == [0, 0]
 
 
 def test_rank_nullity_on_random_matrices():
@@ -78,7 +77,7 @@ def test_rref_idempotent():
 def test_matrix_inverse():
     m = MatrixGF.from_rows(GF5, [[1, 2], [3, 4]])
     inv = m.inverse()
-    columns = inv.transpose().entries
+    columns = inv.entries.T
     assert [scalar_matvec(m, c) for c in columns] == [[1, 0], [0, 1]]
     with pytest.raises(ZeroDivisionError):
         MatrixGF.from_rows(GF5, [[1, 2], [2, 4]]).inverse()
@@ -153,6 +152,6 @@ def test_edge_reads_ints_as_codes():
 def test_rows_and_entries_are_read_only():
     s = SubspaceBasis.from_vectors(GF5, 2, [[1, 2]])
     m = MatrixGF.from_rows(GF5, [[1, 2], [3, 4]])
-    for arr in (s.rows, m.entries, m.transpose().entries, m.inverse().entries):
+    for arr in (s.rows, m.entries, m.inverse().entries):
         with pytest.raises(ValueError):
             arr[0, 0] = 0

@@ -83,6 +83,11 @@ def pools_for(spec, gvars, ambient, rng):
     return [both if v.parity is None else graded[v.parity] for v in gvars]
 
 
+def class_of(pool, i):
+    """The signature class that holds image i of the pool."""
+    return next(c for c in pool.classes if any(m is pool.exprs[i] for m in c[2]))
+
+
 def draw(pool, rng):
     """An image index, biased towards the zero image (first) and the
     two-term samples (last)."""
@@ -119,7 +124,7 @@ def test_prune_matches_substitution(name):
                 picks = [draw(pool, rng) for pool in pools]
                 mapping = {v: pool.exprs[i] for v, pool, i in zip(gvars, pools, picks)}
                 assert_form_matches(gen, mapping)
-                classes = [pool.classes[pool.class_of[i]] for pool, i in zip(pools, picks)]
+                classes = [class_of(pool, i) for pool, i in zip(pools, picks)]
                 fits = _instance_fits(gvars, degree_form(gen, gvars), classes, caps, max_total)
                 assert fits != rejected_by_substitution(gen, mapping, caps, max_total)
                 verdicts.add(fits)
@@ -133,9 +138,9 @@ def test_pool_classes_share_parity_and_bound():
         pool = _Pool(_image_pool(spec, parity, ambient, SpanSettings(), random.Random(1)))
         assert len(pool.classes) < len(pool.exprs)
         for i, expr in enumerate(pool.exprs):
-            class_parity, bound, members = pool.classes[pool.class_of[i]]
+            assert sum(any(m is expr for m in members) for _, _, members in pool.classes) == 1
+            class_parity, bound, _ = class_of(pool, i)
             assert (expr_parity(expr), degree_bound(expr)) == (class_parity, bound)
-            assert any(m is expr for m in members)
 
 
 def test_zero_image_is_rejected_for_odd_variables():
@@ -147,7 +152,7 @@ def test_zero_image_is_rejected_for_odd_variables():
     assert pool.exprs[0] == poly_to_expr(LiePolynomial.zero(spec))
     gen = lema5_set(5)[1]  # [z1, z2]
     gvars = expr_variables(gen)
-    classes = [pool.classes[pool.class_of[0]], pool.classes[pool.class_of[1]]]
+    classes = [class_of(pool, 0), class_of(pool, 1)]
     assert not _instance_fits(gvars, degree_form(gen, gvars), classes,
                               ambient.caps(), ambient.max_total)
     with pytest.raises(ParityError):
