@@ -2,10 +2,10 @@
 
 The pipeline compares, inside finite windows of the free graded Lie algebra,
 the space of graded identities of a concrete algebra (an evaluation kernel,
-exact) against the span of consequences of candidate generators (a certified
-lower bound of the verbal ideal's window part: the substitution instances
-that fit the window's degree box, closed under linear combinations and
-brackets with the window variables, then intersected with the window).
+exact) against the span of consequences of candidate generators (a lower
+bound of the verbal ideal's window part: the substitution instances that fit
+the window's degree box, closed under linear combinations and brackets with
+the window variables, then intersected with the window).
 
 Statuses are honest about one asymmetry: the identity space is computed
 exactly, the consequence span is a lower bound, so "strict-inclusion" means
@@ -191,37 +191,47 @@ def total_degree_windows(max_total: int, per_var_cap: int):
 # ---------------------------------------------------------------------------
 
 
-def homogeneous_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
-    """All q^d elements of the degree-d part, as (q^d, dim) coordinate codes."""
-    idx = alg.homogeneous_indices(degree)
+def _code_grid(alg: GradedLieAlgebra, free) -> np.ndarray:
+    """All q^len(free) vectors of codes that are zero off the coordinates in
+    free, as (q^len(free), dim) rows, the first free coordinate fastest."""
     q = alg.spec.q
-    count = q ** len(idx)
+    count = q ** len(free)
     out = np.zeros((count, alg.dim), dtype=np.int64)
     base = np.arange(count)
-    for pos, i in enumerate(idx):
+    for pos, i in enumerate(free):
         out[:, i] = (base // (q ** pos)) % q
     return out
 
 
-def full_batch(alg: GradedLieAlgebra) -> np.ndarray:
-    q = alg.spec.q
-    count = q ** alg.dim
-    out = np.zeros((count, alg.dim), dtype=np.int64)
-    base = np.arange(count)
-    for i in range(alg.dim):
-        out[:, i] = (base // (q ** i)) % q
-    return out
+def homogeneous_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
+    """All q^d elements of the degree-d part, as (q^d, dim) coordinate codes."""
+    return _code_grid(alg, alg.homogeneous_indices(degree))
 
 
-def _domains(alg: GradedLieAlgebra, variables, graded: bool):
+def projective_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
+    """The zero vector and one representative of each line through 0 of the
+    degree-d part: the vectors whose first nonzero coordinate is code 1.
+    1 + (q^d - 1)/(q - 1) rows of coordinate codes."""
+    idx = alg.homogeneous_indices(degree)
+    blocks = [np.zeros((1, alg.dim), dtype=np.int64)]
+    for lead, i in enumerate(idx):
+        block = _code_grid(alg, idx[lead + 1:])
+        block[:, i] = 1
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=homogeneous_batch):
+    """One array of candidate values per variable: points(alg, parity) in
+    graded mode, the whole algebra otherwise."""
     domains = []
     for v in variables:
         if graded:
             if v.parity is None:
                 raise ParityError(f"{v} has no parity; graded mode forbids x variables")
-            domains.append(homogeneous_batch(alg, v.parity))
+            domains.append(points(alg, v.parity))
         else:
-            domains.append(full_batch(alg))
+            domains.append(_code_grid(alg, range(alg.dim)))
     return domains
 
 
@@ -242,16 +252,6 @@ def _assignment_slice(variables, domains, start: int, stop: int):
     return assignment
 
 
-def _sample_assignment(variables, domains, count: int, seed: int):
-    """count seeded draws from the cartesian product, one row per draw."""
-    rng = random.Random(seed)
-    indices = [tuple(rng.randrange(d.shape[0]) for d in domains) for _ in range(count)]
-    return {
-        v: dom[np.array([ix[i] for ix in indices], dtype=np.int64)]
-        for i, (v, dom) in enumerate(zip(variables, domains))
-    }
-
-
 # ---------------------------------------------------------------------------
 # identity checking
 # ---------------------------------------------------------------------------
@@ -259,6 +259,9 @@ def _sample_assignment(variables, domains, count: int, seed: int):
 
 @dataclass(frozen=True)
 class CheckSettings:
+    """budget caps the assignments of an exhaustive check and the grid points
+    of an identity space; chunk is the number evaluated at once."""
+
     budget: int = 4_000_000
     chunk: int = 1 << 14
 
@@ -269,12 +272,6 @@ class CheckReport:
     evaluations: int
     counterexample: dict | None = None
     value: AlgebraElement | None = None
-
-    def counterexample_str(self) -> str:
-        if self.counterexample is None:
-            return ""
-        items = sorted(self.counterexample.items(), key=lambda kv: kv[0].sort_key)
-        return ", ".join(f"{v} = {el}" for v, el in items)
 
 
 def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSettings):
@@ -354,77 +351,60 @@ def check_poly_identity(poly: LiePolynomial, alg: GradedLieAlgebra,
 _REDUCE_BLOCK = 1024  # evaluation rows stacked under the reduced rows per elimination
 
 
-@dataclass(frozen=True)
-class IdentitySettings:
-    assignment_budget: int = 200_000
-    sample_rows: int = 2048
-    seed: int = 0
-    chunk: int = 1 << 14
-
-
 def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
-                   settings: IdentitySettings = IdentitySettings()) -> SubspaceBasis:
-    """The window part of Id_G(alg): the kernel of evaluating the window's
-    Lyndon basis on homogeneous assignments.
+                   settings: CheckSettings = CheckSettings()) -> SubspaceBasis:
+    """The window part of Id_G(alg), exactly: the polynomials of the window
+    that vanish on every homogeneous assignment.
 
-    Rows come from exhaustive enumeration when it fits the budget, otherwise
-    from seeded samples; in both cases every kernel vector is certified by an
-    exhaustive per-vector identity check before it is returned, so the result
-    is exact either way.  That check has the default CheckSettings budget: a
-    window with more assignments raises BudgetExceeded.
+    Scaling a variable v by λ in GF(q)^* multiplies the multidegree-m part of
+    a polynomial by λ^m_v, and λ^m_v depends on m_v mod (q - 1) only.  So
+    group the window's Lyndon monomials into classes by their degrees mod
+    (q - 1), one per variable: by the orthogonality of the characters of
+    (GF(q)^*)^N, a polynomial vanishes on every assignment if and only if
+    each class component does.  A class component, in turn, scales by a
+    nonzero factor when a nonzero value of a variable is scaled, so it
+    vanishes everywhere if and only if it vanishes on the grid where each
+    variable is 0 or one representative of a line through 0
+    (projective_batch).  The kernel is the direct sum of the class kernels:
+    the evaluation rows on the grid, restricted to each class's columns in
+    turn, go into one running RREF.
+
+    settings.budget caps the grid points (BudgetExceeded beyond), and
+    settings.chunk is the number of points evaluated at once.
     """
     spec = alg.spec
     if ambient.dim == 0:
         return SubspaceBasis.zero(spec, 0)
     variables = list(ambient.variables)
-    domains = _domains(alg, variables, graded=True)
+    domains = _domains(alg, variables, graded=True, points=projective_batch)
     total = math.prod(d.shape[0] for d in domains)
-    exhaustive = total <= settings.assignment_budget
-
-    def monomial_rows(assignment, count):
-        cols = [word_tree_batch_evaluate(w, alg, assignment) for w in ambient.monomials]
-        stacked = np.stack(cols, axis=2)  # (N, dim, C)
-        return stacked.reshape(count * alg.dim, len(ambient.monomials))
+    if total > settings.budget:
+        raise BudgetExceeded(
+            f"identity space needs {total} grid points (budget {settings.budget})")
+    classes: dict = {}
+    for j, w in enumerate(ambient.monomials):
+        key = tuple(w.count(v) % (spec.q - 1) for v in variables)
+        classes.setdefault(key, np.zeros(ambient.dim, dtype=bool))[j] = True
 
     # the running RREF of all evaluation rows; chunks are reduced into it
     # block by block, because eliminating a whole chunk at once raises the
     # memory peak by several of its copies
     reduced = np.zeros((0, ambient.dim), dtype=np.int64)
     pivots: list[int] = []
-
-    def add_rows(rows):
-        nonlocal reduced, pivots
-        for start in range(0, len(rows), _REDUCE_BLOCK):
-            if len(pivots) == ambient.dim:
-                return  # full rank: no row can shrink the kernel further
-            reduced, pivots = rref_codes(
-                spec, np.concatenate([reduced, rows[start:start + _REDUCE_BLOCK]]))
-
-    if exhaustive:
-        done = 0
-        while done < total:
-            stop = min(done + settings.chunk, total)
-            assignment = _assignment_slice(variables, domains, done, stop)
-            add_rows(monomial_rows(assignment, stop - done))
-            done = stop
-    else:
-        assignment = _sample_assignment(variables, domains, settings.sample_rows, settings.seed)
-        add_rows(monomial_rows(assignment, settings.sample_rows))
-
-    check_settings = CheckSettings(chunk=settings.chunk)
-    while True:
-        kernel = SubspaceBasis(spec, ambient.dim, kernel_codes(spec, reduced, pivots))
-        new_rows = False
-        for vec in kernel.rows:
-            poly = ambient.poly_of(spec, vec)
-            report = check_poly_identity(poly, alg, graded=True, settings=check_settings)
-            if not report.holds:
-                witness = {v: el.codes() for v, el in report.counterexample.items()}
-                assignment = {v: arr.reshape(1, -1) for v, arr in witness.items()}
-                add_rows(monomial_rows(assignment, 1))
-                new_rows = True
-        if not new_rows:
-            return kernel
+    for done in range(0, total, settings.chunk):
+        stop = min(done + settings.chunk, total)
+        assignment = _assignment_slice(variables, domains, done, stop)
+        cols = [word_tree_batch_evaluate(w, alg, assignment) for w in ambient.monomials]
+        values = np.stack(cols, axis=2).reshape(-1, ambient.dim)
+        for mask in classes.values():
+            rows = values * mask
+            rows = rows[rows.any(axis=1)]
+            for start in range(0, len(rows), _REDUCE_BLOCK):
+                reduced, pivots = rref_codes(
+                    spec, np.concatenate([reduced, rows[start:start + _REDUCE_BLOCK]]))
+        if len(pivots) == ambient.dim:
+            break  # full rank: no row can shrink the kernel further
+    return SubspaceBasis(spec, ambient.dim, kernel_codes(spec, reduced, pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +527,8 @@ def _ad_maps(spec: FieldSpec, box: AmbientSpace, caps: dict, max_total: int) -> 
 
 
 def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
-                     settings: SpanSettings = SpanSettings(),
-                     check_algebra: GradedLieAlgebra | None = None) -> SubspaceBasis:
-    """Certified lower bound of the verbal ideal of gens inside the window.
+                     settings: SpanSettings = SpanSettings()) -> SubspaceBasis:
+    """A lower bound of the verbal ideal of gens inside the window.
 
     The search runs in the box: every multidegree within the window's
     per-variable caps and total degree (for a box window, the window itself).
@@ -585,9 +564,8 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
     stays in the window, since the verbal ideal is closed under brackets with
     variables and under linear combinations.
 
-    With check_algebra supplied, every returned basis vector is verified to
-    vanish identically on it (a soundness cross-check; the generators are
-    expected to be identities of that algebra).
+    basis_check compares the result with the exact identity space and
+    raises TheoremViolation on a consequence that is not an identity.
     """
     rng = random.Random(settings.seed)
     caps = ambient.caps()
@@ -631,17 +609,8 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
 
     inside = [box._index[w] for w in ambient.monomials]
     outside = sorted(set(range(box.dim)) - set(inside))
-    basis = SubspaceBasis(spec, ambient.dim,
-                          _rows_vanishing_on(spec, span[:, outside + inside], len(outside)))
-    if check_algebra is not None:
-        for vec in basis.rows:
-            poly = ambient.poly_of(spec, vec)
-            report = check_poly_identity(poly, check_algebra, graded=True)
-            if not report.holds:
-                raise TheoremViolation(
-                    f"consequence vector {poly} fails on {check_algebra.name}: "
-                    f"{report.counterexample_str()}")
-    return basis
+    return SubspaceBasis(spec, ambient.dim,
+                         _rows_vanishing_on(spec, span[:, outside + inside], len(outside)))
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +643,15 @@ class BasisCheckReport:
 def basis_check(alg: GradedLieAlgebra, gens, windows,
                 gen_labels=None,
                 check_settings: CheckSettings = CheckSettings(),
-                id_settings: IdentitySettings = IdentitySettings(),
                 span_settings: SpanSettings = SpanSettings()) -> BasisCheckReport:
     """Soundness first (every generator must hold exhaustively), then a
-    window-by-window comparison of identity space and consequence span."""
+    window-by-window comparison of identity space and consequence span.
+
+    check_settings bounds both the soundness checks (assignments) and the
+    identity spaces (grid points).  A window whose identity space needs more
+    grid points is recorded as inconclusive, with the budget message as its
+    witness.  A consequence that is not an identity raises TheoremViolation.
+    """
     labels = gen_labels or [f"gen{i + 1}" for i in range(len(gens))]
     soundness = []
     refuted = False
@@ -690,9 +664,8 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
     if not refuted:
         for window in windows:
             try:
-                ids = identity_space(alg, window, id_settings)
-                cons = consequence_span(alg.spec, gens, window, span_settings,
-                                        check_algebra=alg)
+                ids = identity_space(alg, window, check_settings)
+                cons = consequence_span(alg.spec, gens, window, span_settings)
             except BudgetExceeded as exc:
                 records.append(WindowRecord(window.label, window.dim, -1, -1,
                                             "inconclusive", str(exc)))

@@ -8,9 +8,12 @@ bounds.  data/identity_space_golden.json holds the rows identity_space
 returned when it reduced all evaluation rows in one matrix, before it
 reduced them block by block.  Each case names its generator set or algebra,
 q, window family and label, and the settings fields it overrides.  Every
-identity-space row must be reproduced exactly, in the exhaustive and in the
-seeded sampled branch.  The span cases frozen from the exhaustive search
-must be reproduced exactly by the linear closure that replaced it.  The 104
+identity-space row must be reproduced exactly by the one exact evaluation on
+scaling representatives that replaced both the exhaustive and the seeded
+sampled branch; the identity-space settings recorded with a case (those of
+the sampled branch) are no longer read.  The span cases frozen from the
+exhaustive search must be reproduced exactly by the linear closure that
+replaced it.  The 104
 cases frozen from the search's seeded random walk lie below the span, so
 the closure, run with their seed, must contain every frozen row and equal
 the identity space.
@@ -108,7 +111,6 @@ from glie.gradings import (
     unit_component_check,
 )
 from glie.identities import (
-    IdentitySettings,
     SpanSettings,
     consequence_span,
     default_sl2_windows,
@@ -150,7 +152,7 @@ def span_rows(case):
 
 def ids_rows(case):
     alg = ALGEBRAS[case["algebra"]](FieldSpec.prime(case["q"]))
-    return codes(identity_space(alg, window_of(case), IdentitySettings(**case["settings"])))
+    return codes(identity_space(alg, window_of(case)))
 
 
 def mismatches(cases, rows_of):
@@ -213,7 +215,7 @@ def test_identity_space_sl2_default_windows(case):
 def test_identity_space_total_degree_3():
     cases = [c for c in IDS_GOLDEN if c["windows"] == "total3"]
     assert {c["algebra"] for c in cases} == {"sl2", "e11e12"}
-    assert any(c["settings"] for c in cases)  # the sampled branch
+    assert any(c["settings"] for c in cases)  # frozen from the sampled branch
     assert mismatches(cases, ids_rows) == []
 
 

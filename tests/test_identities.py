@@ -1,12 +1,23 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from glie.algebra import algebra_from_matrix_basis, sl2, span_e11_e12
+from glie.algebra import (
+    abelian,
+    algebra_from_matrix_basis,
+    gl2,
+    heisenberg,
+    m2_grading_i,
+    m2_grading_ii,
+    m2_grading_iii,
+    sl2,
+    span_e11_e12,
+)
 from glie.errors import BudgetExceeded, ParityError
-from glie.fields import BatchField, FieldSpec
+from glie.fields import BatchField, FieldSpec, batch_field
 from glie.freelie import (
     LiePolynomial,
     MultiDegree,
@@ -15,6 +26,7 @@ from glie.freelie import (
     poly_bracket,
     sem2_graded,
     set_s,
+    word_tree_batch_evaluate,
     y,
     yy,
     z,
@@ -23,22 +35,24 @@ from glie.freelie import (
 )
 from glie.identities import (
     CheckSettings,
-    IdentitySettings,
     SpanSettings,
     basis_check,
     check_identity,
+    check_poly_identity,
     consequence_span,
     default_sl2_windows,
     homogeneous_batch,
     identity_space,
+    projective_batch,
     total_degree_windows,
     window_box,
     window_exact,
     window_multilinear,
 )
-from glie.linalg import SubspaceBasis
+from glie.linalg import SubspaceBasis, kernel_codes, rref_codes
 
 GF5 = FieldSpec.prime(5)
+GF25 = FieldSpec.extension(5, 2)
 
 
 def brute_force_identity_space(alg, ambient):
@@ -66,6 +80,33 @@ def brute_force_identity_space(alg, ambient):
         if not values.any():
             good.append([spec.from_code(c) for c in codes])
     return SubspaceBasis.from_vectors(spec, ambient.dim, good)
+
+
+def enumerated_identity_space(alg, ambient, chunk=1 << 14):
+    """Reference: the kernel of evaluating the window's Lyndon basis on every
+    homogeneous assignment, reduced chunk by chunk into one RREF.  It stops
+    early only at full rank, where the kernel is 0 whatever is left."""
+    spec = alg.spec
+    if ambient.dim == 0:
+        return SubspaceBasis.zero(spec, 0)
+    variables = list(ambient.variables)
+    pools = [homogeneous_batch(alg, v.parity) for v in variables]
+    total = math.prod(len(p) for p in pools)
+    reduced = np.zeros((0, ambient.dim), dtype=np.int64)
+    pivots = []
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        assignment, stride = {}, total
+        for v, pool in zip(variables, pools):
+            stride //= len(pool)
+            assignment[v] = pool[(idx // stride) % len(pool)]
+        cols = [word_tree_batch_evaluate(w, alg, assignment) for w in ambient.monomials]
+        rows = np.stack(cols, axis=2).reshape(-1, ambient.dim)
+        for block in range(0, len(rows), 1024):
+            reduced, pivots = rref_codes(spec, np.concatenate([reduced, rows[block:block + 1024]]))
+        if len(pivots) == ambient.dim:
+            break
+    return SubspaceBasis(spec, ambient.dim, kernel_codes(spec, reduced, pivots))
 
 
 # -- check_identity ---------------------------------------------------------------
@@ -233,17 +274,35 @@ def test_sem2_check_q7_evaluates_shared_subexpressions_once(monkeypatch):
     assert len(calls) == (4 + 6 + 4) * chunks
 
 
-def test_identity_space_certification_keeps_the_check_budget():
-    """(y1:1, z1..z4:1) at q = 7 has 7 * 49^4, about 40 M, assignments per
-    kernel vector: certification raises BudgetExceeded, and basis_check
-    records the window as inconclusive."""
+def test_identity_space_resolves_y1_z1_to_z4_at_q7():
+    """(y1:1, z1..z4:1) at q = 7 has 7 * 49^4, about 40 M, homogeneous
+    assignments, too many to enumerate within the default budget, but only
+    2 * 9^4 = 13,122 grid points: basis_check resolves the window.  The
+    identity space has dimension 21, as the exhaustive path certified for
+    the same window at q = 5."""
     L = sl2(FieldSpec.prime(7))
     win = window_multilinear([y(1), z(1), z(2), z(3), z(4)])
-    with pytest.raises(BudgetExceeded):
-        identity_space(L, win)
+    ids = identity_space(L, win)
+    assert ids.dim == 21
     report = basis_check(L, [yy()], [win])
+    [rec] = report.windows
+    assert rec.status in ("equal", "strict-inclusion")
+    assert rec.id_dim == ids.dim
+
+
+def test_identity_space_over_the_grid_budget_is_inconclusive():
+    """A budget one below the 13,122 grid points of (y1:1, z1..z4:1) at
+    q = 7 raises BudgetExceeded, and basis_check, whose soundness check of
+    [y1, y2] needs 49 assignments only, records the window as inconclusive."""
+    L = sl2(FieldSpec.prime(7))
+    win = window_multilinear([y(1), z(1), z(2), z(3), z(4)])
+    tight = CheckSettings(budget=2 * 9 ** 4 - 1)
+    with pytest.raises(BudgetExceeded, match="13122 grid points"):
+        identity_space(L, win, tight)
+    report = basis_check(L, [yy()], [win], check_settings=tight)
     assert report.verdict == "inconclusive"
     assert [w.status for w in report.windows] == ["inconclusive"]
+    assert "grid points" in report.windows[0].witness
 
 
 def test_identity_space_yzz_window():
@@ -269,15 +328,6 @@ def test_identity_space_box_zyq_window():
     assert ids.contains(win.coords_of(zyq_poly))
 
 
-def test_identity_space_sampled_mode_certified():
-    L = sl2(GF5)
-    win = window_box({z(1): 1, y(1): 5})
-    ids = identity_space(L, win, IdentitySettings(assignment_budget=10,
-                                                  sample_rows=40, seed=5))
-    exhaustive = identity_space(L, win)
-    assert ids == exhaustive
-
-
 def test_identity_space_closed_under_components():
     # per-variable caps < q, so components of identities are identities
     L = span_e11_e12(GF5)
@@ -289,12 +339,67 @@ def test_identity_space_closed_under_components():
             assert ids.contains(win.coords_of(comp))
 
 
+GRID_ALGEBRAS = [sl2, gl2, m2_grading_i, m2_grading_ii, m2_grading_iii,
+                 heisenberg, lambda spec: abelian(spec, (0, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("spec", [GF5, FieldSpec.prime(7), GF25],
+                         ids=["q5", "q7", "q25"])
+def test_projective_batch_meets_every_line_once(spec):
+    """The nonzero multiples of the grid points are the whole homogeneous
+    part, and the grid has one point per line through 0 plus the origin, so
+    it meets each line exactly once."""
+    q, bf = spec.q, batch_field(spec)
+    for make in GRID_ALGEBRAS:
+        alg = make(spec)
+        weights = q ** np.arange(alg.dim)
+        for parity in (0, 1):
+            grid = projective_batch(alg, parity)
+            d = len(alg.homogeneous_indices(parity))
+            assert len(grid) == 1 + (q ** d - 1) // (q - 1), (alg.name, parity)
+            multiples = np.concatenate([bf.scale(lam, grid) for lam in range(1, q)])
+            assert np.array_equal(np.unique(multiples @ weights),
+                                  np.unique(homogeneous_batch(alg, parity) @ weights)), \
+                (alg.name, parity)
+
+
+def default_windows_named(q, labels):
+    windows = [w for w in default_sl2_windows(q) if w.label in labels]
+    assert len(windows) == len(labels)
+    return windows
+
+
+@pytest.mark.parametrize("alg, windows", [
+    (sl2(GF5), total_degree_windows(4, 5)),
+    (sl2(GF5), default_sl2_windows(5)),
+    (sl2(FieldSpec.prime(7)), default_sl2_windows(7)),
+    (sl2(GF25), default_windows_named(25, ("(y:1,1)", "(z:1,1,1)"))),
+    (span_e11_e12(GF5), total_degree_windows(3, 5)),
+], ids=["sl2-q5-degree4", "sl2-q5-default", "sl2-q7-default", "sl2-q25-default",
+        "e11e12-q5-degree3"])
+def test_identity_space_equals_enumeration(alg, windows):
+    for win in windows:
+        assert identity_space(alg, win) == enumerated_identity_space(alg, win), win.label
+
+
+def test_identity_space_vectors_hold_exhaustively():
+    L = sl2(GF5)
+    for counts in ({y(1): 2, z(1): 1, z(2): 1}, {z(1): 2, z(2): 2, z(3): 1},
+                   {y(1): 1, y(2): 1, z(1): 2, z(2): 1}):
+        win = window_exact(MultiDegree.of(counts))
+        ids = identity_space(L, win)
+        assert ids.dim > 0
+        for row in ids.rows:
+            assert check_poly_identity(win.poly_of(GF5, row), L).holds, win.label
+
+
 # -- consequence_span ----------------------------------------------------------------
 
 
 def test_consequence_contains_substitution_witness():
     win = window_multilinear([y(1), z(1), z(2)])
-    span = consequence_span(GF5, [yy()], win, check_algebra=sl2(GF5))
+    span = consequence_span(GF5, [yy()], win)
+    assert identity_space(sl2(GF5), win).contains_space(span)
     member = LiePolynomial.monomial(GF5, (y(1), z(1), z(2)))
     assert span.dim == 1
     assert span.contains(win.coords_of(member))
@@ -302,7 +407,8 @@ def test_consequence_contains_substitution_witness():
 
 def test_consequence_lema5_zz_window():
     win = window_multilinear([z(1), z(2)])
-    span = consequence_span(GF5, lema5_set(5), win, check_algebra=span_e11_e12(GF5))
+    span = consequence_span(GF5, lema5_set(5), win)
+    assert identity_space(span_e11_e12(GF5), win).contains_space(span)
     assert span.dim == 1
 
 
@@ -343,24 +449,27 @@ def test_poly_of_reads_element_codes_gf25():
 
 def test_consequence_span_gf25_equals_identity_space():
     """Image pools hold every nonzero scalar multiple, so at GF(25) the span
-    substitutes proper extension-field scalars."""
-    spec = FieldSpec.extension(5, 2)
-    L = sl2(spec)
-    for win in default_sl2_windows(25):
-        if win.label in ("(y:1,1)", "(z:1,1,1)"):
-            span = consequence_span(spec, set_s(25), win, check_algebra=L)
-            assert span == identity_space(L, win)
+    substitutes proper extension-field scalars.  The identity space of
+    (y:1,z:1,1) needs 2 * 27 * 27 grid points; enumerating its 9.77 M
+    homogeneous assignments was over the budget."""
+    L = sl2(GF25)
+    for win in default_windows_named(25, ("(y:1,1)", "(z:1,1,1)", "(y:1,z:1,1)")):
+        span = consequence_span(GF25, set_s(25), win)
+        assert span == identity_space(L, win)
 
 
 def test_consequence_span_intersects_the_box_with_the_window():
     """The exact window (y1:5, z1:1) searches in the box of (z:1,y:5), where
     the span is the line of zyq_zy(5).  Its part in the window, [z1,y1^5],
     is no identity: the window holds no consequence, and a span projected
-    onto the window instead of intersected with it would fail the check."""
+    onto the window instead of intersected with it would not lie in the
+    identity space."""
     L = sl2(GF5)
     win = window_exact(MultiDegree.of({y(1): 5, z(1): 1}))
-    span = consequence_span(GF5, set_s(5), win, check_algebra=L)
-    assert span.dim == 0 and identity_space(L, win).dim == 0
+    span = consequence_span(GF5, set_s(5), win)
+    ids = identity_space(L, win)
+    assert ids.contains_space(span)
+    assert span.dim == 0 and ids.dim == 0
 
 
 def test_ad_v_is_injective_where_brackets_leave_the_box():
@@ -382,7 +491,7 @@ def test_ad_v_is_injective_where_brackets_leave_the_box():
 def test_consequence_subset_of_identities():
     L = span_e11_e12(GF5)
     for win in total_degree_windows(3, 5):
-        span = consequence_span(GF5, lema5_set(5), win, check_algebra=L)
+        span = consequence_span(GF5, lema5_set(5), win)
         ids = identity_space(L, win)
         assert ids.contains_space(span)
 
