@@ -370,15 +370,13 @@ def _solve_in_span(spec: FieldSpec, basis: np.ndarray, targets: np.ndarray) -> n
     return reduced[:, n:].T
 
 
+# h = e11 - e22, e = e12 and f = e21 in (e11, e12, e21, e22) coordinates
+SL2_BASIS = ((1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
 def sl2(spec: FieldSpec) -> GradedLieAlgebra:
     """sl2 with the natural grading: basis h=e11-e22 (even), e=e12, f=e21 (odd)."""
-    alg = algebra_from_matrix_basis(
-        spec,
-        [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)],
-        (0, 1, 1),
-        "sl2",
-    )
-    return alg
+    return algebra_from_matrix_basis(spec, SL2_BASIS, (0, 1, 1), "sl2")
 
 
 def gl2(spec: FieldSpec) -> GradedLieAlgebra:

@@ -792,26 +792,27 @@ def substitute(f, mapping: dict, graded: bool = True):
             par = expr_parity(expr)
             if par != v.parity:
                 raise ParityError(f"{v} has parity {v.parity}, image has parity {par}")
-        images[v] = expr
+        images[Var(v)] = expr
+    return replace(f, images)
 
-    def walk(node):
-        if isinstance(node, Var):
-            return images.get(node.var, node)
-        if isinstance(node, Scale):
-            return Scale(node.coeff, walk(node.expr))
-        if isinstance(node, Sum):
-            return Sum(tuple(walk(t) for t in node.terms))
-        if isinstance(node, BracketChain):
-            slots = []
-            for s in node.slots:
-                if isinstance(s, AdPower):
-                    slots.append(AdPower(walk(s.base), s.exponent))
-                else:
-                    slots.append(AdPolyDiff(walk(s.base), s.terms))
-            return BracketChain(walk(node.head), tuple(slots))
-        raise TypeError(f"not a LieExpr node: {node!r}")
 
-    return walk(f)
+def replace(e, images: dict):
+    """e with each subexpression that is a key of images replaced by its
+    image.  Images are not walked, so an image may hold its own key."""
+    if e in images:
+        return images[e]
+    if isinstance(e, Var):
+        return e
+    if isinstance(e, Scale):
+        return Scale(e.coeff, replace(e.expr, images))
+    if isinstance(e, Sum):
+        return Sum(tuple(replace(t, images) for t in e.terms))
+    if isinstance(e, BracketChain):
+        return BracketChain(replace(e.head, images), tuple(
+            AdPower(replace(s.base, images), s.exponent) if isinstance(s, AdPower)
+            else AdPolyDiff(replace(s.base, images), s.terms)
+            for s in e.slots))
+    raise TypeError(f"not a LieExpr node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

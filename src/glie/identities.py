@@ -22,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, GradedLieAlgebra
+from .algebra import SL2_BASIS, AlgebraElement, GradedLieAlgebra, _m2_mult, sl2
 from .errors import AmbientMismatch, BudgetExceeded, ParityError, TheoremViolation
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, batch_field
 from .freelie import (
     LiePolynomial,
     MultiDegree,
+    Sum,
+    Var,
     batch_evaluate,
     degree_bound,
     degree_form,
@@ -40,13 +42,15 @@ from .freelie import (
     poly_bracket,
     poly_evaluate,
     poly_to_expr,
+    replace,
     substitute,
     word_key,
     word_tree_batch_evaluate,
+    x,
     y,
     z,
 )
-from .linalg import SubspaceBasis, kernel_codes, matmul_codes, rref_codes
+from .linalg import MatrixGF, SubspaceBasis, kernel_codes, matmul_codes, rref_codes
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +225,14 @@ def projective_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=homogeneous_batch):
+def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=homogeneous_batch,
+             pairs=()):
     """One array of candidate values per variable: points(alg, parity) in
-    graded mode, the whole algebra otherwise."""
+    graded mode, the whole algebra otherwise and for a variable of pairs,
+    which stands for the sum of an even and an odd variable."""
     domains = []
     for v in variables:
-        if graded:
+        if graded and v not in pairs:
             if v.parity is None:
                 raise ParityError(f"{v} has no parity; graded mode forbids x variables")
             domains.append(points(alg, v.parity))
@@ -253,14 +259,70 @@ def _assignment_slice(variables, domains, start: int, stop: int):
 
 
 # ---------------------------------------------------------------------------
+# orbits of sl2 under conjugation
+# ---------------------------------------------------------------------------
+
+
+def _orbit_representatives(spec: FieldSpec) -> np.ndarray:
+    """0 and, for each d in F, the companion matrix [[0, d], [1, 0]] of
+    t^2 - d, as (h, e, f) coordinate codes (0, d, 1): q + 1 rows."""
+    reps = np.zeros((spec.q + 1, 3), dtype=np.int64)
+    reps[1:, 1] = np.arange(spec.q)
+    reps[1:, 2] = 1
+    return reps
+
+
+def _sl2_orbit_representatives(alg: GradedLieAlgebra) -> np.ndarray | None:
+    """Representatives of the orbits of GL2(F) acting on alg by conjugation,
+    if alg has the structure constants of sl2, so that every conjugation is a
+    Lie automorphism of it; None for any other algebra.
+
+    The cover is certified on every call, over all q^3 elements x in one
+    batch.  x = 0 is a representative.  A nonzero x = [[a, b], [c, -a]] is
+    no scalar, so for a vector v that is no eigenvector of x, g = [v | xv]
+    is invertible, and x g = g R with R = [[0, -det x], [1, 0]] because
+    x^2 = -det x.  v is e1 if c != 0, else e2 if b != 0, else e1 + e2: both
+    e1 and e2 are eigenvectors of diag(a, -a).  This raises TheoremViolation
+    unless 0 is in the table and, for every nonzero x, R is in the table,
+    det g != 0 and g R = x g.
+    """
+    spec = alg.spec
+    if alg.constants != sl2(spec).constants:
+        return None
+    bf = batch_field(spec)
+    reps = _orbit_representatives(spec)
+    xs = _code_grid(alg, range(alg.dim))
+    basis = MatrixGF.from_rows(spec, SL2_BASIS).entries
+    matrices = matmul_codes(spec, xs, basis)
+    a, b, c, d = matrices.T
+    nonzero = xs.any(axis=1)
+    canonical = np.zeros_like(xs)
+    canonical[:, 1] = bf.sub(bf.mul(b, c), bf.mul(a, d))
+    canonical[:, 2] = nonzero
+    v1 = ((c != 0) | (b == 0)).astype(np.int64)
+    v2 = (c == 0).astype(np.int64)
+    g = np.stack([v1, bf.add(bf.mul(a, v1), bf.mul(b, v2)),
+                  v2, bf.add(bf.mul(c, v1), bf.mul(d, v2))], axis=1)
+    det = bf.sub(bf.mul(g[:, 0], g[:, 3]), bf.mul(g[:, 1], g[:, 2]))
+    place = spec.q ** np.arange(alg.dim)
+    ok = (np.isin(canonical @ place, reps @ place) & ((det != 0) | ~nonzero)
+          & (_m2_mult(spec, g, matmul_codes(spec, canonical, basis))
+             == _m2_mult(spec, matrices, g)).all(axis=1))
+    if not ok.all():
+        bad = xs[np.argmin(ok)].tolist()
+        raise TheoremViolation(f"sl2 element {bad} is conjugate to no orbit representative")
+    return reps
+
+
+# ---------------------------------------------------------------------------
 # identity checking
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CheckSettings:
-    """budget caps the assignments of an exhaustive check and the grid points
-    of an identity space; chunk is the number evaluated at once."""
+    """budget caps the rows a check evaluates and the grid points of an
+    identity space; chunk is the number evaluated at once."""
 
     budget: int = 4_000_000
     chunk: int = 1 << 14
@@ -268,17 +330,36 @@ class CheckSettings:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """evaluations is, for a check that holds, the number of assignments it
+    covers (all of them), and for a refuted check the number of rows it
+    evaluated up to and including the first failing one."""
+
     holds: bool
     evaluations: int
     counterexample: dict | None = None
     value: AlgebraElement | None = None
 
 
-def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSettings):
-    """Shared exhaustive enumeration loop for expression and polynomial checks.
+def _witness(alg: GradedLieAlgebra, codes: dict, pairs) -> dict:
+    """The assignment of elements with these coordinate codes, each variable
+    x of pairs split into its even part pairs[x][0] and odd part pairs[x][1]."""
+    odd = np.array(alg.degrees, dtype=bool)
+    out = {}
+    for v, row in codes.items():
+        parts = zip(pairs[v], (row * ~odd, row * odd)) if v in pairs else [(v, row)]
+        for u, part in parts:
+            out[u] = alg.element([alg.spec.from_code(int(c)) for c in part])
+    return out
 
-    A refuted check reports as evaluations the number of assignments up to
-    and including the first failing one, whatever the chunk size."""
+
+def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSettings,
+               covered: int | None = None, pairs=()):
+    """Shared enumeration loop for expression and polynomial checks.
+
+    covered, the number of assignments the domains stand for, is by default
+    their product.  A refuted check reports as evaluations the number of
+    rows up to and including the first failing one, whatever the chunk
+    size, and its witness with the variables of pairs split (_witness)."""
     if not variables:
         val = scalar_fn({})
         return CheckReport(val.is_zero(), 1,
@@ -290,10 +371,7 @@ def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSett
         if not bad.size:
             return None
         row = int(bad[0])
-        witness = {
-            v: alg.element([alg.spec.from_code(int(c)) for c in assignment[v][row]])
-            for v in variables
-        }
+        witness = _witness(alg, {v: assignment[v][row] for v in variables}, pairs)
         value = scalar_fn(witness)
         if value.is_zero():
             raise TheoremViolation("counterexample failed re-evaluation")
@@ -301,31 +379,64 @@ def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSett
 
     total = math.prod(d.shape[0] for d in domains)
     if total > settings.budget:
-        raise BudgetExceeded(
-            f"exhaustive check needs {total} evaluations (budget {settings.budget})")
+        raise BudgetExceeded(f"check needs {total} evaluations (budget {settings.budget})")
     for done in range(0, total, settings.chunk):
         failed = first_failure(
             _assignment_slice(variables, domains, done, min(done + settings.chunk, total)), done)
         if failed is not None:
             return failed
-    return CheckReport(True, total)
+    return CheckReport(True, total if covered is None else covered)
+
+
+def _merge_pairs(e, variables):
+    """(f, pairs): e with each pair y_i, z_i that it uses only through the
+    node Sum((Var(y_i), Var(z_i))), the node substitute builds for
+    x_i -> y_i + z_i, replaced by Var(x_i), and pairs mapping each such x_i
+    to (y_i, z_i).  An e with x variables is returned as it is, for graded
+    mode to refuse them."""
+    if any(v.parity is None for v in variables):
+        return e, {}
+    sums = {Sum((Var(v), Var(z(v.index)))): Var(x(v.index))
+            for v in variables if v.kind == "y" and z(v.index) in variables}
+    left = set(expr_variables(replace(e, sums)))
+    sums = {s: xv for s, xv in sums.items()
+            if not left & {t.var for t in s.terms}}
+    return replace(e, sums), {xv.var: tuple(t.var for t in s.terms) for s, xv in sums.items()}
 
 
 def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
                    settings: CheckSettings = CheckSettings()) -> CheckReport:
     """Does the expression vanish on the algebra?  Every assignment is
-    evaluated, up to settings.budget of them (BudgetExceeded beyond).
+    covered, and settings.budget caps the rows evaluated (BudgetExceeded
+    beyond).
 
     Graded mode substitutes homogeneous elements of matching parity only;
     ordinary mode ranges every variable over the whole algebra.
+
+    Two exact reductions cut the rows.  In graded mode, (y_i, z_i) -> y_i +
+    z_i is a bijection from the even part times the odd part onto the
+    algebra, so a pair used only through that sum (_merge_pairs, as in
+    sem1_graded and sem2_graded) is one variable x_i over the whole algebra.
+    When every variable ranges over the whole algebra of sl2, conjugation
+    by GL2(F) is a Lie automorphism phi with f(phi a, phi b, ...) =
+    phi f(a, b, ...), so the first variable needs only the q + 1 certified
+    orbit representatives (_sl2_orbit_representatives): q^4 rows for the
+    q^6 graded assignments of sem*_graded.
     """
     variables = expr_variables(e)
-    domains = _domains(alg, variables, graded)
+    f, pairs = _merge_pairs(e, variables) if graded else (e, {})
+    variables = expr_variables(f)
+    domains = _domains(alg, variables, graded, pairs=pairs)
+    covered = math.prod(d.shape[0] for d in domains)
+    if variables and (not graded or set(variables) <= pairs.keys()):
+        reps = _sl2_orbit_representatives(alg)
+        if reps is not None:
+            domains[0] = reps
     return _run_check(
         alg, variables, domains,
-        lambda assignment: batch_evaluate(e, alg, assignment),
+        lambda assignment: batch_evaluate(f, alg, assignment),
         lambda assignment: evaluate(e, alg, assignment, graded=graded),
-        settings,
+        settings, covered, pairs,
     )
 
 
@@ -644,10 +755,11 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
                 gen_labels=None,
                 check_settings: CheckSettings = CheckSettings(),
                 span_settings: SpanSettings = SpanSettings()) -> BasisCheckReport:
-    """Soundness first (every generator must hold exhaustively), then a
-    window-by-window comparison of identity space and consequence span.
+    """Soundness first (every generator must hold on every graded
+    assignment, by check_identity), then a window-by-window comparison of
+    identity space and consequence span.
 
-    check_settings bounds both the soundness checks (assignments) and the
+    check_settings bounds both the soundness checks (rows evaluated) and the
     identity spaces (grid points).  A window whose identity space needs more
     grid points is recorded as inconclusive, with the budget message as its
     witness.  A consequence that is not an identity raises TheoremViolation.

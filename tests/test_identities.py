@@ -16,17 +16,30 @@ from glie.algebra import (
     sl2,
     span_e11_e12,
 )
-from glie.errors import BudgetExceeded, ParityError
+from glie import identities
+from glie.errors import BudgetExceeded, ParityError, TheoremViolation
 from glie.fields import BatchField, FieldSpec, batch_field
 from glie.freelie import (
+    AdPolyDiff,
     LiePolynomial,
     MultiDegree,
+    Sum,
+    Var,
+    batch_evaluate,
+    bracket,
+    chain,
+    evaluate,
+    expr_variables,
     lema5_set,
     poly_batch_evaluate,
     poly_bracket,
+    sem1,
+    sem1_graded,
     sem2_graded,
     set_s,
+    substitute,
     word_tree_batch_evaluate,
+    x,
     y,
     yy,
     z,
@@ -36,6 +49,7 @@ from glie.freelie import (
 from glie.identities import (
     CheckSettings,
     SpanSettings,
+    _sl2_orbit_representatives,
     basis_check,
     check_identity,
     check_poly_identity,
@@ -107,6 +121,27 @@ def enumerated_identity_space(alg, ambient, chunk=1 << 14):
         if len(pivots) == ambient.dim:
             break
     return SubspaceBasis(spec, ambient.dim, kernel_codes(spec, reduced, pivots))
+
+
+def enumerated_check(e, alg, graded=True, chunk=1 << 14):
+    """Reference: (holds, evaluations) from batch_evaluate of e on every
+    assignment, y/z over their homogeneous parts in graded mode and every
+    variable over the whole algebra otherwise, in itertools.product order;
+    a refuted check counts up to its first failing assignment."""
+    variables = expr_variables(e)
+    whole = np.array(list(itertools.product(range(alg.spec.q), repeat=alg.dim)))
+    pools = [homogeneous_batch(alg, v.parity) if graded else whole for v in variables]
+    total = math.prod(len(p) for p in pools)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        assignment, stride = {}, total
+        for v, pool in zip(variables, pools):
+            stride //= len(pool)
+            assignment[v] = pool[(idx // stride) % len(pool)]
+        bad = np.flatnonzero(batch_evaluate(e, alg, assignment).any(axis=1))
+        if bad.size:
+            return False, start + int(bad[0]) + 1
+    return True, total
 
 
 # -- check_identity ---------------------------------------------------------------
@@ -190,6 +225,113 @@ def test_check_ordinary_sem1():
     assert report.evaluations == 125 ** 2
 
 
+GF7 = FieldSpec.prime(7)
+# y1 + z1 merged into x1, y2 left graded
+SEM1_X2_EVEN = substitute(sem1(5), {x(1): Sum((Var(y(1)), Var(z(1)))), x(2): Var(y(2))},
+                          graded=False)
+
+
+@pytest.mark.parametrize("e, alg, graded", [
+    (sem1_graded(5), sl2(GF5), True),
+    (sem2_graded(5), sl2(GF5), True),
+    (sem1_graded(7), sl2(GF7), True),
+    (sem2_graded(7), sl2(GF7), True),
+    (sem1(5), sl2(GF5), False),
+    (SEM1_X2_EVEN, sl2(GF5), True),
+    # y1 also used alone: nothing merged, and refuted
+    (bracket(Sum((Var(y(1)), Var(z(1)))), Var(y(1))), sl2(GF5), True),
+    # merged, but not sl2: the whole domain
+    (sem1_graded(5), span_e11_e12(GF5), True),
+], ids=["sem1-q5", "sem2-q5", "sem1-q7", "sem2-q7", "sem1-ungraded-q5", "sem1-x2-even",
+        "y1-unpaired", "sem1-e11e12"])
+def test_check_equals_enumeration(e, alg, graded):
+    """The merged and orbit-reduced check gives the verdict of the q^6
+    enumeration and counts the assignments it covers; where nothing is
+    reduced, a refuted check counts up to the same first failure."""
+    report = check_identity(e, alg, graded=graded, settings=CheckSettings(budget=20_000))
+    assert (report.holds, report.evaluations) == enumerated_check(e, alg, graded)
+
+
+def test_sem_checks_evaluate_orbit_rows_only():
+    """x1 over the q + 1 orbit representatives and x2 over sl2: q^4 rows,
+    within a budget far below the q^6 graded assignments."""
+    for q in (5, 7):
+        rows = (q + 1) * q ** 3
+        for e in (sem1_graded(q), sem2_graded(q)):
+            report = check_identity(e, sl2(FieldSpec.prime(q)), settings=CheckSettings(budget=rows))
+            assert report.holds and report.evaluations == q ** 6
+            with pytest.raises(BudgetExceeded, match=f"{rows} evaluations"):
+                check_identity(e, sl2(FieldSpec.prime(q)), settings=CheckSettings(budget=rows - 1))
+
+
+def test_unpaired_graded_variable_keeps_the_whole_domain():
+    """With y2 left graded, x1 = y1 + z1 is merged but not reduced to orbit
+    representatives: conjugation does not keep the even part."""
+    with pytest.raises(BudgetExceeded, match="625 evaluations"):
+        check_identity(SEM1_X2_EVEN, sl2(GF5), settings=CheckSettings(budget=624))
+
+
+def test_wrong_sem1_refuted_with_graded_witness():
+    """sem1 with exponent q^2 + 1 in place of q^2 + 2 fails on sl2(GF(11)).
+    The failing orbit row maps back to a graded witness: y_i the even and
+    z_i the odd part of x_i, on which the scalar evaluation is nonzero."""
+    q = 11
+    L = sl2(FieldSpec.prime(q))
+    wrong = substitute(chain(Var(x(1)), AdPolyDiff(Var(x(2)), ((1, q * q + 1), (-1, 3)))),
+                       {x(1): Sum((Var(y(1)), Var(z(1)))), x(2): Sum((Var(y(2)), Var(z(2))))},
+                       graded=False)
+    report = check_identity(wrong, L)
+    assert not report.holds
+    assert sorted(report.counterexample) == [y(1), y(2), z(1), z(2)]
+    for v, el in report.counterexample.items():
+        assert el.is_zero() or el.degree() == v.parity
+    value = evaluate(wrong, L, report.counterexample)
+    assert not value.is_zero() and value == report.value
+
+
+def test_orbit_representatives_certified_gf25():
+    """The cover of sl2(GF(25)) by its 26 representatives is certified over
+    all 15,625 elements, with extension-field arithmetic throughout."""
+    reps = _sl2_orbit_representatives(sl2(GF25))
+    assert reps.shape == (26, 3)
+
+
+def test_orbit_reduction_only_for_the_constants_of_sl2():
+    """An algebra isomorphic to sl2 in another basis, or gl2, gets no
+    representatives: conjugation is known to be an automorphism only of
+    the constants of sl2, whatever the name."""
+    renamed = sl2(GF5)
+    renamed.name = "other"
+    assert _sl2_orbit_representatives(renamed) is not None
+    other_basis = algebra_from_matrix_basis(GF5, [(0, 1, 2, 0), (1, 0, 0, -1), (0, 1, -2, 0)],
+                                            (0, 1, 1), "sl2")
+    assert _sl2_orbit_representatives(other_basis) is None
+    assert _sl2_orbit_representatives(gl2(GF5)) is None
+
+
+@pytest.mark.parametrize("table", [
+    lambda reps: np.delete(reps, 0, axis=0),
+    lambda reps: np.where(np.arange(len(reps))[:, None] == 4, [0, 3, 2], reps),
+], ids=["drop-zero", "wrong-one"])
+def test_broken_orbit_table_raises(monkeypatch, table):
+    """A table without the zero orbit, or with (0, 3, 2) in place of
+    (0, 3, 1), fails the certification (a dropped (0, 2, 1) is a proof
+    obligation scenario)."""
+    original = identities._orbit_representatives
+    monkeypatch.setattr(identities, "_orbit_representatives", lambda spec: table(original(spec)))
+    with pytest.raises(TheoremViolation, match="orbit representative"):
+        check_identity(sem1_graded(5), sl2(GF5))
+
+
+def test_soundness_of_s_at_q13_within_the_default_budget():
+    """q^6 = 4.83 M graded assignments are over the 4 M budget; the 30,758
+    orbit rows are not."""
+    report = basis_check(sl2(FieldSpec.prime(13)), set_s(13), [])
+    assert report.verdict == "all-equal"
+    assert [r.holds for _, r in report.soundness] == [True] * 4
+    assert [r.evaluations for _, r in report.soundness][:2] == [13 ** 6] * 2
+
+
 # -- identity_space -----------------------------------------------------------------
 
 
@@ -259,19 +401,25 @@ def test_sem2_check_q7_memory_stays_bounded():
 
 
 def test_sem2_check_q7_evaluates_shared_subexpressions_once(monkeypatch):
-    """x1 = y1 + z1 and x2 = y2 + z2 are summed once per chunk, not at each
-    of the 21 slots that use them.  Per chunk that leaves 4 adds for these
-    two sums, 6 for the outer sum and 1 for each of the four two-term
-    AdPolyDiff slots, whose sum starts from its first power; a walk that
-    evaluates every occurrence makes 448 in all."""
+    """Each shared subexpression is evaluated once per chunk, not at each
+    of the slots that use it.  The check merges x1 = y1 + z1 and
+    x2 = y2 + z2 into single variables, so per chunk that leaves 6 adds for
+    the outer sum and 1 for each of the four two-term AdPolyDiff slots,
+    whose sum starts from its first power; x1 over its 8 orbit
+    representatives and x2 over sl2 make one chunk of 2,744 rows.  The
+    certification of the representatives adds a fixed number of its own."""
     L = sl2(FieldSpec.prime(7))  # built before counting: only the check's adds count
     calls = []
     add = BatchField.add
     monkeypatch.setattr(BatchField, "add", lambda self, a, b: calls.append(1) or add(self, a, b))
+    _sl2_orbit_representatives(L)
+    certification = len(calls)
+    calls.clear()
     report = check_identity(sem2_graded(7), L)
     assert report.holds and report.evaluations == 7 ** 6
-    chunks = -(-7 ** 6 // CheckSettings().chunk)
-    assert len(calls) == (4 + 6 + 4) * chunks
+    chunks = -(-8 * 7 ** 3 // CheckSettings().chunk)
+    assert chunks == 1
+    assert len(calls) == (6 + 4) * chunks + certification
 
 
 def test_identity_space_resolves_y1_z1_to_z4_at_q7():

@@ -51,7 +51,8 @@ def counterexample_not_reproduced():
 
 def ad_power_kernel_corrupted():
     """batch_ad_powers with one row of its first power corrupted: sem1 holds
-    on sl2, so the scalar re-evaluation of the false counterexample vanishes."""
+    on sl2, so the scalar re-evaluation of the false counterexample, an
+    orbit row mapped back to a graded assignment, vanishes."""
     original = GradedLieAlgebra.batch_ad_powers
 
     def corrupted(self, u, w, exponents):
@@ -65,6 +66,18 @@ def ad_power_kernel_corrupted():
         check_identity(sem1_graded(5), sl2(GF5))
     finally:
         GradedLieAlgebra.batch_ad_powers = original
+
+
+def orbit_representative_dropped():
+    """A representative table without (0, 2, 1): the elements of sl2 whose
+    companion form it is are covered by no row, so the certification of the
+    orbit reduction must refuse the sem1 check."""
+    original = identities._orbit_representatives
+    identities._orbit_representatives = lambda spec: np.delete(original(spec), 3, axis=0)
+    try:
+        check_identity(sem1_graded(5), sl2(GF5))
+    finally:
+        identities._orbit_representatives = original
 
 
 def natural_grading_without_isomorphism():
@@ -101,8 +114,8 @@ def unit_criterion_disagrees():
 
 
 SCENARIOS = [non_identity_consequence, counterexample_not_reproduced,
-             ad_power_kernel_corrupted, natural_grading_without_isomorphism,
-             unit_criterion_disagrees]
+             ad_power_kernel_corrupted, orbit_representative_dropped,
+             natural_grading_without_isomorphism, unit_criterion_disagrees]
 
 
 def raises_theorem_violation(scenario) -> bool:
