@@ -11,11 +11,13 @@ of e and f (the full automorphism list doubles as the isomorphism group for
 orbit classification, with no reliance on Aut = PGL2 as an input fact).
 
 Everything here runs on int64 arrays of element codes, like linalg: the
-scan, the orbits (a map list is applied to all rows of a subspace at once,
-and each image is reduced with linalg.rref_codes), the validation of a
-split (one batch of brackets and one rank test per closure), the structure
-constants of a grading and the q-power check.  FieldElement appears only in
-remark_boboc, which keeps scalar brackets.
+scan, the eigensplits (the images of phi + I and phi - I of all involutions
+phi, reduced in one linalg.rref_stack), the orbits (a map list is applied to
+all rows of a subspace at once, and the whole stack of images is reduced in
+one rref_stack), the validation of a split (one batch of brackets and one
+rank test per closure), the structure constants of a grading and the q-power
+check.  FieldElement appears only in remark_boboc, which keeps scalar
+brackets.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import SpecError, TheoremViolation, UnsupportedField
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
 from .identities import CheckSettings, check_identity
-from .linalg import MatrixGF, SubspaceBasis, matmul_codes, row_pairs, rref_codes
+from .linalg import MatrixGF, SubspaceBasis, matmul_codes, row_pairs, rref_stack
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 
@@ -146,34 +148,23 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
     return out
 
 
-def _gl2_elements(spec: FieldSpec) -> np.ndarray:
-    """Invertible 2x2 matrices as (N, 4) code rows (e11, e12, e21, e22), in
-    code order with e22 changing fastest."""
-    bf = batch_field(spec)
-    g = np.indices((spec.q,) * 4, dtype=np.int64).reshape(4, -1).T
-    a, b, c, d = g.T
-    return g[bf.sub(bf.mul(a, d), bf.mul(b, c)) != 0]
-
-
-def _conjugation_matrices(spec: FieldSpec, g: np.ndarray) -> np.ndarray:
-    """The (N, 4, 4) matrices of x -> g x g^-1 on (e11, e12, e21, e22)
-    coordinates: the Kronecker product of g and the transpose of g^-1
-    (prime fields)."""
-    a, b, c, d = g.T
-    inv_det = batch_field(spec).inv((a * d - b * c) % spec.p)
-    ginv_t = np.stack([d, -c, -b, a], axis=1).reshape(-1, 2, 2) * inv_det[:, None, None]
-    return np.einsum("nij,nkl->nikjl", g.reshape(-1, 2, 2), ginv_t).reshape(-1, 4, 4) % spec.p
-
-
 @lru_cache(maxsize=None)
 def m2_automorphisms(spec: FieldSpec) -> np.ndarray:
-    """The distinct conjugation maps of M2 (inner = all, by Skolem-Noether;
-    scalar multiples of g collapse), sorted, as a read-only (N, 4, 4) int64
-    array."""
+    """The distinct conjugation maps x -> g x g^-1 of M2 (inner = all, by
+    Skolem-Noether; scalar multiples of g collapse) on (e11, e12, e21, e22)
+    coordinates, sorted, as a read-only (N, 4, 4) int64 array.  The map of g
+    is the Kronecker product of g and the transpose of g^-1."""
     if spec.k != 1:
         raise UnsupportedField("automorphism scan needs a prime field")
-    maps = _conjugation_matrices(spec, _gl2_elements(spec)).reshape(-1, 16)
-    out = np.unique(maps, axis=0).reshape(-1, 4, 4)
+    p = spec.p
+    g = np.indices((p,) * 4, dtype=np.int64).reshape(4, -1).T
+    det = (g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]) % p
+    g, inv_det = g[det != 0], batch_field(spec).inv(det[det != 0])
+    a, b, c, d = g.T
+    ginv_t = np.stack([d, -c, -b, a], axis=1).reshape(-1, 2, 2) * inv_det[:, None, None]
+    maps = np.einsum("nij,nkl->nikjl", g.reshape(-1, 2, 2), ginv_t).reshape(-1, 16) % p
+    maps = maps[np.lexsort(maps.T[::-1])]
+    out = maps[np.r_[True, (maps[1:] != maps[:-1]).any(axis=1)]].reshape(-1, 4, 4)
     out.flags.writeable = False  # the cached array is shared by every caller
     return out
 
@@ -183,47 +174,37 @@ def m2_automorphisms(spec: FieldSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _eigensplit(spec: FieldSpec, phi: MatrixGF, parent_kind: str, origin: str) -> GradingDescriptor:
-    n = phi.rows
-    ident = MatrixGF.identity(spec, n)
-    even = (phi - ident).kernel()
-    odd = (phi + ident).kernel()
-    return GradingDescriptor(parent_kind, spec, even, odd, origin)
+def _involution_splits(spec: FieldSpec, kind: str, maps: np.ndarray):
+    """The eigensplit of every involution in a list of distinct maps (an
+    involution is determined by its split, so the splits are distinct too).
+    In characteristic != 2, ker(phi - I) = im(phi + I) and ker(phi + I) =
+    im(phi - I): the even and odd parts are the row spaces of (phi + I)^T and
+    (phi - I)^T, all reduced in one rref_stack."""
+    p, n = spec.p, maps.shape[1]
+    eye = np.eye(n, dtype=np.int64)
+    phis = maps[((maps @ maps) % p == eye).all(axis=(1, 2))].transpose(0, 2, 1)
+    reduced, ranks = rref_stack(spec, np.concatenate([phis + eye, phis - eye]) % p)
+    parts = [SubspaceBasis(spec, n, rows[:rank]) for rows, rank in zip(reduced, ranks)]
+    return [GradingDescriptor(kind, spec, even, odd, "involution")
+            for even, odd in zip(parts[:len(phis)], parts[len(phis):])]
 
 
 def enumerate_z2_gradings(target: str, spec: FieldSpec):
     """All Z2-gradings of the target, one descriptor per distinct split.
 
-    target "m2_assoc": gradings of M2 as associative algebra, via conjugation
-    involutions (g^2 scalar).  target "sl2_lie": gradings of sl2 as Lie
-    algebra, via involutions in the brute-forced automorphism list.  The
-    trivial grading (odd = 0) arises from the identity automorphism.
+    target "m2_assoc": gradings of M2 as associative algebra, via the
+    involutions among the conjugations of M2 (g^2 scalar).  target
+    "sl2_lie": gradings of sl2 as Lie algebra, via the involutions in the
+    brute-forced automorphism list.  The trivial grading (odd = 0) arises
+    from the identity automorphism.
     """
     if spec.k != 1:
         raise UnsupportedField("grading enumeration is restricted to prime fields")
     key = target.lower().replace("-", "_")
-    descriptors = []
-    seen = set()
     if key == "m2_assoc":
-        gs = _gl2_elements(spec)
-        gg = _m2_mult(spec, gs, gs)
-        gs = gs[(gg[:, 1] == 0) & (gg[:, 2] == 0) & (gg[:, 0] == gg[:, 3])]  # g^2 scalar
-        for g, phi in zip(gs.tolist(), _conjugation_matrices(spec, gs)):
-            d = _eigensplit(spec, MatrixGF.from_rows(spec, phi), "m2",
-                            f"conj[{','.join(map(str, g))}]")
-            if d.key() not in seen:
-                seen.add(d.key())
-                descriptors.append(d)
+        descriptors = _involution_splits(spec, "m2", m2_automorphisms(spec))
     elif key == "sl2_lie":
-        autos = sl2_automorphisms(spec)
-        square = (autos @ autos) % spec.p
-        ident = np.eye(3, dtype=np.int64)
-        involutive = autos[(square == ident).all(axis=(1, 2))]
-        for m in involutive:
-            d = _eigensplit(spec, MatrixGF.from_rows(spec, m), "sl2", "involution")
-            if d.key() not in seen:
-                seen.add(d.key())
-                descriptors.append(d)
+        descriptors = _involution_splits(spec, "sl2", sl2_automorphisms(spec))
     else:
         raise SpecError(f"unknown grading target {target!r}")
     descriptors.sort(key=lambda d: (-d.even.dim, d.key()))
@@ -291,12 +272,13 @@ class GradingClass:
     zyq_identity_holds: bool
 
 
-def _image_keys(d: GradingDescriptor, maps: np.ndarray):
-    """The key of phi(d) for every map phi, in map order: all maps are
-    applied at once, and each image is reduced on its own."""
-    even, odd = (s.rows @ maps.transpose(0, 2, 1) % d.spec.p for s in (d.even, d.odd))
-    for e, o in zip(even, odd):
-        yield _key(rref_codes(d.spec, e)[0], rref_codes(d.spec, o)[0])
+def _image_stacks(d: GradingDescriptor, maps: np.ndarray):
+    """The reduced rows of phi(even) and phi(odd) for every map phi, in map
+    order, as two (N, dim, n) stacks: all maps are applied at once, and each
+    stack of images is reduced in one rref_stack (the maps are invertible,
+    so every image keeps the dimension of its part)."""
+    return tuple(rref_stack(d.spec, s.rows @ maps.transpose(0, 2, 1) % d.spec.p)[0]
+                 for s in (d.even, d.odd))
 
 
 def classify_up_to_iso(gradings) -> list:
@@ -318,7 +300,7 @@ def classify_up_to_iso(gradings) -> list:
     canonical = {}
     for d, key in zip(gradings, keys):
         if key not in canonical:
-            orbit = set(_image_keys(d, maps))
+            orbit = {_key(e, o) for e, o in zip(*_image_stacks(d, maps))}
             low = min(orbit)
             canonical.update((k, low) for k in keys if k in orbit)
     classes = {}
@@ -418,11 +400,13 @@ def natural_characterization(d: GradingDescriptor,
     witness = _qpower_hypothesis(d)
     if witness is not None:
         return NaturalVerdict(False, "q-power", witness, None)
-    natural = natural_sl2_descriptor(spec).key()
+    natural = natural_sl2_descriptor(spec)
     maps = sl2_automorphisms(spec)
-    for m, key in zip(maps, _image_keys(d, maps)):
-        if key == natural:
-            return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, m))
+    even, odd = _image_stacks(d, maps)
+    hits = np.flatnonzero((even == natural.even.rows).all(axis=(1, 2))
+                          & (odd == natural.odd.rows).all(axis=(1, 2)))
+    if hits.size:
+        return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, maps[hits[0]]))
     if require_iso:
         raise TheoremViolation(
             f"hypotheses hold for {d!r} but no graded isomorphism to the "

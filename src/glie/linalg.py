@@ -1,10 +1,12 @@
 """Dense exact linear algebra over GF(q) on int64 arrays of element codes:
 RREF, kernels and subspace lattice operations.
 
-rref_codes, a Gauss-Jordan pass through BatchField, is the one elimination
-kernel.  SubspaceBasis and MatrixGF hold read-only code arrays.  Vectors of
-FieldElements or ints are converted to codes once, at the input edge
-(SubspaceBasis.from_vectors, MatrixGF.from_rows, SubspaceBasis.contains).
+rref_codes, a Gauss-Jordan pass through BatchField, reduces one matrix;
+rref_stack runs the same pass over a stack of equally shaped matrices at
+once, for the many small eliminations of the gradings layer.  SubspaceBasis
+and MatrixGF hold read-only code arrays.  Vectors of FieldElements or ints
+are converted to codes once, at the input edge (SubspaceBasis.from_vectors,
+MatrixGF.from_rows, SubspaceBasis.contains).
 Subspaces are always kept in reduced row echelon form, so two spans are equal
 exactly when their row arrays are equal.  Everything here is immutable after
 construction and safe to share.
@@ -76,6 +78,38 @@ def rref_codes(spec: FieldSpec, codes):
         work[others] = bf.sub(work[others], bf.mul(work[others, col][:, None], work[rank]))
         pivots.append(col)
     return work[:len(pivots)], pivots
+
+
+def rref_stack(spec: FieldSpec, codes):
+    """Reduced row echelon forms of a (B, r, n) stack of code matrices;
+    returns (reduced, ranks).
+
+    reduced is a new (B, r, n) int64 array whose item b holds
+    rref_codes(spec, codes[b])[0] in its first ranks[b] rows and zeros below.
+    The loop runs over the n columns only; each step pivots, scales and
+    clears every matrix that has a pivot in that column.
+    """
+    bf = batch_field(spec)
+    work = np.array(codes, dtype=np.int64)
+    ranks = np.zeros(len(work), dtype=np.int64)
+    if not work.size:
+        return work, ranks
+    below = np.arange(work.shape[1])
+    for col in range(work.shape[2]):
+        candidates = (work[:, :, col] != 0) & (below >= ranks[:, None])
+        items = np.flatnonzero(candidates.any(axis=1))
+        if not items.size:
+            continue
+        rows, top = candidates[items].argmax(axis=1), ranks[items]
+        pivot = work[items, rows]
+        work[items, rows] = work[items, top]
+        pivot = bf.mul(bf.inv(pivot[:, col])[:, None], pivot)
+        factors = work[items, :, col]
+        factors[np.arange(len(items)), top] = 0
+        work[items] = bf.sub(work[items], bf.mul(factors[:, :, None], pivot[:, None, :]))
+        work[items, top] = pivot
+        ranks[items] += 1
+    return work, ranks
 
 
 def kernel_codes(spec: FieldSpec, reduced: np.ndarray, pivots) -> np.ndarray:
@@ -206,14 +240,6 @@ class MatrixGF:
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "MatrixGF":
         return cls(spec, n, n, np.eye(n, dtype=np.int64))
-
-    def __add__(self, other: "MatrixGF") -> "MatrixGF":
-        return MatrixGF(self.spec, self.rows, self.cols,
-                        batch_field(self.spec).add(self.entries, other.entries))
-
-    def __sub__(self, other: "MatrixGF") -> "MatrixGF":
-        return MatrixGF(self.spec, self.rows, self.cols,
-                        batch_field(self.spec).sub(self.entries, other.entries))
 
     def kernel(self) -> SubspaceBasis:
         """Right kernel {v : M v = 0}, as an RREF SubspaceBasis of F^cols."""

@@ -22,7 +22,7 @@ from glie.gradings import (
     sl2_automorphisms,
     unit_component_check,
 )
-from glie.linalg import SubspaceBasis
+from glie.linalg import MatrixGF, SubspaceBasis
 
 GF5 = FieldSpec.prime(5)
 
@@ -77,6 +77,28 @@ def test_enumerate_sl2_gradings():
     assert all(d.even.dim > 0 for d in gradings)
     # nontrivial gradings all have a 1-dimensional even part
     assert {d.dims() for d in gradings} == {(3, 0), (1, 2)}
+
+
+def kernel_eigensplit(spec, phi):
+    """The split of an involution as two kernels, ker(phi - I) and
+    ker(phi + I): the reference for the image-based split of enumeration."""
+    eye = np.eye(len(phi), dtype=np.int64)
+    even, odd = (MatrixGF.from_rows(spec, phi + sign * eye).kernel() for sign in (-1, 1))
+    return (tuple(map(tuple, even.rows.tolist())), tuple(map(tuple, odd.rows.tolist())))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("target", ["sl2_lie", "m2_assoc"])
+def test_eigensplit_matches_kernels_for_every_involution(target, p):
+    spec = FieldSpec.prime(p)
+    maps = sl2_automorphisms(spec) if target == "sl2_lie" else m2_automorphisms(spec)
+    eye = np.eye(maps.shape[1], dtype=np.int64)
+    involutions = [phi for phi in maps if ((phi @ phi) % p == eye).all()]
+    expected = sorted(kernel_eigensplit(spec, phi) for phi in involutions)
+    gradings = enumerate_z2_gradings(target, spec)
+    # the identity and the p^2 involutions of PGL2(p), each with its own split
+    assert len(expected) == len(set(expected)) == p * p + 1
+    assert sorted(d.key() for d in gradings) == expected
 
 
 def test_enumeration_rejects_extension_fields():

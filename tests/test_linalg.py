@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from glie.errors import AmbientMismatch
 from glie.fields import FieldSpec
-from glie.linalg import MatrixGF, SubspaceBasis, rref_codes
+from glie.linalg import MatrixGF, SubspaceBasis, matmul_codes, rref_codes, rref_stack
 
 GF5 = FieldSpec.prime(5)
 GF7 = FieldSpec.prime(7)
@@ -63,6 +63,49 @@ def test_rank_nullity_on_random_matrices():
         assert rank + m.kernel().dim == cols
         for kv in m.kernel().rows:
             assert scalar_matvec(m, kv) == [0] * rows
+
+
+def random_stack(spec, b, r, n, rng):
+    """b random (r, n) code matrices: dense, sparse (most entries 0, so the
+    items pivot in different columns), rank-deficient products of an
+    (r, k) and a (k, n) matrix with k < min(r, n), and all-zero items."""
+    items = []
+    for i in range(b):
+        kind = i % 4
+        if kind == 0:
+            items.append(rng.integers(0, spec.q, (r, n)))
+        elif kind == 1:
+            items.append(rng.integers(0, spec.q, (r, n)) * (rng.random((r, n)) < 0.3))
+        elif kind == 2:
+            k = max(min(r, n) - 2, 1)
+            items.append(matmul_codes(spec, rng.integers(0, spec.q, (r, k)),
+                                      rng.integers(0, spec.q, (k, n))))
+        else:
+            items.append(np.zeros((r, n), dtype=np.int64))
+    return np.array(items, dtype=np.int64).reshape(b, r, n)
+
+
+@pytest.mark.parametrize("spec", [GF5, GF7, GF25], ids=lambda s: f"GF{s.q}")
+@pytest.mark.parametrize("r, n", [(1, 3), (2, 3), (3, 3), (4, 4), (6, 3), (3, 7), (5, 1)])
+def test_rref_stack_matches_rref_codes(spec, r, n):
+    rng = np.random.default_rng(1000 * spec.q + 10 * r + n)
+    stack = random_stack(spec, 40, r, n, rng)
+    frozen = stack.copy()
+    reduced, ranks = rref_stack(spec, stack)
+    assert np.array_equal(stack, frozen)  # the input is not written to
+    assert reduced.shape == (40, r, n) and ranks.shape == (40,)
+    assert set(ranks.tolist()) > {0}  # the zero items, and at least one other rank
+    for item, out, rank in zip(stack, reduced, ranks):
+        rows, pivots = rref_codes(spec, item)
+        assert rank == len(pivots)
+        assert np.array_equal(out[:rank], rows)
+        assert not out[rank:].any()
+
+
+def test_rref_stack_empty_shapes():
+    for shape in [(0, 3, 3), (5, 0, 3), (5, 2, 0)]:
+        reduced, ranks = rref_stack(GF5, np.zeros(shape, dtype=np.int64))
+        assert reduced.shape == shape and ranks.tolist() == [0] * shape[0]
 
 
 def test_rref_idempotent():

@@ -42,7 +42,7 @@ def test_counted_ops_are_field_element_methods():
 
 
 def test_tracer_counts_a_gradings_run(monkeypatch):
-    """A traced run of the grading layer and one kernel: every count the
+    """A traced run of the grading layer and two kernels: every count the
     tracer reports is an int, linalg.kernel.rows adds up the row counts of
     the matrices given to MatrixGF.kernel, and restore() puts every patched
     object back."""
@@ -65,11 +65,13 @@ def test_tracer_counts_a_gradings_run(monkeypatch):
         spec = FieldSpec.prime(5)
         gradings = glie.gradings.enumerate_z2_gradings("sl2_lie", spec)
         verdict = glie.gradings.natural_characterization(gradings[1])
+        square = MatrixGF.from_rows(spec, [[1, 2], [3, 1]]).kernel()
         ker = MatrixGF.from_rows(spec, [[1, 2, 0], [2, 4, 0], [0, 0, 1], [1, 2, 1], [0, 0, 0]]).kernel()
         metrics = tracer.layer_metrics()
     finally:
         tracer.restore()
-    assert len(gradings) == 26 and verdict.hypotheses_hold and ker.dim == 1
+    assert len(gradings) == 26 and verdict.hypotheses_hold
+    assert square.dim == 1 and ker.dim == 1
     assert glie.gradings.enumerate_z2_gradings is enumerate_z2_gradings
     assert MatrixGF.__dict__["kernel"] is recording_kernel
     counts = {k: v for k, v in metrics.items()
