@@ -622,6 +622,24 @@ def _free_backend(spec: FieldSpec) -> _Backend:
                     partial(repeated_brackets, partial(_nc_comm, spec)), lambda v: {(v,): one})
 
 
+def degree_residues(e, variables, spec: FieldSpec) -> list:
+    """For each of variables, a set holding its degree mod q - 1 in every
+    multihomogeneous component of e, or more: _interpret on residue sets, a
+    slot adding each exponent (all of an AdPolyDiff's) times its base's one
+    residue, else every residue.  If v has one residue r, then
+    e(.., c * m, ..) = c^r * e(.., m, ..) for every c in GF(q)^*."""
+    modulus = spec.q - 1
+
+    def ad_powers(u, w, exponents):
+        steps = [{k * b % modulus for b in w} if len(w) == 1 else range(modulus)
+                 for k in exponents]
+        return [{(a + b) % modulus for a in u for b in step} for step in steps]
+
+    return [_interpret(e, _Backend(spec, set, set.union, lambda c, a: a, ad_powers,
+                                   lambda u, v=v: {int(u == v) % modulus}))
+            for v in variables]
+
+
 def _row_count(assignment: dict) -> int:
     sizes = {a.shape[0] for a in assignment.values()}
     if len(sizes) != 1:

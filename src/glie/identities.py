@@ -33,6 +33,7 @@ from .freelie import (
     batch_evaluate,
     degree_bound,
     degree_form,
+    degree_residues,
     evaluate,
     expr_expand,
     expr_parity,
@@ -533,9 +534,8 @@ class SpanSettings:
 
 def _image_pool(spec: FieldSpec, parity: int, ambient: AmbientSpace,
                 settings: SpanSettings, rng: random.Random):
-    """Candidate images for a generator variable of the given parity: scalar
-    multiples of window-compatible Lyndon monomials of small degree, plus a
-    few sampled two-term combinations."""
+    """Candidate images of the given parity: zero, the nonzero multiples of
+    small window-compatible Lyndon monomials, and a few two-term samples."""
     monomials = []
     for md in _box_multidegrees(ambient.caps()):
         if md.total > settings.image_degree_cap:
@@ -646,14 +646,17 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
 
     1. Each variable's image pool is turned into expressions once and
        grouped by signature (parity, per-variable and total degree bound).
+       A variable whose degrees in the generator share one residue mod
+       q - 1 (freelie.degree_residues) drops the monomials whose coefficient
+       is not 1: scaling its image only scales the instance.
     2. Each generator's degree bound is compiled once per call into its
        degree form (freelie.degree_form): multiplicity vectors whose
        maximum, weighted by the image bounds, is the bound of the instance.
-       The product of signature classes is walked, and a class tuple is
-       rejected when an image's parity differs from its graded variable's,
-       else at the first vector of the form whose weighted sum exceeds the
-       window's total degree or a variable's cap.  A generator with no
-       passing class tuple costs nothing more.
+       A generator over the window's total degree at image bounds 1, the
+       least, is skipped.  Otherwise the product of signature classes is
+       walked, and a class tuple is rejected when an image's parity differs
+       from its graded variable's, else at the first vector of the form
+       whose weighted sum exceeds the window's total degree or a cap.
     3. Every instance of a passing tuple is substituted and expanded once,
        into a row of box coordinates.
     4. The row space is closed under ad_v for each window variable v, until
@@ -684,23 +687,30 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
     box = AmbientSpace(ambient.label, ambient.variables,
                        (md for md in _box_multidegrees(caps) if md.total <= max_total))
 
-    pools = {}
+    drawn = {}  # parity -> its images, drawn at the parity's first use
+    pools = {}  # (parity, whether the variable's degrees share one residue) -> _Pool
     rows = []
     for gen in gens:
         gvars = expr_variables(gen)
-        var_pools = []
+        var_images = []
         for v in gvars:
-            if v.parity is None:
-                # ungraded generator variables accept either parity
-                pool = _Pool(_image_pool(spec, 0, ambient, settings, rng)
-                             + _image_pool(spec, 1, ambient, settings, rng))
-            else:
-                key = v.parity
-                if key not in pools:
-                    pools[key] = _Pool(_image_pool(spec, key, ambient, settings, rng))
-                pool = pools[key]
-            var_pools.append(pool)
+            if v.parity is None:  # ungraded variables accept either parity
+                var_images.append(_image_pool(spec, 0, ambient, settings, rng)
+                                  + _image_pool(spec, 1, ambient, settings, rng))
+                continue
+            if v.parity not in drawn:
+                drawn[v.parity] = _image_pool(spec, v.parity, ambient, settings, rng)
+            var_images.append(drawn[v.parity])
         form = degree_form(gen, gvars)
+        if _form_exceeds(form, [1] * len(gvars), max_total):
+            continue  # every image has a total degree bound of at least 1
+        var_pools = []
+        for v, imgs, residues in zip(gvars, var_images, degree_residues(gen, gvars, spec)):
+            key = (v.parity, len(residues) == 1)
+            if v.parity is None or key not in pools:
+                pools[key] = _Pool([img for img in imgs if not key[1] or len(img.terms) != 1
+                                    or img.terms[0][1].code == 1])
+            var_pools.append(pools[key])
         for classes in itertools.product(*(pool.classes for pool in var_pools)):
             if _instance_fits(gvars, form, classes, caps, max_total):
                 for combo in itertools.product(*(members for _, _, members in classes)):

@@ -596,12 +596,16 @@ def test_poly_of_reads_element_codes_gf25():
 
 
 def test_consequence_span_gf25_equals_identity_space():
-    """Image pools hold every nonzero scalar multiple, so at GF(25) the span
-    substitutes proper extension-field scalars.  The identity space of
-    (y:1,z:1,1) needs 2 * 27 * 27 grid points; enumerating its 9.77 M
-    homogeneous assignments was over the budget."""
+    """Every variable of S has one degree residue mod 24, so the pools hold
+    the zero image, the coefficient-1 monomials and the seeded two-term
+    samples; that keeps (z:1,y:25), the box of zyq_zy(25), well under a
+    second.  two_class in test_span_prune keeps every extension-field
+    multiple.  The identity space of (y:1,z:1,1) needs 2 * 27 * 27 grid
+    points; enumerating its 9.77 M homogeneous assignments was over the
+    budget."""
     L = sl2(GF25)
-    for win in default_windows_named(25, ("(y:1,1)", "(z:1,1,1)", "(y:1,z:1,1)")):
+    for win in default_windows_named(25, ("(y:1,1)", "(z:1,1,1)", "(y:1,z:1,1)",
+                                          "(z:1,y:25)")):
         span = consequence_span(GF25, set_s(25), win)
         assert span == identity_space(L, win)
 

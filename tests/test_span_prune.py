@@ -5,7 +5,8 @@ two-term samples included, for graded generator sets and for the ungraded
 sem1/sem2 and [x1, x2], whose x variables take images of either parity.
 The degree form of a generator is also checked against substitution on
 random images whose per-variable and total bounds are unrelated, and on
-edge cases of the AST.
+edge cases of the AST.  Spans whose pools keep one image per scaling class
+are checked against a reference whose pools keep every scalar multiple.
 """
 
 import random
@@ -22,6 +23,7 @@ from glie.freelie import (
     AdPower,
     BracketChain,
     LiePolynomial,
+    MultiDegree,
     Scale,
     Sum,
     Var,
@@ -29,12 +31,16 @@ from glie.freelie import (
     chain,
     degree_bound,
     degree_form,
+    degree_residues,
+    expr_expand,
     expr_parity,
     expr_variables,
     lema5_set,
     poly_to_expr,
     sem1,
+    sem1_graded,
     sem2,
+    sem2_graded,
     set_s,
     substitute,
     x,
@@ -47,7 +53,11 @@ from glie.identities import (
     _image_pool,
     _instance_fits,
     _Pool,
+    consequence_span,
     default_sl2_windows,
+    total_degree_windows,
+    window_box,
+    window_exact,
 )
 
 GEN_SETS = {
@@ -221,7 +231,8 @@ def test_degree_form_takes_the_largest_exponent():
 def test_degree_bound_runs_once_per_image_and_expansion(monkeypatch):
     """The prune walks no generator per class tuple: during the basis check
     of S at q = 5, degree_bound runs once per pool image and once per
-    expr_expand call, however many class tuples are decided."""
+    expr_expand call.  sem1_graded and sem2_graded (degree >= 28) fit no
+    window, so not one of their class tuples is decided."""
     counts = Counter()
 
     def counting(name, fn):
@@ -233,12 +244,138 @@ def test_degree_bound_runs_once_per_image_and_expansion(monkeypatch):
     for module in (freelie, identities):
         monkeypatch.setattr(module, "degree_bound", counting("bound", module.degree_bound))
     monkeypatch.setattr(identities, "expr_expand", counting("expand", identities.expr_expand))
+    forms = Counter()
+    fits = identities._instance_fits
     monkeypatch.setattr(identities, "_instance_fits",
-                        counting("tuples", identities._instance_fits))
+                        lambda gvars, form, *rest: forms.update([form]) or fits(gvars, form, *rest))
     pool_init = identities._Pool.__init__
     monkeypatch.setattr(identities._Pool, "__init__",
                         lambda pool, images: counts.update(images=len(images))
                         or pool_init(pool, images))
     assert basis_check(sl2(FieldSpec.prime(5)), set_s(5), default_sl2_windows(5)).ok
     assert counts["bound"] == counts["images"] + counts["expand"]
-    assert counts["tuples"] > counts["bound"] > 0
+    assert counts["bound"] > 0
+    for gen in (sem1_graded(5), sem2_graded(5)):
+        assert forms[degree_form(gen, expr_variables(gen))] == 0
+    assert sum(forms.values()) > 0
+
+
+# -- one image per scaling class ------------------------------------------------------
+
+
+def two_class():
+    """[z1, y1, y1] + [z1, y1]: y1 has degrees 2 and 1, two residues mod
+    q - 1, so scaling the image of y1 does not scale the instance."""
+    return Sum((chain(Var(z(1)), AdPower(Var(y(1)), 2)), bracket(Var(z(1)), Var(y(1)))))
+
+
+@pytest.mark.parametrize("gen", [
+    UNSORTED_SLOTS,
+    two_class(),
+    freelie.zyq_zy(5),
+    chain(Var(y(1)), AdPower(Sum((Var(y(2)), Var(z(1)))), 3), AdPower(Var(z(1)), 2)),
+    chain(Var(x(1)), AdPolyDiff(Var(x(2)), ((1, 7), (-1, 3)))),
+], ids=["unsorted-exponents", "two-class", "zyq-zy", "sum-base", "ungraded"])
+def test_degree_residues_cover_every_component(gen):
+    """Each variable's degree mod q - 1 in each term of the expansion is one
+    of its residues; here, where nothing cancels, every residue occurs."""
+    spec = FieldSpec.prime(5)
+    gvars = expr_variables(gen)
+    terms = expr_expand(gen, spec).terms
+    assert terms
+    assert degree_residues(gen, gvars, spec) == [{w.count(v) % 4 for w, _ in terms} for v in gvars]
+
+
+def every_multiple_span(monkeypatch, spec, gens, window):
+    """The reference: consequence_span as if every generator variable had
+    degrees in two residue classes, so that its pool keeps every nonzero
+    multiple of each monomial."""
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "degree_residues",
+                      lambda e, gvars, spec: [{0, 1}] * len(gvars))
+        return consequence_span(spec, gens, window)
+
+
+GF25 = FieldSpec.extension(5, 2)
+
+
+@pytest.mark.parametrize("spec, make_gens, windows", [
+    (FieldSpec.prime(5), set_s, total_degree_windows(4, 5)),
+    (FieldSpec.prime(5), lema5_set, total_degree_windows(4, 5)),
+    # (z:1,y:25) is left to test_consequence_span_gf25_equals_identity_space:
+    # with every multiple its span takes about 7 s
+    (GF25, set_s, [w for w in default_sl2_windows(25) if w.label != "(z:1,y:25)"]),
+], ids=["S-q5-degree4", "lema5-q5-degree4", "S-q25-default"])
+def test_one_image_per_scaling_class_keeps_the_span(monkeypatch, spec, make_gens, windows):
+    gens = make_gens(spec.q)
+    for win in windows:
+        assert (consequence_span(spec, gens, win)
+                == every_multiple_span(monkeypatch, spec, gens, win)), win.label
+
+
+@pytest.mark.parametrize("spec, caps, rank", [
+    (FieldSpec.prime(5), {z(1): 1, y(1): 5}, 5),
+    (FieldSpec.prime(5), {y(1): 2, z(1): 1}, 1),
+    (GF25, {y(1): 2, z(1): 1}, 1),
+    (GF25, {z(1): 1, y(1): 3}, 3),
+], ids=["q5-box", "q5-exact", "q25-exact", "q25-box"])
+def test_two_residue_variables_keep_every_multiple(monkeypatch, spec, caps, rank):
+    """y1 of two_class() keeps all q - 1 multiples of each monomial: with
+    only the coefficient-1 ones the spans lose a dimension.  At GF(25)
+    images with proper extension-field scalars are substituted."""
+    win = window_box(caps) if rank > 1 else window_exact(MultiDegree.of(caps))
+    scalars = set()
+    sub = identities.substitute
+
+    def recording(gen, mapping, graded):
+        scalars.update(c.code for img in mapping.values()
+                       for _, c in expr_expand(img, spec).terms)
+        return sub(gen, mapping, graded=graded)
+
+    monkeypatch.setattr(identities, "substitute", recording)
+    span = consequence_span(spec, [two_class()], win)
+    assert span.dim == rank
+    assert span == every_multiple_span(monkeypatch, spec, [two_class()], win)
+    assert max(scalars) == spec.q - 1
+
+
+def test_each_scaling_class_expands_once(monkeypatch):
+    """Both variables of [y1, y2] and of zyq_zy(5) have one degree residue
+    mod 4, so their images are the zero image, the coefficient-1 monomials
+    and the two-term samples.  The basis check of S at q = 5 expands 14
+    instances (125 with every multiple), and no two instances of one
+    generator in one window differ only by the scalars of their images."""
+    spec = FieldSpec.prime(5)
+    windows = []
+    span, sub = identities.consequence_span, identities.substitute
+    monkeypatch.setattr(identities, "consequence_span",
+                        lambda *args: windows.append([]) or span(*args))
+    monkeypatch.setattr(identities, "substitute",
+                        lambda gen, mapping, graded: windows[-1].append((gen, mapping))
+                        or sub(gen, mapping, graded=graded))
+    expand = identities.expr_expand
+    expanded = []
+    monkeypatch.setattr(identities, "expr_expand",
+                        lambda inst, *args, **kwargs: expanded.append(inst)
+                        or expand(inst, *args, **kwargs))
+    pools = []
+    pool_init = identities._Pool.__init__
+    monkeypatch.setattr(identities._Pool, "__init__",
+                        lambda pool, images: pools.append(images) or pool_init(pool, images))
+    assert basis_check(sl2(spec), set_s(5), default_sl2_windows(5)).ok
+    assert len(expanded) == sum(map(len, windows)) == 14
+
+    for images in pools:
+        monomials = [img for img in images if len(img.terms) == 1]
+        assert images[0].is_zero()
+        assert all(img.terms[0][1] == spec.one() for img in monomials)
+        samples = SpanSettings().two_term_samples if len(monomials) > 1 else 0
+        assert len(images) == 1 + len(monomials) + samples
+
+    def up_to_scalar(img):
+        terms = expr_expand(img, spec).terms
+        return tuple((w, (c / terms[0][1]).code) for w, c in terms)
+
+    for instances in windows:
+        keys = [(gen, tuple(map(up_to_scalar, mapping.values()))) for gen, mapping in instances]
+        assert len(set(keys)) == len(keys)
