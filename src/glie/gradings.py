@@ -14,20 +14,20 @@ Everything here runs on int64 arrays of element codes, like linalg: the
 scan, the eigensplits (the images of phi + I and phi - I of all involutions
 phi, reduced in one linalg.rref_stack), the orbits (a map list is applied to
 all rows of a subspace at once, and the whole stack of images is reduced in
-one rref_stack), the validation of a split (one batch of brackets and one
-rank test per closure), the structure constants of a grading and the q-power
-check.  FieldElement appears only in remark_boboc, which keeps scalar
-brackets.
+one rref_stack), the closure checks of a split (the products of all part
+pairs in one batch, read in the basis even + odd from one elimination), the
+structure constants of a grading and the q-power check.  FieldElement
+appears only in remark_boboc, which keeps scalar brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import GradedLieAlgebra, _m2_mult, algebra_in_basis, gl2, sl2
+from .algebra import GradedLieAlgebra, _m2_mult, _solve_in_span, algebra_in_basis, gl2, sl2
 from .errors import SpecError, TheoremViolation, UnsupportedField
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
@@ -35,6 +35,7 @@ from .identities import CheckSettings, check_identity
 from .linalg import MatrixGF, SubspaceBasis, matmul_codes, row_pairs, rref_stack
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
+_NATURAL_ROWS = ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]])  # RREF parts of the natural grading
 
 
 @lru_cache(maxsize=None)
@@ -50,9 +51,28 @@ def _key(even: np.ndarray, odd: np.ndarray):
     return tuple(tuple(map(tuple, part.tolist())) for part in (even, odd))
 
 
+_LIE_PAIRS = ((0, 0), (0, 1), (1, 1))  # [odd, even] follows by antisymmetry
+_ASSOC_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _respects_degrees(even: SubspaceBasis, odd: SubspaceBasis, mult, pairs) -> bool:
+    """Whether mult(R_g, R_h) lies in R_{g+h} for each listed pair (g, h) of parts
+    of dimensions adding up to n: all products, in coordinates of the basis even +
+    odd from one elimination, vanish in the wrong degree.  SpecError if they do not span."""
+    parts = (even.rows, odd.rows)
+    left, right, degree = map(np.concatenate, zip(*(
+        (*row_pairs(parts[g], parts[h]), np.full(len(parts[g]) * len(parts[h]), (g + h) % 2))
+        for g, h in pairs)))
+    try:
+        coords = _solve_in_span(even.spec, np.concatenate(parts), mult(left, right))
+    except SpecError:
+        raise SpecError("even and odd parts do not split the algebra") from None
+    return not coords[degree[:, None] != np.repeat([0, 1], [even.dim, odd.dim])].any()
+
+
 @dataclass(frozen=True)
 class GradingDescriptor:
-    """An even/odd split of M2 (as Lie algebra) or sl2, Lie-grading-valid."""
+    """An even/odd split of M2 (as Lie algebra) or sl2, validated as a Lie grading."""
 
     parent_kind: str  # "m2" | "sl2"
     spec: FieldSpec
@@ -63,15 +83,12 @@ class GradingDescriptor:
     def __post_init__(self):
         parent = _parent_algebra(self.spec, self.parent_kind)
         n = parent.dim
-        if self.even.ambient_dim != n or self.odd.ambient_dim != n:
-            raise SpecError("grading subspaces have the wrong ambient dimension")
-        if self.even.dim + self.odd.dim != n or self.even.sum(self.odd).dim != n:
+        if any(s.spec != self.spec or s.ambient_dim != n for s in (self.even, self.odd)):
+            raise SpecError("grading subspaces have the wrong field or ambient dimension")
+        if self.even.dim + self.odd.dim != n:
             raise SpecError("even and odd parts do not split the algebra")
-        for a, b, target in ((self.even, self.even, self.even),
-                             (self.even, self.odd, self.odd),
-                             (self.odd, self.odd, self.even)):
-            if not target.contains_rows(parent.batch_bracket(*row_pairs(a.rows, b.rows))):
-                raise SpecError("bracket closure fails for the split")
+        if not _respects_degrees(self.even, self.odd, parent.batch_bracket, _LIE_PAIRS):
+            raise SpecError("bracket closure fails for the split")
 
     def key(self):
         return _key(self.even.rows, self.odd.rows)
@@ -231,11 +248,17 @@ def reference_m2_descriptors(spec: FieldSpec):
 
 
 def natural_sl2_descriptor(spec: FieldSpec) -> GradingDescriptor:
-    return GradingDescriptor(
-        "sl2", spec,
-        SubspaceBasis.from_vectors(spec, 3, [[1, 0, 0]]),
-        SubspaceBasis.from_vectors(spec, 3, [[0, 1, 0], [0, 0, 1]]),
-        "reference-natural")
+    even, odd = (SubspaceBasis.from_vectors(spec, 3, rows) for rows in _NATURAL_ROWS)
+    return GradingDescriptor("sl2", spec, even, odd, "reference-natural")
+
+
+def _lifted_parts(d: GradingDescriptor, unit_in_even: bool):
+    """The parts of an sl2 grading carried into gl2, the identity matrix added to one."""
+    # rows h, e, f in (e11, e12, e21, e22) coordinates
+    embed = MatrixGF.from_rows(d.spec, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]).entries
+    parts = [matmul_codes(d.spec, s.rows, embed) for s in (d.even, d.odd)]
+    parts[not unit_in_even] = np.concatenate([parts[not unit_in_even], [[1, 0, 0, 1]]])
+    return tuple(SubspaceBasis(d.spec, 4, rows) for rows in parts)
 
 
 def lift_sl2_grading_to_gl2(d: GradingDescriptor, unit_in_even: bool) -> GradingDescriptor:
@@ -244,18 +267,8 @@ def lift_sl2_grading_to_gl2(d: GradingDescriptor, unit_in_even: bool) -> Grading
     never be an associative grading)."""
     if d.parent_kind != "sl2":
         raise SpecError("lift expects an sl2 grading")
-    spec = d.spec
-    # rows h, e, f in (e11, e12, e21, e22) coordinates
-    embed = MatrixGF.from_rows(spec, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]).entries
-    unit = np.array([[1, 0, 0, 1]], dtype=np.int64)
-    even, odd = (matmul_codes(spec, s.rows, embed) for s in (d.even, d.odd))
-    if unit_in_even:
-        even = np.concatenate([even, unit])
-    else:
-        odd = np.concatenate([odd, unit])
-    return GradingDescriptor(
-        "m2", spec, SubspaceBasis(spec, 4, even), SubspaceBasis(spec, 4, odd),
-        f"lift[{d.origin}, 1 in {'even' if unit_in_even else 'odd'}]")
+    return GradingDescriptor("m2", d.spec, *_lifted_parts(d, unit_in_even),
+                             f"lift[{d.origin}, 1 in {'even' if unit_in_even else 'odd'}]")
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +339,11 @@ def classify_up_to_iso(gradings) -> list:
 
 
 def associative_closure_ok(d: GradingDescriptor) -> bool:
-    """Is the split multiplicative (R_g . R_h inside R_{g+h})?"""
+    """Is the split multiplicative (R_g . R_h inside R_{g+h} for all four
+    part pairs)?  One batch of products and one elimination."""
     if d.parent_kind != "m2":
         raise SpecError("associative closure only makes sense inside M2")
-
-    def closed(a: SubspaceBasis, b: SubspaceBasis, target: SubspaceBasis) -> bool:
-        return target.contains_rows(_m2_mult(d.spec, *row_pairs(a.rows, b.rows)))
-
-    return (closed(d.even, d.even, d.even)
-            and closed(d.even, d.odd, d.odd)
-            and closed(d.odd, d.even, d.odd)
-            and closed(d.odd, d.odd, d.even))
+    return _respects_degrees(d.even, d.odd, partial(_m2_mult, d.spec), _ASSOC_PAIRS)
 
 
 def unit_component_check(d: GradingDescriptor) -> bool:
@@ -375,11 +382,9 @@ def _qpower_hypothesis(d: GradingDescriptor):
     computed inside gl2 (scalars of the identity act trivially).  Every
     (a, c) pair, in vectors() order, is one row of a batch; the witness is
     the first failing row."""
-    spec = d.spec
-    lift = lift_sl2_grading_to_gl2(d, unit_in_even=True)
-    a, c = row_pairs(lift.odd.vectors(), lift.even.vectors())
-    parent = _parent_algebra(spec, "m2")
-    once, val = parent.batch_ad_powers(a, c, (1, spec.q))
+    even, odd = _lifted_parts(d, unit_in_even=True)
+    a, c = row_pairs(odd.vectors(), even.vectors())
+    once, val = _parent_algebra(d.spec, "m2").batch_ad_powers(a, c, (1, d.spec.q))
     failing = np.flatnonzero((val != once).any(axis=1))
     if not failing.size:
         return None
@@ -400,11 +405,10 @@ def natural_characterization(d: GradingDescriptor,
     witness = _qpower_hypothesis(d)
     if witness is not None:
         return NaturalVerdict(False, "q-power", witness, None)
-    natural = natural_sl2_descriptor(spec)
     maps = sl2_automorphisms(spec)
     even, odd = _image_stacks(d, maps)
-    hits = np.flatnonzero((even == natural.even.rows).all(axis=(1, 2))
-                          & (odd == natural.odd.rows).all(axis=(1, 2)))
+    hits = np.flatnonzero((even == _NATURAL_ROWS[0]).all(axis=(1, 2))
+                          & (odd == _NATURAL_ROWS[1]).all(axis=(1, 2)))
     if hits.size:
         return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, maps[hits[0]]))
     if require_iso:

@@ -237,10 +237,6 @@ class MatrixGF:
         entries = _as_codes(spec, rows)
         return cls(spec, *entries.shape, entries)
 
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "MatrixGF":
-        return cls(spec, n, n, np.eye(n, dtype=np.int64))
-
     def kernel(self) -> SubspaceBasis:
         """Right kernel {v : M v = 0}, as an RREF SubspaceBasis of F^cols."""
         reduced, pivots = rref_codes(self.spec, self.entries)

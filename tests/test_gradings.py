@@ -1,14 +1,19 @@
 import random
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from glie.algebra import gl2, sl2
+from glie import algebra, gradings, linalg
+from glie.algebra import _m2_mult, gl2, sl2
 from glie.errors import SpecError, UnsupportedField
 from glie.fields import FieldElement, FieldSpec
 from glie.gradings import (
+    _ASSOC_PAIRS,
+    _LIE_PAIRS,
     GradingDescriptor,
+    _respects_degrees,
     associative_closure_ok,
     classify_up_to_iso,
     descriptor_to_algebra,
@@ -22,7 +27,7 @@ from glie.gradings import (
     sl2_automorphisms,
     unit_component_check,
 )
-from glie.linalg import MatrixGF, SubspaceBasis
+from glie.linalg import MatrixGF, SubspaceBasis, row_pairs
 
 GF5 = FieldSpec.prime(5)
 
@@ -189,18 +194,22 @@ def test_descriptor_validation_rejects_bad_split():
 # coordinates, M2 rows in (e11, e12, e21, e22).  Each case breaks the named
 # check; all but sl2 even-even pass every other check, so dropping any one
 # check lets a case through.  (A 2-dim even part of sl2 that is no subalgebra
-# generates sl2, so no odd part can be invariant under it.)  The sum cases
-# span the algebra with too many dimensions: parts that fall short of n also
-# fail the rank test of even + odd.
+# generates sl2, so no odd part can be invariant under it.)  The short cases
+# are independent and bracket-closed but fall short of n, so only the
+# dimension check rejects them; the sum cases have too many dimensions and
+# the overlap cases the right number of dependent ones, so the parts do not
+# span.
 FULL3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 BAD_SPLITS = [
     ("sl2", "ambient", 4, [[1, 0, 0, 0]], [[0, 1, 0, 0], [0, 0, 1, 0]]),
+    ("sl2", "short", 3, [[1, 0, 0]], []),
     ("sl2", "sum", 3, FULL3, FULL3),
     ("sl2", "overlap", 3, [[1, 0, 0], [0, 1, 0]], [[0, 1, 0]]),
     ("sl2", "even-even", 3, [[0, 1, 0], [0, 0, 1]], [[1, 0, 0]]),
     ("sl2", "even-odd", 3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]),
     ("sl2", "odd-odd", 3, [], FULL3),
     ("m2", "ambient", 5, [[1, 0, 0, 0, 0], [0, 0, 0, 1, 0]], [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]),
+    ("m2", "short", 4, [[1, 0, 0, 1]], []),
     ("m2", "sum", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 1]]),
     ("m2", "overlap", 4, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]], [[0, 1, 0, 0]]),
     ("m2", "even-even", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 1]]),
@@ -212,9 +221,158 @@ BAD_SPLITS = [
 @pytest.mark.parametrize("kind, branch, n, even, odd", BAD_SPLITS,
                          ids=[f"{c[0]}-{c[1]}" for c in BAD_SPLITS])
 def test_descriptor_validation_rejects_each_branch(kind, branch, n, even, odd):
-    with pytest.raises(SpecError):
+    message = {"ambient": "wrong field or ambient dimension", "short": "do not split",
+               "sum": "do not split", "overlap": "do not split"}.get(branch, "bracket closure")
+    with pytest.raises(SpecError, match=message):
         GradingDescriptor(kind, GF5, SubspaceBasis.from_vectors(GF5, n, even),
                           SubspaceBasis.from_vectors(GF5, n, odd), branch)
+
+
+def test_descriptor_validation_rejects_parts_over_another_field():
+    natural = natural_sl2_descriptor(FieldSpec.prime(7))
+    with pytest.raises(SpecError, match="wrong field"):
+        GradingDescriptor("sl2", GF5, natural.even, natural.odd, "mixed")
+
+
+def rank_test_closed(even, odd, mult, pairs):
+    """The rank-test formulation of a closure check, the reference for the
+    homogeneous-basis one: even + odd must span, and the products of each
+    listed part pair must lie in the part of their degree."""
+    n = even.ambient_dim
+    if even.dim + odd.dim != n or even.sum(odd).dim != n:
+        raise SpecError("even and odd parts do not split the algebra")
+    parts = (even, odd)
+    return all(parts[(g + h) % 2].contains_rows(mult(*row_pairs(parts[g].rows, parts[h].rows)))
+               for g, h in pairs)
+
+
+def outcome(check, *args):
+    """True / False, or "no split" when the check raises that the parts do
+    not span.  A descriptor reads True when it constructs and False when it
+    fails its bracket closure."""
+    try:
+        result = check(*args)
+    except SpecError as exc:
+        if "bracket closure" in str(exc):
+            return False
+        assert "do not split" in str(exc), exc
+        return "no split"
+    return result if isinstance(result, bool) else True
+
+
+def assert_closures_agree(kind, even, odd):
+    """The descriptor's validation and, inside M2, the associative closure
+    agree with rank_test_closed; returns the two outcomes.  The closure check
+    takes parts whose dimensions add up (the descriptor checks that first),
+    so it is compared on those only."""
+    spec = even.spec
+    lie = outcome(GradingDescriptor, kind, spec, even, odd, "test")
+    bracket = (gl2 if kind == "m2" else sl2)(spec).batch_bracket
+    assert lie == outcome(rank_test_closed, even, odd, bracket,
+                          ((0, 0), (0, 1), (1, 1))), (even.rows, odd.rows)
+    if kind != "m2" or even.dim + odd.dim != even.ambient_dim:
+        return lie, None
+    mult = partial(_m2_mult, spec)
+    assoc = outcome(_respects_degrees, even, odd, mult, _ASSOC_PAIRS)
+    assert assoc == outcome(rank_test_closed, even, odd, mult,
+                            ((0, 0), (0, 1), (1, 0), (1, 1))), (even.rows, odd.rows)
+    if lie is True:
+        assert associative_closure_ok(GradingDescriptor(kind, spec, even, odd, "test")) == assoc
+    return lie, assoc
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_closure_checks_match_rank_tests_on_enumerated_gradings(p):
+    spec = FieldSpec.prime(p)
+    for d in enumerate_z2_gradings("m2_assoc", spec):
+        assert assert_closures_agree("m2", d.even, d.odd) == (True, True)
+    for d in enumerate_z2_gradings("sl2_lie", spec):
+        assert assert_closures_agree("sl2", d.even, d.odd) == (True, None)
+        for unit_in_even in (True, False):
+            lift = lift_sl2_grading_to_gl2(d, unit_in_even)
+            assert assert_closures_agree("m2", lift.even, lift.odd) == (True, unit_in_even)
+
+
+@pytest.mark.parametrize("kind, branch, n, even, odd",
+                         [c for c in BAD_SPLITS if c[1] not in ("ambient", "short")],
+                         ids=[f"{c[0]}-{c[1]}" for c in BAD_SPLITS
+                              if c[1] not in ("ambient", "short")])
+def test_closure_checks_match_rank_tests_on_bad_splits(kind, branch, n, even, odd):
+    lie, _ = assert_closures_agree(kind, SubspaceBasis.from_vectors(GF5, n, even),
+                                   SubspaceBasis.from_vectors(GF5, n, odd))
+    assert lie == ("no split" if branch in ("sum", "overlap") else False)
+
+
+def test_closure_checks_match_rank_tests_on_random_splits():
+    rng = random.Random(20170208)
+    seen = set()
+    for kind, n in [("sl2", 3), ("m2", 4)] * 150:
+        k = rng.randrange(n + 1)
+        rows = [[rng.choice((0, 0, 0, 1, 1, 2, 4)) for _ in range(n)] for _ in range(n)]
+        even, odd = (SubspaceBasis.from_vectors(GF5, n, part) if part
+                     else SubspaceBasis.zero(GF5, n) for part in (rows[:k], rows[k:]))
+        seen.update((kind, i, result)
+                    for i, result in enumerate(assert_closures_agree(kind, even, odd)))
+    # both checks see every outcome
+    assert {(kind, 0, r) for kind in ("sl2", "m2") for r in (True, False, "no split")} <= seen
+    assert {("m2", 1, r) for r in (True, False, "no split")} <= seen
+
+
+def one_pair_broken(spec, broken):
+    """A bilinear product on F^2 = span(x0) + span(x1), with x0 even and x1
+    odd, where x_g x_h = x_{g+h} for every pair but the broken one, whose
+    product lands in the wrong degree; and that split."""
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    for g in (0, 1):
+        for h in (0, 1):
+            table[g, h, (g + h + ((g, h) == broken)) % 2] = 1
+    mult = lambda a, b: np.einsum("ni,nj,ijk->nk", a, b, table) % spec.p  # noqa: E731
+    even, odd = (SubspaceBasis.from_vectors(spec, 2, [row]) for row in ([1, 0], [0, 1]))
+    return even, odd, mult
+
+
+@pytest.mark.parametrize("pairs, listed", [(_LIE_PAIRS, ((0, 0), (0, 1), (1, 1))),
+                                           (_ASSOC_PAIRS, ((0, 0), (0, 1), (1, 0), (1, 1)))],
+                         ids=["lie", "assoc"])
+def test_closure_check_reads_every_listed_pair(pairs, listed):
+    # In M2 no split fails the associative closure on (0, 0), (0, 1) or
+    # (1, 0) alone, so a product with one broken pair is what shows that
+    # each listed pair is checked.
+    for broken in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        even, odd, mult = one_pair_broken(GF5, broken)
+        assert _respects_degrees(even, odd, mult, pairs) == (broken not in listed), broken
+
+
+def test_each_validation_and_closure_check_is_one_elimination(monkeypatch):
+    for kind in ("m2", "sl2"):
+        gradings._parent_algebra(GF5, kind)  # build the parents outside the count
+    eliminations = []
+    real = linalg.rref_codes
+    for module in (linalg, algebra):
+        monkeypatch.setattr(module, "rref_codes",
+                            lambda *args: eliminations.append(1) or real(*args))
+    per_call = {"validate": [], "assoc": []}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            before = len(eliminations)
+            out = fn(*args)
+            per_call[name].append(len(eliminations) - before)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(GradingDescriptor, "__post_init__",
+                        counted("validate", GradingDescriptor.__post_init__))
+    monkeypatch.setattr(gradings, "associative_closure_ok",
+                        counted("assoc", gradings.associative_closure_ok))
+    sl2_gradings = enumerate_z2_gradings("sl2_lie", GF5)
+    m2_gradings = enumerate_z2_gradings("m2_assoc", GF5)
+    for d in sl2_gradings:
+        natural_characterization(d)
+    for d in m2_gradings:
+        unit_component_check(d)
+    assert per_call["validate"] == [1] * (len(sl2_gradings) + len(m2_gradings))
+    assert per_call["assoc"] == [1] * len(m2_gradings)
 
 
 def test_natural_characterization_identity_map():

@@ -28,7 +28,7 @@ def random_matrix(spec, rows, cols, rng):
 
 
 def test_rref_identity():
-    m = MatrixGF.identity(GF5, 3)
+    m = MatrixGF(GF5, 3, 3, np.eye(3, dtype=np.int64))
     red, pivots = rref_codes(GF5, m.entries)
     assert pivots == [0, 1, 2]
     assert red.tolist() == m.entries.tolist()

@@ -100,12 +100,13 @@ def class_of(pool, i):
 
 def draw(pool, rng):
     """An image index, biased towards the zero image (first) and the
-    two-term samples (last)."""
+    two-term samples (last); with no samples the biased draw falls through
+    to the uniform one."""
     r = rng.random()
     if r < 0.2:
         return 0
-    if r < 0.4:
-        tail = min(SpanSettings().two_term_samples, len(pool.exprs))
+    tail = min(SpanSettings().two_term_samples, len(pool.exprs))
+    if r < 0.4 and tail:
         return len(pool.exprs) - 1 - rng.randrange(tail)
     return rng.randrange(len(pool.exprs))
 
