@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,6 @@ from .freelie import (
     poly_to_expr,
     replace,
     substitute,
-    word_key,
     word_tree_batch_evaluate,
     x,
     y,
@@ -320,13 +318,16 @@ def _sl2_orbit_representatives(alg: GradedLieAlgebra) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
+_CHUNK = 1 << 14  # rows or grid points evaluated at once
+_REDUCE_BLOCK = 1024  # evaluation rows stacked under the reduced rows per elimination
+
+
 @dataclass(frozen=True)
 class CheckSettings:
     """budget caps the rows a check evaluates and the grid points of an
-    identity space; chunk is the number evaluated at once."""
+    identity space."""
 
     budget: int = 4_000_000
-    chunk: int = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -381,9 +382,9 @@ def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSett
     total = math.prod(d.shape[0] for d in domains)
     if total > settings.budget:
         raise BudgetExceeded(f"check needs {total} evaluations (budget {settings.budget})")
-    for done in range(0, total, settings.chunk):
+    for done in range(0, total, _CHUNK):
         failed = first_failure(
-            _assignment_slice(variables, domains, done, min(done + settings.chunk, total)), done)
+            _assignment_slice(variables, domains, done, min(done + _CHUNK, total)), done)
         if failed is not None:
             return failed
     return CheckReport(True, total if covered is None else covered)
@@ -460,9 +461,6 @@ def check_poly_identity(poly: LiePolynomial, alg: GradedLieAlgebra,
 # ---------------------------------------------------------------------------
 
 
-_REDUCE_BLOCK = 1024  # evaluation rows stacked under the reduced rows per elimination
-
-
 def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
                    settings: CheckSettings = CheckSettings()) -> SubspaceBasis:
     """The window part of Id_G(alg), exactly: the polynomials of the window
@@ -481,8 +479,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     the evaluation rows on the grid, restricted to each class's columns in
     turn, go into one running RREF.
 
-    settings.budget caps the grid points (BudgetExceeded beyond), and
-    settings.chunk is the number of points evaluated at once.
+    settings.budget caps the grid points (BudgetExceeded beyond).
     """
     spec = alg.spec
     if ambient.dim == 0:
@@ -503,8 +500,8 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     # memory peak by several of its copies
     reduced = np.zeros((0, ambient.dim), dtype=np.int64)
     pivots: list[int] = []
-    for done in range(0, total, settings.chunk):
-        stop = min(done + settings.chunk, total)
+    for done in range(0, total, _CHUNK):
+        stop = min(done + _CHUNK, total)
         assignment = _assignment_slice(variables, domains, done, stop)
         cols = [word_tree_batch_evaluate(w, alg, assignment) for w in ambient.monomials]
         values = np.stack(cols, axis=2).reshape(-1, ambient.dim)
@@ -524,41 +521,13 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanSettings:
-    image_degree_cap: int = 3
-    include_zero_image: bool = True
-    two_term_samples: int = 8
-    seed: int = 0
-
-
-def _image_pool(spec: FieldSpec, parity: int, ambient: AmbientSpace,
-                settings: SpanSettings, rng: random.Random):
-    """Candidate images of the given parity: zero, the nonzero multiples of
-    small window-compatible Lyndon monomials, and a few two-term samples."""
-    monomials = []
-    for md in _box_multidegrees(ambient.caps()):
-        if md.total > settings.image_degree_cap:
-            continue
-        if md.parity != parity:
-            continue
-        monomials.extend(lyndon_words(md))
-    monomials.sort(key=word_key)
-    images = []
-    if settings.include_zero_image:
-        images.append(LiePolynomial.zero(spec))
-    for w in monomials:
-        for c in range(1, spec.q):
-            images.append(LiePolynomial.monomial(spec, w, spec.from_code(c)))
-    for _ in range(settings.two_term_samples):
-        if len(monomials) < 2:
-            break
-        w1, w2 = rng.sample(monomials, 2)
-        c1 = spec.from_code(rng.randrange(1, spec.q))
-        c2 = spec.from_code(rng.randrange(1, spec.q))
-        images.append(LiePolynomial.monomial(spec, w1, c1).add(
-            LiePolynomial.monomial(spec, w2, c2)))
-    return images
+def _image_pool(spec: FieldSpec, parity, box: AmbientSpace, codes):
+    """Candidate images of a variable of this parity (None: either parity):
+    c * w for every Lyndon monomial w of the box's multidegrees with that
+    parity and every element code c in codes."""
+    return [LiePolynomial.monomial(spec, w, spec.from_code(c))
+            for md in box.multidegrees if parity in (None, md.parity)
+            for w in lyndon_words(md) for c in codes]
 
 
 class _Pool:
@@ -637,18 +606,25 @@ def _ad_maps(spec: FieldSpec, box: AmbientSpace, caps: dict, max_total: int) -> 
     return maps
 
 
-def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
-                     settings: SpanSettings = SpanSettings()) -> SubspaceBasis:
+def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace) -> SubspaceBasis:
     """A lower bound of the verbal ideal of gens inside the window.
 
     The search runs in the box: every multidegree within the window's
     per-variable caps and total degree (for a box window, the window itself).
 
-    1. Each variable's image pool is turned into expressions once and
-       grouped by signature (parity, per-variable and total degree bound).
-       A variable whose degrees in the generator share one residue mod
-       q - 1 (freelie.degree_residues) drops the monomials whose coefficient
-       is not 1: scaling its image only scales the instance.
+    1. A variable's images are the Lyndon monomials of the box with its
+       parity, each times every nonzero scalar, or times 1 alone when the
+       variable's degrees in the generator share one residue mod q - 1
+       (freelie.degree_residues): scaling its image then only scales the
+       instance.  Each pool is turned into expressions once and grouped by
+       signature (parity, per-variable and total degree bound).  Sums of
+       monomials are not substituted, which is exact for a variable the
+       generator is linear in and a lower bound otherwise.  No zero image is
+       substituted either: f(.., 0, ..) is the sum of the components of f
+       that lack the variable, 0 when there are none.  Among the built-in
+       generators only sem1_graded and sem2_graded have such components,
+       and their degree bound is >= q^2 + 3: below that total degree the
+       skip of step 2 drops them whole, so no instance is lost.
     2. Each generator's degree bound is compiled once per call into its
        degree form (freelie.degree_form): multiplicity vectors whose
        maximum, weighted by the image bounds, is the bound of the instance.
@@ -681,35 +657,24 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
     basis_check compares the result with the exact identity space and
     raises TheoremViolation on a consequence that is not an identity.
     """
-    rng = random.Random(settings.seed)
     caps = ambient.caps()
     max_total = ambient.max_total
     box = AmbientSpace(ambient.label, ambient.variables,
                        (md for md in _box_multidegrees(caps) if md.total <= max_total))
 
-    drawn = {}  # parity -> its images, drawn at the parity's first use
     pools = {}  # (parity, whether the variable's degrees share one residue) -> _Pool
     rows = []
     for gen in gens:
         gvars = expr_variables(gen)
-        var_images = []
-        for v in gvars:
-            if v.parity is None:  # ungraded variables accept either parity
-                var_images.append(_image_pool(spec, 0, ambient, settings, rng)
-                                  + _image_pool(spec, 1, ambient, settings, rng))
-                continue
-            if v.parity not in drawn:
-                drawn[v.parity] = _image_pool(spec, v.parity, ambient, settings, rng)
-            var_images.append(drawn[v.parity])
         form = degree_form(gen, gvars)
         if _form_exceeds(form, [1] * len(gvars), max_total):
             continue  # every image has a total degree bound of at least 1
         var_pools = []
-        for v, imgs, residues in zip(gvars, var_images, degree_residues(gen, gvars, spec)):
+        for v, residues in zip(gvars, degree_residues(gen, gvars, spec)):
             key = (v.parity, len(residues) == 1)
-            if v.parity is None or key not in pools:
-                pools[key] = _Pool([img for img in imgs if not key[1] or len(img.terms) != 1
-                                    or img.terms[0][1].code == 1])
+            if key not in pools:
+                codes = [1] if key[1] else range(1, spec.q)
+                pools[key] = _Pool(_image_pool(spec, v.parity, box, codes))
             var_pools.append(pools[key])
         for classes in itertools.product(*(pool.classes for pool in var_pools)):
             if _instance_fits(gvars, form, classes, caps, max_total):
@@ -763,8 +728,7 @@ class BasisCheckReport:
 
 def basis_check(alg: GradedLieAlgebra, gens, windows,
                 gen_labels=None,
-                check_settings: CheckSettings = CheckSettings(),
-                span_settings: SpanSettings = SpanSettings()) -> BasisCheckReport:
+                check_settings: CheckSettings = CheckSettings()) -> BasisCheckReport:
     """Soundness first (every generator must hold on every graded
     assignment, by check_identity), then a window-by-window comparison of
     identity space and consequence span.
@@ -787,7 +751,7 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
         for window in windows:
             try:
                 ids = identity_space(alg, window, check_settings)
-                cons = consequence_span(alg.spec, gens, window, span_settings)
+                cons = consequence_span(alg.spec, gens, window)
             except BudgetExceeded as exc:
                 records.append(WindowRecord(window.label, window.dim, -1, -1,
                                             "inconclusive", str(exc)))

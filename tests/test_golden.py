@@ -15,8 +15,9 @@ the sampled branch) are no longer read.  The span cases frozen from the
 exhaustive search must be reproduced exactly by the linear closure that
 replaced it.  The 104
 cases frozen from the search's seeded random walk lie below the span, so
-the closure, run with their seed, must contain every frozen row and equal
-the identity space.
+the closure, which takes no seed and no settings, must contain every frozen
+row and equal the identity space; the span settings recorded with a case are
+no longer read.
 
 data/freelie_golden.json holds what evaluation and expansion returned when
 freelie still walked expressions separately for scalar evaluation, batch
@@ -111,7 +112,6 @@ from glie.gradings import (
     unit_component_check,
 )
 from glie.identities import (
-    SpanSettings,
     consequence_span,
     default_sl2_windows,
     identity_space,
@@ -146,8 +146,7 @@ def codes(basis):
 
 def span_rows(case):
     q = case["q"]
-    return codes(consequence_span(FieldSpec.prime(q), GENS[case["gens"]](q), window_of(case),
-                                  SpanSettings(**case["settings"])))
+    return codes(consequence_span(FieldSpec.prime(q), GENS[case["gens"]](q), window_of(case)))
 
 
 def ids_rows(case):
@@ -185,9 +184,9 @@ def test_span_lema5_total_degree_3_exhaustive():
 def test_span_contains_frozen_random_branch_rows():
     """The 104 cases frozen from the seeded random walk that consequence_span
     once took above a pool-size limit.  The walk stopped below the span, so
-    the linear closure, run on the same pools (the seed still picks their
-    two-term samples), must contain every frozen row and reach the identity
-    space of the algebra the generators hold on."""
+    the linear closure, which reads none of the walk's settings, must contain
+    every frozen row and reach the identity space of the algebra the
+    generators hold on."""
     cases = [c for c in SPAN_GOLDEN if "exhaustive_pool_limit" in c["settings"]]
     assert len(cases) == 104
     # the frozen ranks vary with the seed: the walk found less than the span
@@ -196,8 +195,7 @@ def test_span_contains_frozen_random_branch_rows():
     for case in cases:
         q, window = case["q"], window_of(case)
         spec = FieldSpec.prime(q)
-        span = consequence_span(spec, GENS[case["gens"]](q), window,
-                                SpanSettings(seed=case["settings"]["seed"]))
+        span = consequence_span(spec, GENS[case["gens"]](q), window)
         frozen = np.array(case["rows"], dtype=np.int64).reshape(-1, window.dim)
         assert span.contains_rows(frozen), (case["gens"], case["window"])
         key = (case["gens"], case["window"])

@@ -48,7 +48,6 @@ from glie.freelie import (
 )
 from glie.identities import (
     CheckSettings,
-    SpanSettings,
     _sl2_orbit_representatives,
     basis_check,
     check_identity,
@@ -192,7 +191,7 @@ def test_check_budget_exceeded():
                        settings=CheckSettings(budget=10))
 
 
-def test_refuted_check_count_and_witness_follow_no_chunk():
+def test_refuted_check_count_and_witness_follow_no_chunk(monkeypatch):
     # evaluations counts the assignments up to the first failing one, in
     # itertools.product order over the odd part, whatever the chunk size
     L = sl2(FieldSpec.prime(7))
@@ -200,8 +199,10 @@ def test_refuted_check_count_and_witness_follow_no_chunk():
     first = next(i for i, (a, b) in enumerate(itertools.product(odd, repeat=2))
                  if not L.bracket(a, b).is_zero())
     a, b = list(itertools.product(odd, repeat=2))[first]
-    reports = [check_identity(zz(), L, settings=CheckSettings(chunk=chunk))
-               for chunk in (7, 1 << 14, 1 << 16)]
+    reports = []
+    for chunk in (7, 1 << 14, 1 << 16):
+        monkeypatch.setattr(identities, "_CHUNK", chunk)
+        reports.append(check_identity(zz(), L))
     for report in reports:
         assert not report.holds
         assert report.evaluations == first + 1
@@ -417,7 +418,7 @@ def test_sem2_check_q7_evaluates_shared_subexpressions_once(monkeypatch):
     calls.clear()
     report = check_identity(sem2_graded(7), L)
     assert report.holds and report.evaluations == 7 ** 6
-    chunks = -(-8 * 7 ** 3 // CheckSettings().chunk)
+    chunks = -(-8 * 7 ** 3 // identities._CHUNK)
     assert chunks == 1
     assert len(calls) == (6 + 4) * chunks + certification
 
@@ -566,19 +567,35 @@ def test_consequence_generator_itself():
     assert span.dim == 1
 
 
-def test_consequence_monotone_in_pool():
-    win = window_exact(MultiDegree.of({y(1): 1, z(1): 2}))
-    small = consequence_span(GF5, lema5_set(5), win,
-                             SpanSettings(two_term_samples=0))
-    big = consequence_span(GF5, lema5_set(5), win,
-                           SpanSettings(two_term_samples=12))
-    assert big.contains_space(small)
+# (ambient, identity, consequence) dims of the windows of
+# total_degree_windows(5, 5) that were strict-inclusion while images were
+# capped at total degree 3
+FORMERLY_STRICT = {
+    "(y1:1, z1:3, z2:1)": (4, 3, 3),
+    "(y1:1, z1:2, z2:2)": (6, 4, 4),
+    "(y1:1, z1:2, z2:1, z3:1)": (12, 10, 10),
+    "(y1:1, z1:1, z2:1, z3:1, z4:1)": (24, 21, 21),
+    "(y1:3, z1:1, z2:1)": (4, 3, 3),
+    "(y1:2, y2:1, z1:1, z2:1)": (12, 11, 11),
+    "(y1:1, y2:1, y3:1, z1:1, z2:1)": (24, 23, 23),
+}
+
+
+def test_every_box_monomial_image_closes_the_degree_5_windows():
+    """With every Lyndon monomial of the box as an image, S spans the whole
+    identity space of each window that a cap on the image degree left short."""
+    windows = [w for w in total_degree_windows(5, 5) if w.label in FORMERLY_STRICT]
+    assert len(windows) == len(FORMERLY_STRICT)
+    report = basis_check(sl2(GF5), set_s(5), windows)
+    assert report.ok
+    assert {r.label: (r.ambient_dim, r.id_dim, r.cons_dim)
+            for r in report.windows} == FORMERLY_STRICT
 
 
 def test_consequence_deterministic():
     win = window_box({y(1): 1, z(1): 1, z(2): 1})
-    a = consequence_span(GF5, set_s(5), win, SpanSettings(seed=9))
-    b = consequence_span(GF5, set_s(5), win, SpanSettings(seed=9))
+    a = consequence_span(GF5, set_s(5), win)
+    b = consequence_span(GF5, set_s(5), win)
     assert a == b
 
 
@@ -597,9 +614,8 @@ def test_poly_of_reads_element_codes_gf25():
 
 def test_consequence_span_gf25_equals_identity_space():
     """Every variable of S has one degree residue mod 24, so the pools hold
-    the zero image, the coefficient-1 monomials and the seeded two-term
-    samples; that keeps (z:1,y:25), the box of zyq_zy(25), well under a
-    second.  two_class in test_span_prune keeps every extension-field
+    the coefficient-1 monomials alone; that keeps (z:1,y:25), the box of
+    zyq_zy(25), well under a second.  two_class in test_span_prune keeps every extension-field
     multiple.  The identity space of (y:1,z:1,1) needs 2 * 27 * 27 grid
     points; enumerating its 9.77 M homogeneous assignments was over the
     budget."""

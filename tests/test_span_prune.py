@@ -1,7 +1,7 @@
 """The consequence-span prune decides instances exactly as substitution does.
 
-Images are drawn from the real pools of consequence_span, zero image and
-two-term samples included, for graded generator sets and for the ungraded
+Images are drawn from the real pools of consequence_span, every nonzero
+multiple of each box monomial, for graded generator sets and for the ungraded
 sem1/sem2 and [x1, x2], whose x variables take images of either parity.
 The degree form of a generator is also checked against substitution on
 random images whose per-variable and total bounds are unrelated, and on
@@ -48,7 +48,6 @@ from glie.freelie import (
     z,
 )
 from glie.identities import (
-    SpanSettings,
     basis_check,
     _image_pool,
     _instance_fits,
@@ -85,30 +84,15 @@ def assert_form_matches(gen, mapping):
             == degree_bound(substitute(gen, mapping, graded=False)))
 
 
-def pools_for(spec, gvars, ambient, rng):
-    settings = SpanSettings()
-    graded = {p: _Pool(_image_pool(spec, p, ambient, settings, rng)) for p in (0, 1)}
-    both = _Pool(_image_pool(spec, 0, ambient, settings, rng)
-                 + _image_pool(spec, 1, ambient, settings, rng))
-    return [both if v.parity is None else graded[v.parity] for v in gvars]
+def pools_for(spec, gvars, ambient):
+    codes = range(1, spec.q)
+    pools = {p: _Pool(_image_pool(spec, p, ambient, codes)) for p in (0, 1, None)}
+    return [pools[v.parity] for v in gvars]
 
 
 def class_of(pool, i):
     """The signature class that holds image i of the pool."""
     return next(c for c in pool.classes if any(m is pool.exprs[i] for m in c[2]))
-
-
-def draw(pool, rng):
-    """An image index, biased towards the zero image (first) and the
-    two-term samples (last); with no samples the biased draw falls through
-    to the uniform one."""
-    r = rng.random()
-    if r < 0.2:
-        return 0
-    tail = min(SpanSettings().two_term_samples, len(pool.exprs))
-    if r < 0.4 and tail:
-        return len(pool.exprs) - 1 - rng.randrange(tail)
-    return rng.randrange(len(pool.exprs))
 
 
 def rejected_by_substitution(gen, mapping, caps, max_total) -> bool:
@@ -130,9 +114,11 @@ def test_prune_matches_substitution(name):
         caps, max_total = ambient.caps(), ambient.max_total
         for gen in make_gens():
             gvars = expr_variables(gen)
-            pools = pools_for(spec, gvars, ambient, rng)
+            pools = pools_for(spec, gvars, ambient)
+            if not all(pool.exprs for pool in pools):
+                continue  # e.g. the odd pool of (y:1,1): no instance to decide
             for _ in range(DRAWS):
-                picks = [draw(pool, rng) for pool in pools]
+                picks = [rng.randrange(len(pool.exprs)) for pool in pools]
                 mapping = {v: pool.exprs[i] for v, pool, i in zip(gvars, pools, picks)}
                 assert_form_matches(gen, mapping)
                 classes = [class_of(pool, i) for pool, i in zip(pools, picks)]
@@ -146,7 +132,7 @@ def test_pool_classes_share_parity_and_bound():
     spec = FieldSpec.prime(5)
     ambient = default_sl2_windows(5)[3]
     for parity in (0, 1):
-        pool = _Pool(_image_pool(spec, parity, ambient, SpanSettings(), random.Random(1)))
+        pool = _Pool(_image_pool(spec, parity, ambient, range(1, spec.q)))
         assert len(pool.classes) < len(pool.exprs)
         for i, expr in enumerate(pool.exprs):
             assert sum(any(m is expr for m in members) for _, _, members in pool.classes) == 1
@@ -154,20 +140,23 @@ def test_pool_classes_share_parity_and_bound():
             assert (expr_parity(expr), degree_bound(expr)) == (class_parity, bound)
 
 
-def test_zero_image_is_rejected_for_odd_variables():
-    # the zero image is encoded with parity 0, so substitution refuses it for
-    # z variables; the prune must refuse it too
-    spec = FieldSpec.prime(5)
-    ambient = default_sl2_windows(5)[1]
-    pool = _Pool(_image_pool(spec, 1, ambient, SpanSettings(), random.Random(0)))
-    assert pool.exprs[0] == poly_to_expr(LiePolynomial.zero(spec))
-    gen = lema5_set(5)[1]  # [z1, z2]
-    gvars = expr_variables(gen)
-    classes = [class_of(pool, 0), class_of(pool, 1)]
-    assert not _instance_fits(gvars, degree_form(gen, gvars), classes,
-                              ambient.caps(), ambient.max_total)
-    with pytest.raises(ParityError):
-        substitute(gen, dict(zip(gvars, pool.exprs[:2])), graded=True)
+@pytest.mark.parametrize("q", [5, 7])
+def test_only_sem_graded_components_lack_a_variable(q):
+    """consequence_span substitutes no zero image: f(.., 0, ..) is the sum of
+    the components of f that lack the variable.  Among the built-in
+    generators a degree-form vector with a zero entry, the only way to have
+    such a component, occurs in sem1_graded and sem2_graded alone.  Their
+    degree bound is at least q^2 + 3, so every window below that total
+    degree skips them whole, zero image or not."""
+    gens = [make(q) for make in freelie.BUILTIN_NAMES.values()]
+    gens += [gen for make in freelie.BUILTIN_SETS.values() for gen in make(q)]
+    lacking = set()
+    for gen in gens:
+        form = degree_form(gen, expr_variables(gen))
+        if any(0 in t for t in form):
+            assert degree_bound(gen)[1] == max(map(sum, form)) >= q * q + 3
+            lacking.add(gen)
+    assert lacking == {sem1_graded(q), sem2_graded(q)}
 
 
 def monomial_image(degrees):
@@ -342,9 +331,8 @@ def test_two_residue_variables_keep_every_multiple(monkeypatch, spec, caps, rank
 
 def test_each_scaling_class_expands_once(monkeypatch):
     """Both variables of [y1, y2] and of zyq_zy(5) have one degree residue
-    mod 4, so their images are the zero image, the coefficient-1 monomials
-    and the two-term samples.  The basis check of S at q = 5 expands 14
-    instances (125 with every multiple), and no two instances of one
+    mod 4, so their images are the coefficient-1 monomials alone.  The basis
+    check of S at q = 5 expands 6 instances, and no two instances of one
     generator in one window differ only by the scalars of their images."""
     spec = FieldSpec.prime(5)
     windows = []
@@ -364,14 +352,11 @@ def test_each_scaling_class_expands_once(monkeypatch):
     monkeypatch.setattr(identities._Pool, "__init__",
                         lambda pool, images: pools.append(images) or pool_init(pool, images))
     assert basis_check(sl2(spec), set_s(5), default_sl2_windows(5)).ok
-    assert len(expanded) == sum(map(len, windows)) == 14
+    assert len(expanded) == sum(map(len, windows)) == 6
 
     for images in pools:
-        monomials = [img for img in images if len(img.terms) == 1]
-        assert images[0].is_zero()
-        assert all(img.terms[0][1] == spec.one() for img in monomials)
-        samples = SpanSettings().two_term_samples if len(monomials) > 1 else 0
-        assert len(images) == 1 + len(monomials) + samples
+        assert all(len(img.terms) == 1 and img.terms[0][1] == spec.one() for img in images)
+        assert len({img.terms[0][0] for img in images}) == len(images)
 
     def up_to_scalar(img):
         terms = expr_expand(img, spec).terms
