@@ -338,6 +338,7 @@ class BracketChain:
 
 
 LieExpr = (Var, Sum, Scale, BracketChain)
+ZERO = Sum(())  # the zero expression: it has every parity and no variable
 
 
 def bracket(a, b) -> BracketChain:
@@ -418,8 +419,9 @@ def degree_form(e, variables) -> tuple:
         degree_bound(substitute(e, m)) = max over t of sum_i t[i] * b_i,
 
     per variable and in total alike, where b_i = degree_bound(m[variables[i]]).
-    A Sum takes the union of its terms' vectors; a BracketChain slot adds
-    _slot_multiplicity times each vector of its base to each of the head's.
+    A Sum takes the union of its terms' vectors, ZERO the zero vector (its
+    bound is 0); a BracketChain slot adds _slot_multiplicity times each
+    vector of its base to each of the head's.
     The vectors come by decreasing total multiplicity, so the one most
     likely to exceed a cap comes first.
     """
@@ -429,7 +431,7 @@ def degree_form(e, variables) -> tuple:
         if isinstance(node, Var):
             return {unit[node.var]}
         if isinstance(node, Sum):
-            return set().union(*map(walk, node.terms))
+            return set().union(*map(walk, node.terms)) or {(0,) * len(variables)}
         if isinstance(node, Scale):
             return walk(node.expr)
         if isinstance(node, BracketChain):
@@ -791,7 +793,7 @@ def word_to_expr(word: Word):
 
 def poly_to_expr(poly: LiePolynomial):
     if poly.is_zero():
-        return Scale(0, Var(y(1)))
+        return ZERO
     terms = [word_to_expr(w) if c.code == 1 else Scale(c, word_to_expr(w))
              for w, c in poly.terms]
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -801,12 +803,13 @@ def substitute(f, mapping: dict, graded: bool = True):
     """Replace variables by expressions (or Lyndon polynomials).
 
     In graded mode each image must have a well-defined parity matching its
-    variable; x variables accept anything.  Unmapped variables are kept.
+    variable; x variables and the zero image accept anything.  Unmapped
+    variables are kept.
     """
     images = {}
     for v, img in mapping.items():
         expr = poly_to_expr(img) if isinstance(img, LiePolynomial) else img
-        if graded and v.parity is not None:
+        if graded and v.parity is not None and expr != ZERO:
             par = expr_parity(expr)
             if par != v.parity:
                 raise ParityError(f"{v} has parity {v.parity}, image has parity {par}")

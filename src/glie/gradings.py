@@ -6,9 +6,11 @@ natural grading of sl2.
 In characteristic != 2 every Z2-grading is the eigensplit of the involutive
 automorphism that negates the odd part, so enumeration reduces to finding
 involutions: conjugations g with g^2 scalar for M2, and bracket-compatible
-invertible 3x3 matrices for sl2, found by an exhaustive scan over the images
-of e and f (the full automorphism list doubles as the isomorphism group for
-orbit classification, with no reliance on Aut = PGL2 as an input fact).
+invertible 3x3 matrices for sl2, found by a scan over the pairs of
+ad-nilpotent images of e and f.  That scan is still exhaustive, as every
+automorphism maps the ad-nilpotent e and f to ad-nilpotent elements; the full
+automorphism list doubles as the isomorphism group for orbit classification,
+with no reliance on Aut = PGL2 as an input fact.
 
 Everything here runs on int64 arrays of element codes, like linalg: the
 scan, the eigensplits (the images of phi + I and phi - I of all involutions
@@ -16,8 +18,10 @@ phi, reduced in one linalg.rref_stack), the orbits (a map list is applied to
 all rows of a subspace at once, and the whole stack of images is reduced in
 one rref_stack), the closure checks of a split (the products of all part
 pairs in one batch, read in the basis even + odd from one elimination), the
-structure constants of a grading and the q-power check.  FieldElement
-appears only in remark_boboc, which keeps scalar brackets.
+structure constants of a grading, the q-power check (one batch of odd
+elements against one even element) and the search for an isomorphism to the
+natural grading (one product of the grading's rows with every map).
+FieldElement appears only in remark_boboc, which keeps scalar brackets.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .linalg import MatrixGF, SubspaceBasis, matmul_codes, row_pairs, rref_stack
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 _NATURAL_ROWS = ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]])  # RREF parts of the natural grading
+# the (h, e, f) coordinates outside the natural part of an even row (the first) and an odd row
+_OFF_NATURAL = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=bool)
 
 
 @lru_cache(maxsize=None)
@@ -134,11 +140,16 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
     sorted, as a read-only (N, 3, 3) int64 array whose column i is the image
     of b_i.
 
-    The scan is exhaustive over the p^6 choices of (phi(e), phi(f)), taken
-    _SCAN_ROWS at a time so that its memory does not grow with p.  As
-    [e, f] = h, phi(h) := [phi(e), phi(f)]; a candidate is kept when it is
-    invertible and respects [h, e] and [h, f].  [e, f] then holds by
-    construction, and the remaining brackets follow by antisymmetry.
+    The scan is exhaustive over the (p^2 - 1)^2 pairs (phi(e), phi(f)) of
+    nonzero ad-nilpotent elements, taken _SCAN_ROWS pairs at a time so that
+    its memory does not grow with p.  It misses no automorphism:
+    ad_phi(x) = phi ad_x phi^-1, so phi maps the ad-nilpotent e and f to
+    ad-nilpotent elements, and a h + b e + c f is ad-nilpotent exactly when
+    a^2 + bc = 0 (the matrix squares to (a^2 + bc) I, and ad of a matrix with
+    eigenvalues +-l != 0 has the eigenvalue 2l != 0).  As [e, f] = h,
+    phi(h) := [phi(e), phi(f)]; a candidate is kept when it is invertible and
+    respects [h, e] and [h, f].  [e, f] then holds by construction, and the
+    remaining brackets follow by antisymmetry.
     """
     if spec.k != 1:
         raise UnsupportedField("automorphism scan needs a prime field")
@@ -146,12 +157,15 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
     alg = _parent_algebra(spec, "sl2")
     eye = np.eye(3, dtype=np.int64)
     relations = [(j, alg.batch_bracket(eye[:1], eye[j:j + 1])[0]) for j in (1, 2)]
-    powers = p ** np.arange(6, dtype=np.int64)
+    nonzero = np.indices((p,) * 3, dtype=np.int64).reshape(3, -1).T[1:]
+    a, b, c = nonzero.T
+    nilpotent = nonzero[(a * a + b * c) % p == 0]
+    k = len(nilpotent)
     found = []
-    for start in range(0, p ** 6, _SCAN_ROWS):
-        digits = np.arange(start, min(start + _SCAN_ROWS, p ** 6))[:, None] // powers % p
-        m = np.empty((len(digits), 3, 3), dtype=np.int64)
-        m[:, :, 1], m[:, :, 2] = digits[:, :3], digits[:, 3:]
+    for start in range(0, k * k, _SCAN_ROWS):
+        pair = np.arange(start, min(start + _SCAN_ROWS, k * k))
+        m = np.empty((len(pair), 3, 3), dtype=np.int64)
+        m[:, :, 1], m[:, :, 2] = nilpotent[pair // k], nilpotent[pair % k]
         m[:, :, 0] = alg.batch_bracket(m[:, :, 1], m[:, :, 2])
         mask = _det3_mod(m, p) != 0
         for j, c0j in relations:
@@ -379,17 +393,25 @@ class NaturalVerdict:
 
 def _qpower_hypothesis(d: GradingDescriptor):
     """[a, c^q] = [a, c] for all homogeneous a odd and c in F.1 + even,
-    computed inside gl2 (scalars of the identity act trivially).  Every
-    (a, c) pair, in vectors() order, is one row of a batch; the witness is
-    the first failing row."""
+    computed inside gl2; the witness is the first failing pair (a, c) in
+    vectors() order, a changing slowest.
+
+    The identity is linear in c.  Write c = s.1 + t.x with F.x the even part:
+    the identity is central, so ad_c = t ad_x, and t^q = t in GF(q), so
+    [a, c^q] - [a, c] = t ([a, x^q] - [a, x]).  A pair (a, c) thus fails
+    exactly when t != 0 and (a, c*) fails, for c* the first c that is not a
+    scalar; the first failing pair is (the first a failing against c*, c*),
+    and each odd a is checked against c* alone."""
     even, odd = _lifted_parts(d, unit_in_even=True)
-    a, c = row_pairs(odd.vectors(), even.vectors())
-    once, val = _parent_algebra(d.spec, "m2").batch_ad_powers(a, c, (1, d.spec.q))
+    c = even.vectors()
+    c_star = c[(c[:, 1:3] != 0).any(axis=1) | (c[:, 0] != c[:, 3])][0]
+    a = odd.vectors()
+    once, val = _parent_algebra(d.spec, "m2").batch_ad_powers(
+        a, np.broadcast_to(c_star, a.shape), (1, d.spec.q))
     failing = np.flatnonzero((val != once).any(axis=1))
     if not failing.size:
         return None
-    i = failing[0]
-    return f"a = {tuple(a[i].tolist())}, c = {tuple(c[i].tolist())}"
+    return f"a = {tuple(a[failing[0]].tolist())}, c = {tuple(c_star.tolist())}"
 
 
 def natural_characterization(d: GradingDescriptor,
@@ -405,10 +427,11 @@ def natural_characterization(d: GradingDescriptor,
     witness = _qpower_hypothesis(d)
     if witness is not None:
         return NaturalVerdict(False, "q-power", witness, None)
+    # the maps are invertible, so phi carries the grading to the natural one
+    # exactly when it maps the even row into F.h and the odd rows into F.e + F.f
     maps = sl2_automorphisms(spec)
-    even, odd = _image_stacks(d, maps)
-    hits = np.flatnonzero((even == _NATURAL_ROWS[0]).all(axis=(1, 2))
-                          & (odd == _NATURAL_ROWS[1]).all(axis=(1, 2)))
+    images = np.concatenate([d.even.rows, d.odd.rows]) @ maps.transpose(0, 2, 1) % spec.p
+    hits = np.flatnonzero(~images[:, _OFF_NATURAL].any(axis=1))
     if hits.size:
         return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, maps[hits[0]]))
     if require_iso:

@@ -551,17 +551,14 @@ class _Pool:
             self.classes[index[key]][2].append(expr)
 
 
-def _instance_fits(gvars, form, classes, caps: dict, max_total: int) -> bool:
-    """Would substituting images of these classes for gvars, the variables of
-    a generator, pass the graded parity check and stay within the degree
-    caps?  form is the generator's freelie.degree_form over gvars, so this
-    is decided from the class signatures alone, without building the
-    instance or walking the generator: the tuple is rejected at the first
-    vector of the form whose total exceeds max_total, else at the first
-    whose sum for a variable of the images exceeds that variable's cap."""
-    for v, (parity, _, _) in zip(gvars, classes):
-        if v.parity is not None and parity != v.parity:
-            return False
+def _instance_fits(form, classes, caps: dict, max_total: int) -> bool:
+    """Would substituting images of these classes, one per variable of a
+    generator, stay within the degree caps?  form is the generator's
+    freelie.degree_form over its variables, so this is decided from the class
+    signatures alone, without building the instance or walking the
+    generator: the tuple is rejected at the first vector of the form whose
+    total exceeds max_total, else at the first whose sum for a variable of
+    the images exceeds that variable's cap."""
     bounds = [bound for _, bound, _ in classes]
     if _form_exceeds(form, [total for _, total in bounds], max_total):
         return False
@@ -630,9 +627,9 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace) -> SubspaceBa
        maximum, weighted by the image bounds, is the bound of the instance.
        A generator over the window's total degree at image bounds 1, the
        least, is skipped.  Otherwise the product of signature classes is
-       walked, and a class tuple is rejected when an image's parity differs
-       from its graded variable's, else at the first vector of the form
-       whose weighted sum exceeds the window's total degree or a cap.
+       walked (each pool holds images of its variable's parity only), and a
+       class tuple is rejected at the first vector of the form whose
+       weighted sum exceeds the window's total degree or a cap.
     3. Every instance of a passing tuple is substituted and expanded once,
        into a row of box coordinates.
     4. The row space is closed under ad_v for each window variable v, until
@@ -677,7 +674,7 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace) -> SubspaceBa
                 pools[key] = _Pool(_image_pool(spec, v.parity, box, codes))
             var_pools.append(pools[key])
         for classes in itertools.product(*(pool.classes for pool in var_pools)):
-            if _instance_fits(gvars, form, classes, caps, max_total):
+            if _instance_fits(form, classes, caps, max_total):
                 for combo in itertools.product(*(members for _, _, members in classes)):
                     inst = substitute(gen, dict(zip(gvars, combo)), graded=True)
                     rows.append(box.coords_of(

@@ -15,11 +15,13 @@ from glie.freelie import (
     Scale,
     Sum,
     Var,
+    ZERO,
     assoc_expand,
     bracket,
     builtin,
     chain,
     degree_bound,
+    degree_form,
     evaluate,
     expr_expand,
     expr_parity,
@@ -38,6 +40,7 @@ from glie.freelie import (
     yy,
     z,
     zyq_zy,
+    zz,
 )
 
 GF5 = FieldSpec.prime(5)
@@ -403,3 +406,12 @@ def test_builtin_lookup():
     assert len(builtin("lema5", 5)) == 3
     with pytest.raises(KeyError):
         builtin("nope", 5)
+
+
+def test_substitute_zero_image():
+    inst = substitute(zz(), {z(1): LiePolynomial.zero(GF5)})
+    assert inst == bracket(ZERO, Var(z(2)))
+    assert expr_expand(inst, GF5).is_zero()
+    per, total = degree_bound(inst)
+    assert y(1) not in per and (per, total) == ({z(2): 1}, 1)
+    assert degree_form(inst, [z(2)]) == ((1,),)

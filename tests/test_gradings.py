@@ -397,7 +397,7 @@ def descriptor_zyq(d):
     from glie.freelie import zyq_zy
     from glie.identities import check_identity
 
-    return check_identity(zyq_zy(5), descriptor_to_algebra(d), graded=True).holds
+    return check_identity(zyq_zy(d.spec.q), descriptor_to_algebra(d), graded=True).holds
 
 
 def test_natural_characterization_trivial_fails_dims():
@@ -459,14 +459,46 @@ def test_sl2_scan_memory_stays_bounded():
     autos, peak = uncached_scan(7)
     assert len(autos) == 336
     assert peak < P9_SCAN_PEAK_P7
+    # memory does not grow with p: both primes fill whole _SCAN_ROWS blocks
+    # of nilpotent pairs, 28,224 at p = 13 and 104,976 at p = 19
+    assert (13 ** 2 - 1) ** 2 > gradings._SCAN_ROWS
+    assert uncached_scan(19)[1] < 2 * uncached_scan(13)[1]
+
+
+def p6_scan(spec):
+    """sl2_automorphisms as it was before the scan kept ad-nilpotent images
+    only: every one of the p^6 pairs (phi(e), phi(f)), in _SCAN_ROWS blocks."""
+    p = spec.p
+    alg = sl2(spec)
+    eye = np.eye(3, dtype=np.int64)
+    relations = [(j, alg.batch_bracket(eye[:1], eye[j:j + 1])[0]) for j in (1, 2)]
+    powers = p ** np.arange(6, dtype=np.int64)
+    found = []
+    for start in range(0, p ** 6, gradings._SCAN_ROWS):
+        digits = np.arange(start, min(start + gradings._SCAN_ROWS, p ** 6))[:, None] // powers % p
+        m = np.empty((len(digits), 3, 3), dtype=np.int64)
+        m[:, :, 1], m[:, :, 2] = digits[:, :3], digits[:, 3:]
+        m[:, :, 0] = alg.batch_bracket(m[:, :, 1], m[:, :, 2])
+        mask = gradings._det3_mod(m, p) != 0
+        for j, c0j in relations:
+            mask &= ((m @ c0j) % p == alg.batch_bracket(m[:, :, 0], m[:, :, j])).all(axis=1)
+        found.append(m[mask])
+    out = np.concatenate(found, axis=0)
+    return out[np.lexsort(tuple(out.reshape(len(out), 9).T[::-1]))]
+
+
+def test_sl2_automorphisms_match_p6_scan_p11():
+    spec = FieldSpec.prime(11)
+    autos = sl2_automorphisms(spec)
+    reference = p6_scan(spec)
+    assert autos.shape == reference.shape and (autos == reference).all()
 
 
 def test_sl2_automorphisms_p11_exhaustive():
     spec = FieldSpec.prime(11)
-    autos, peak = uncached_scan(11)
+    autos, _ = uncached_scan(11)
     assert len(autos) == 1320  # |PGL2(F11)|, which the scan does not assume
     assert len(np.unique(autos.reshape(-1, 9), axis=0)) == 1320
-    assert peak < 2 * uncached_scan(7)[1]  # memory does not grow with p
     L = sl2(spec)
     for i in range(3):
         for j in range(3):
@@ -529,11 +561,54 @@ def scalar_qpower_witness(d):
 
 
 def test_qpower_witness_matches_scalar_loop():
-    gradings = [d for d in enumerate_z2_gradings("sl2_lie", GF5) if d.even.dim == 1]
-    failing = [d for d in gradings if not descriptor_zyq(d)]
-    holding = [d for d in gradings if descriptor_zyq(d)][:2]
-    for d in failing + holding:
-        verdict = natural_characterization(d)
-        assert verdict.witness == scalar_qpower_witness(d)
-        assert verdict.failing == ("q-power" if verdict.witness else None)
-    assert all(natural_characterization(d).witness for d in failing)
+    for p in (5, 7):
+        gradings = [d for d in enumerate_z2_gradings("sl2_lie", FieldSpec.prime(p))
+                    if d.even.dim == 1]
+        failing = [d for d in gradings if not descriptor_zyq(d)]
+        holding = [d for d in gradings if descriptor_zyq(d)][:2]
+        assert failing and holding
+        for d in failing + holding:
+            verdict = natural_characterization(d)
+            assert verdict.witness == scalar_qpower_witness(d)
+            assert verdict.failing == ("q-power" if verdict.witness else None)
+        assert all(natural_characterization(d).witness for d in failing)
+
+
+def batch_qpower_witness(d):
+    """The q-power witness from one batch of all q^4 pairs (a, c), a slowest."""
+    even, odd = gradings._lifted_parts(d, unit_in_even=True)
+    a, c = row_pairs(odd.vectors(), even.vectors())
+    once, val = gl2(d.spec).batch_ad_powers(a, c, (1, d.spec.q))
+    failing = np.flatnonzero((val != once).any(axis=1))
+    if not failing.size:
+        return None
+    i = failing[0]
+    return f"a = {tuple(a[i].tolist())}, c = {tuple(c[i].tolist())}"
+
+
+def image_stack_isomorphism(d):
+    """The first automorphism, in sorted order, whose images of the even and
+    odd parts reduce to the parts of the natural grading."""
+    maps = sl2_automorphisms(d.spec)
+    even, odd = gradings._image_stacks(d, maps)
+    hits = np.flatnonzero((even == [[1, 0, 0]]).all(axis=(1, 2))
+                          & (odd == [[0, 1, 0], [0, 0, 1]]).all(axis=(1, 2)))
+    return maps[hits[0]].tolist() if hits.size else None
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_natural_characterization_matches_full_batch_and_image_stacks(p):
+    verdicts = set()
+    for d in enumerate_z2_gradings("sl2_lie", FieldSpec.prime(p)):
+        v = natural_characterization(d)
+        iso = None if v.isomorphism is None else v.isomorphism.entries.tolist()
+        if d.even.dim != 1:
+            assert (v.hypotheses_hold, v.failing, iso) == (False, "dim-even", None)
+            continue
+        witness = batch_qpower_witness(d)
+        assert v.witness == witness
+        assert v.failing == ("q-power" if witness else None)
+        assert v.hypotheses_hold == (witness is None)
+        assert iso == (None if witness else image_stack_isomorphism(d))
+        verdicts.add(v.failing)
+    assert verdicts == {"q-power", None}

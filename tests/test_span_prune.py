@@ -24,9 +24,9 @@ from glie.freelie import (
     BracketChain,
     LiePolynomial,
     MultiDegree,
-    Scale,
     Sum,
     Var,
+    ZERO,
     bracket,
     chain,
     degree_bound,
@@ -122,7 +122,7 @@ def test_prune_matches_substitution(name):
                 mapping = {v: pool.exprs[i] for v, pool, i in zip(gvars, pools, picks)}
                 assert_form_matches(gen, mapping)
                 classes = [class_of(pool, i) for pool, i in zip(pools, picks)]
-                fits = _instance_fits(gvars, degree_form(gen, gvars), classes, caps, max_total)
+                fits = _instance_fits(degree_form(gen, gvars), classes, caps, max_total)
                 assert fits != rejected_by_substitution(gen, mapping, caps, max_total)
                 verdicts.add(fits)
     assert verdicts == {True, False}
@@ -203,11 +203,11 @@ UNSORTED_SLOTS = chain(
 def test_degree_form_edge_cases(gen):
     rng = random.Random(repr(gen))
     zero = poly_to_expr(LiePolynomial.zero(FieldSpec.prime(5)))
-    assert zero == Scale(0, Var(y(1)))
+    assert zero == ZERO and degree_bound(zero) == ({}, 0)
     gvars = expr_variables(gen)
     for _ in range(40):
         assert_form_matches(gen, {v: random_image(rng) for v in gvars})
-        # the zero image keeps its phantom y1 degree
+        # the zero image, which has no variable and bound 0
         assert_form_matches(gen, {v: zero if rng.random() < 0.5 else random_image(rng)
                                   for v in gvars})
 
@@ -237,7 +237,7 @@ def test_degree_bound_runs_once_per_image_and_expansion(monkeypatch):
     forms = Counter()
     fits = identities._instance_fits
     monkeypatch.setattr(identities, "_instance_fits",
-                        lambda gvars, form, *rest: forms.update([form]) or fits(gvars, form, *rest))
+                        lambda form, *rest: forms.update([form]) or fits(form, *rest))
     pool_init = identities._Pool.__init__
     monkeypatch.setattr(identities._Pool, "__init__",
                         lambda pool, images: counts.update(images=len(images))
