@@ -21,16 +21,20 @@ identities of sl2 over GF(q) into well-formed Lie elements.
 
 One walker, _interpret, gives expressions their meaning.  It runs over a
 backend of four operations (zero, add, scale, ad_powers) plus the value of a
-variable, and there are three backends:
+variable, and there are four backends:
 
     scalar        AlgebraElement arithmetic, repeated alg.bracket (evaluate)
     batch         BatchField code arrays and alg.batch_ad_powers (batch_evaluate)
+    truncated     code arrays over the Lyndon basis of a box of the free Lie
+                  algebra, modulo everything outside it
+                  (TruncatedLieAlgebra.evaluate)
     free algebra  dicts from words to coefficients, repeated commutators
                   (assoc_expand, expr_expand, poly_bracket)
 
 The scalar backend is not a batch of one: counterexample re-evaluation in
 identities and the tests use it as a reference that shares no arithmetic
-with the batch backend.  Only the walk is shared.
+with the batch backend.  Only the walk is shared.  Likewise the free
+algebra backend is the tests' reference for the truncated one.
 
 Within one call the walker evaluates each structurally distinct
 subexpression once, the leading slots of a bracket chain counting as one:
@@ -41,6 +45,7 @@ it.  Only the values asked for more than once are kept until the call ends.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -55,6 +60,7 @@ from .errors import (
     ParityError,
 )
 from .fields import FieldElement, FieldSpec, batch_field
+from .linalg import matmul_codes, row_keys, row_pairs
 
 NORMALIZE_TOTAL_CAP = 16
 
@@ -191,20 +197,23 @@ def _multiset_permutations(letters):
     return results
 
 
+def _standard_cut(word: Word) -> int:
+    """The length of u in the standard factorization w = uv, with v the
+    longest proper Lyndon suffix."""
+    for i in range(1, len(word)):
+        if is_lyndon(word[i:]):
+            return i
+    raise NotALieElement(f"{word} is not a Lyndon word")
+
+
 @lru_cache(maxsize=None)
 def standard_bracketing(word: Word):
     """Right standard factorization tree: w = uv with v the longest proper
     Lyndon suffix; returns nested (left, right) pairs with Variable leaves."""
     if len(word) == 1:
         return word[0]
-    best = None
-    for i in range(1, len(word)):
-        if is_lyndon(word[i:]):
-            best = i
-            break
-    if best is None:
-        raise NotALieElement(f"{word} is not a Lyndon word")
-    return (standard_bracketing(word[:best]), standard_bracketing(word[best:]))
+    cut = _standard_cut(word)
+    return (standard_bracketing(word[:cut]), standard_bracketing(word[cut:]))
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +783,186 @@ def poly_bracket(a: LiePolynomial, b: LiePolynomial) -> LiePolynomial:
     """[a, b] in the Lyndon basis, computed in the free associative algebra."""
     ops = _free_backend(a.spec)
     return lyndon_decompose(a.spec, _nc_comm(a.spec, _poly_value(a, ops), _poly_value(b, ops)))
+
+
+# ---------------------------------------------------------------------------
+# truncated free Lie algebras on code arrays
+# ---------------------------------------------------------------------------
+
+
+class WordTable(NamedTuple):
+    """The words with one multidegree's letter content, and the associative
+    expansions of its Lyndon monomials, as codes of integers mod p (an
+    integer n stands for n * 1, so the table serves every field of
+    characteristic p)."""
+
+    letters: tuple       # the multidegree's variables, ascending
+    digits: np.ndarray   # (words, total): each word as positions in letters, ascending
+    columns: dict        # word -> its row in digits
+    lyndon: tuple        # the Lyndon words, ascending
+    expand: np.ndarray   # (lyndon, words): the expansion of each standard bracketing
+    inverse: np.ndarray  # (lyndon, lyndon): the inverse of expand's Lyndon columns
+
+
+@lru_cache(maxsize=None)
+def word_table(p: int, md: MultiDegree) -> WordTable:
+    """The word table of a multidegree in characteristic p, built once.
+
+    A Lyndon word w = uv, its standard factorization, expands to uv - vu
+    in the expansions of u and v, which the tables of their multidegrees
+    hold; the words of the products are found among the ascending words by
+    their digits (linalg.row_keys).  The expansion of w is w plus larger
+    words (Reutenauer, Free Lie Algebras, ch. 5), so the Lyndon columns of
+    expand form an upper unitriangular matrix, inverted exactly by back
+    substitution."""
+    letters = tuple(md.variables())
+    words = _multiset_permutations([v for v, c in md.counts for _ in range(c)])
+    position = {v: i for i, v in enumerate(letters)}
+    digits = np.array([[position[v] for v in w] for w in words], dtype=np.int64)
+    keys = row_keys(digits)
+    at = [i for i, w in enumerate(words) if is_lyndon(w)]
+    lyndon = tuple(words[i] for i in at)
+    expand = np.zeros((len(lyndon), len(words)), dtype=np.int64)
+    for row, w in enumerate(lyndon):
+        if len(w) == 1:
+            expand[row, 0] = 1
+            continue
+        cut = _standard_cut(w)
+        (left, u), (right, v) = (_expansion_terms(p, part, letters)
+                                 for part in (w[:cut], w[cut:]))
+        products = np.outer(left, right).ravel()
+        u, v = row_pairs(u, v)
+        np.add.at(expand[row], np.searchsorted(keys, row_keys(np.hstack([u, v]))), products)
+        np.subtract.at(expand[row], np.searchsorted(keys, row_keys(np.hstack([v, u]))), products)
+    expand %= p
+    square = expand[:, at]
+    inverse = np.eye(len(lyndon), dtype=np.int64)
+    for i in range(len(lyndon) - 2, -1, -1):
+        inverse[i] = (inverse[i] - square[i, i + 1:] @ inverse[i + 1:]) % p
+    for shared in (digits, expand, inverse):
+        shared.flags.writeable = False  # every caller of the cache gets these arrays
+    return WordTable(letters, digits, {w: i for i, w in enumerate(words)}, lyndon, expand,
+                     inverse)
+
+
+def _expansion_terms(p: int, word: Word, letters: tuple):
+    """The nonzero coefficients of a Lyndon word's expansion, and their
+    words as digits over letters, a superset of the word's letters."""
+    table = word_table(p, MultiDegree.of_word(word))
+    row = table.expand[table.lyndon.index(word)]
+    terms = np.flatnonzero(row)
+    position = np.array([letters.index(v) for v in table.letters], dtype=np.int64)
+    return row[terms], position[table.digits[terms]]
+
+
+class TruncatedLieAlgebra:
+    """The free Lie algebra on the letters of some multidegrees, modulo every
+    multidegree outside them, on code arrays.
+
+    The multidegrees must contain every multidegree below one of theirs, as
+    those of a box do (each letter at most its cap, the total at most a
+    bound): brackets only add multidegrees, so the Lyndon monomials outside
+    them span an ideal, and the quotient has the Lyndon monomials of the
+    multidegrees as basis.  Elements are rows of codes over that basis, one
+    block of columns per multidegree with Lyndon words, in the given order.
+
+    The bracket of a in block i and b in block j lies in the block k of
+    their summed multidegree, or is 0 when there is none.  There the
+    associative expansion of [a, b] = ab - ba has, at a Lyndon word w, the
+    coefficient a(prefix) b(suffix) - b(prefix') a(suffix'), with w cut
+    after the length of i and of j; a(.) is read off the expansion of a
+    through the word table of block i.  Those coefficients times the inverse
+    of block k's Lyndon columns are the coordinates of [a, b].
+    """
+
+    def __init__(self, spec: FieldSpec, multidegrees):
+        self.spec = spec
+        tables = [(md, word_table(spec.p, md)) for md in multidegrees]
+        tables = [(md, t) for md, t in tables if t.lyndon]
+        self.multidegrees = tuple(md for md, _ in tables)
+        self.tables = tuple(t for _, t in tables)
+        self.monomials = tuple(w for t in self.tables for w in t.lyndon)
+        self.dim = len(self.monomials)
+        ends = np.cumsum([len(t.lyndon) for t in self.tables], dtype=int).tolist()
+        self.blocks = tuple(slice(end - len(t.lyndon), end) for t, end in zip(self.tables, ends))
+        self._block_of = {md: i for i, md in enumerate(self.multidegrees)}
+        self._pairs: dict = {}
+
+    def _pair(self, i: int, j: int):
+        """(k, pre, suf, pre', suf') for blocks i and j whose multidegrees
+        add up to block k's, else None: [a, b] = ((a pre) * (b suf) -
+        (b pre') * (a suf')) inverse_k, the products taken entrywise."""
+        if (i, j) not in self._pairs:
+            total = Counter(dict(self.multidegrees[i].counts))
+            total.update(dict(self.multidegrees[j].counts))
+            k = self._block_of.get(MultiDegree.of(total))
+            self._pairs[i, j] = None if k is None else (
+                k, *self._cut(i, j, k), *self._cut(j, i, k))
+        return self._pairs[i, j]
+
+    def _cut(self, i: int, j: int, k: int):
+        """The columns of block i's expansions at the prefixes of length
+        |i| of block k's Lyndon words, and of block j's at the suffixes: 0
+        where the prefix has another letter content."""
+        first, second = self.tables[i], self.tables[j]
+        n = self.multidegrees[i].total
+        cuts = [(first.columns.get(w[:n], -1), second.columns.get(w[n:], -1))
+                for w in self.tables[k].lyndon]
+        pre, suf = np.array(cuts, dtype=np.int64).T
+        return first.expand[:, pre] * (pre >= 0), second.expand[:, suf] * (suf >= 0)
+
+    def _bracket_block(self, pair, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """[a, b] in block k for rows a of block i and b of block j."""
+        k, pre, suf, pre2, suf2 = pair
+        bf, dot = batch_field(self.spec), partial(matmul_codes, self.spec)
+        assoc = bf.sub(bf.mul(dot(a, pre), dot(b, suf)), bf.mul(dot(b, pre2), dot(a, suf2)))
+        return dot(assoc, self.tables[k].inverse)
+
+    def bracket(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """[u, w] row by row, for (N, dim) code arrays: each pair of blocks
+        brackets only the rows that are nonzero in both."""
+        bf = batch_field(self.spec)
+        out = bf.zeros(u.shape)
+        if not self.dim:
+            return out
+        starts = [s.start for s in self.blocks]
+        u_in = np.logical_or.reduceat(u != 0, starts, axis=1)
+        w_in = np.logical_or.reduceat(w != 0, starts, axis=1)
+        for i in np.flatnonzero(u_in.any(axis=0)):
+            for j in np.flatnonzero(w_in.any(axis=0)):
+                pair = self._pair(i, j)
+                if pair is None:
+                    continue
+                rows = np.flatnonzero(u_in[:, i] & w_in[:, j])
+                if rows.size:
+                    k = self.blocks[pair[0]]
+                    out[rows, k] = bf.add(out[rows, k], self._bracket_block(
+                        pair, u[rows, self.blocks[i]], w[rows, self.blocks[j]]))
+        return out
+
+    def letter_ad(self, v: Variable) -> list:
+        """ad_v block by block: (i, k, matrix) for every block i whose
+        multidegree plus v is block k's, with matrix the codes of
+        m -> [m, v] from block i's monomials to block k's."""
+        j = self._block_of[MultiDegree.of({v: 1})]
+        out = []
+        for i, t in enumerate(self.tables):
+            pair = self._pair(i, j)
+            if pair is not None:
+                n = len(t.lyndon)
+                out.append((i, pair[0], self._bracket_block(
+                    pair, np.eye(n, dtype=np.int64), np.ones((n, 1), dtype=np.int64))))
+        return out
+
+    def evaluate(self, e, assignment: dict) -> np.ndarray:
+        """e at many assignments at once: assignment maps each variable to
+        an (N, dim) code array."""
+        bf = batch_field(self.spec)
+        count = _row_count(assignment)
+        return _interpret(e, _Backend(self.spec, lambda: bf.zeros((count, self.dim)), bf.add,
+                                      lambda c, a: bf.scale(c.code, a),
+                                      partial(repeated_brackets, self.bracket),
+                                      _lookup(assignment)))
 
 
 # ---------------------------------------------------------------------------

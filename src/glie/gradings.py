@@ -36,7 +36,7 @@ from .errors import SpecError, TheoremViolation, UnsupportedField
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
 from .identities import CheckSettings, check_identity
-from .linalg import MatrixGF, SubspaceBasis, matmul_codes, row_pairs, rref_stack
+from .linalg import MatrixGF, SubspaceBasis, matmul_codes, row_keys, row_pairs, rref_stack
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 _NATURAL_ROWS = ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]])  # RREF parts of the natural grading
@@ -312,9 +312,11 @@ def classify_up_to_iso(gradings) -> list:
     """Group descriptors into orbits of the parent automorphism group.
 
     One orbit is computed per class; its minimum key is the class label of
-    every listed member in it (the map lists are groups).  Each class carries
-    separating certificates: part dimensions and whether [z1, y1^q] = [z1, y1]
-    holds as a graded identity of the representative.
+    every listed member in it (the map lists are groups).  The orbit's
+    images and the members are compared as flattened code rows, in one
+    np.unique per class.  Each class carries separating certificates: part
+    dimensions and whether [z1, y1^q] = [z1, y1] holds as a graded identity
+    of the representative.
     """
     if not gradings:
         return []
@@ -323,16 +325,27 @@ def classify_up_to_iso(gradings) -> list:
     if any(d.spec != spec or d.parent_kind != kind for d in gradings):
         raise SpecError("classification needs a homogeneous descriptor list")
     maps = m2_automorphisms(spec) if kind == "m2" else sl2_automorphisms(spec)
-    keys = [d.key() for d in gradings]
-    canonical = {}
-    for d, key in zip(gradings, keys):
-        if key not in canonical:
-            orbit = {_key(e, o) for e, o in zip(*_image_stacks(d, maps))}
-            low = min(orbit)
-            canonical.update((k, low) for k in keys if k in orbit)
+    labels = [None] * len(gradings)
+    for first, d in enumerate(gradings):
+        if labels[first] is not None:
+            continue
+        # flattened rows compare as their keys do: low is the least key
+        images = np.concatenate([s.reshape(len(maps), -1) for s in _image_stacks(d, maps)],
+                                axis=1)
+        unlabelled = [i for i, e in enumerate(gradings)
+                      if labels[i] is None and e.dims() == d.dims()]
+        members = [np.concatenate([gradings[i].even.rows.ravel(), gradings[i].odd.rows.ravel()])
+                   for i in unlabelled]
+        _, inverse = np.unique(row_keys(np.concatenate([images, members])), return_inverse=True)
+        low = images[inverse[:len(images)].argmin()]
+        cut = d.even.rows.size
+        low = _key(low[:cut].reshape(d.even.rows.shape), low[cut:].reshape(d.odd.rows.shape))
+        for i, hit in zip(unlabelled, np.isin(inverse[len(images):], inverse[:len(images)])):
+            if hit:
+                labels[i] = low
     classes = {}
-    for d, key in zip(gradings, keys):
-        classes.setdefault(canonical[key], []).append(d)
+    for d, label in zip(gradings, labels):
+        classes.setdefault(label, []).append(d)
     out = []
     q = spec.q
     for canon in sorted(classes):

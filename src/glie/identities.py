@@ -22,28 +22,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SL2_BASIS, AlgebraElement, GradedLieAlgebra, _m2_mult, sl2
-from .errors import AmbientMismatch, BudgetExceeded, ParityError, TheoremViolation
+from .errors import BudgetExceeded, ParityError, TheoremViolation
 from .fields import FieldElement, FieldSpec, batch_field
 from .freelie import (
     LiePolynomial,
     MultiDegree,
     Sum,
+    TruncatedLieAlgebra,
     Var,
     batch_evaluate,
-    degree_bound,
     degree_form,
     degree_residues,
     evaluate,
-    expr_expand,
-    expr_parity,
     expr_variables,
     lyndon_words,
     poly_batch_evaluate,
-    poly_bracket,
     poly_evaluate,
-    poly_to_expr,
     replace,
-    substitute,
     word_tree_batch_evaluate,
     x,
     y,
@@ -73,7 +68,6 @@ class AmbientSpace:
                 monomials.extend(words)
         self.multidegrees = tuple(mds)
         self.monomials = tuple(monomials)
-        self._index = {w: i for i, w in enumerate(self.monomials)}
 
     @property
     def dim(self) -> int:
@@ -91,15 +85,6 @@ class AmbientSpace:
         for v in self.variables:
             out.setdefault(v, 0)
         return out
-
-    def coords_of(self, poly: LiePolynomial) -> np.ndarray:
-        """The polynomial's coordinates, as an int64 row of element codes."""
-        vec = np.zeros(self.dim, dtype=np.int64)
-        for w, c in poly.terms:
-            if w not in self._index:
-                raise AmbientMismatch(f"monomial {w} outside window {self.label}")
-            vec[self._index[w]] = c.code
-        return vec
 
     def poly_of(self, spec: FieldSpec, coords) -> LiePolynomial:
         """The polynomial with these coordinates: FieldElements or element codes."""
@@ -521,49 +506,19 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
 # ---------------------------------------------------------------------------
 
 
-def _image_pool(spec: FieldSpec, parity, box: AmbientSpace, codes):
-    """Candidate images of a variable of this parity (None: either parity):
-    c * w for every Lyndon monomial w of the box's multidegrees with that
-    parity and every element code c in codes."""
-    return [LiePolynomial.monomial(spec, w, spec.from_code(c))
-            for md in box.multidegrees if parity in (None, md.parity)
-            for w in lyndon_words(md) for c in codes]
-
-
-class _Pool:
-    """One variable's candidate images as expressions, grouped into classes
-    by signature: (parity, degree bound).  Substitution checks the parity of
-    an image and the instance's degree bound depends on the images only
-    through their bounds, so every member of a class is accepted or rejected
-    alike."""
-
-    def __init__(self, images):
-        self.exprs = [poly_to_expr(img) for img in images]
-        self.classes = []  # [(parity, (per, total), [member expressions])]
-        index: dict = {}
-        for expr in self.exprs:
-            per, total = degree_bound(expr)
-            parity = expr_parity(expr)
-            key = (parity, frozenset(per.items()), total)
-            if key not in index:
-                index[key] = len(self.classes)
-                self.classes.append((parity, (per, total), []))
-            self.classes[index[key]][2].append(expr)
-
-
-def _instance_fits(form, classes, caps: dict, max_total: int) -> bool:
-    """Would substituting images of these classes, one per variable of a
-    generator, stay within the degree caps?  form is the generator's
-    freelie.degree_form over its variables, so this is decided from the class
-    signatures alone, without building the instance or walking the
-    generator: the tuple is rejected at the first vector of the form whose
-    total exceeds max_total, else at the first whose sum for a variable of
-    the images exceeds that variable's cap."""
-    bounds = [bound for _, bound, _ in classes]
-    if _form_exceeds(form, [total for _, total in bounds], max_total):
+def _instance_fits(form, mds, caps: dict, max_total: int) -> bool:
+    """Would substituting images of these multidegrees, one per variable of
+    a generator, stay within the degree caps?  form is the generator's
+    freelie.degree_form over its variables, and a monomial's degree bound is
+    its multidegree, so this is decided without building the instance or
+    walking the generator: the tuple is rejected at the first vector of the
+    form whose total exceeds max_total, else at the first whose sum for a
+    variable of the images exceeds that variable's cap."""
+    if _form_exceeds(form, [md.total for md in mds], max_total):
         return False
-    return not any(_form_exceeds(form, [per.get(u, 0) for per, _ in bounds], caps.get(u, 0))
-                   for u in dict.fromkeys(u for per, _ in bounds for u in per))
+    counts = [dict(md.counts) for md in mds]
+    return not any(_form_exceeds(form, [c.get(u, 0) for c in counts], caps.get(u, 0))
+                   for u in dict.fromkeys(u for c in counts for u in c))
 
 
 def _form_exceeds(form, leaf, cap: int) -> bool:
@@ -579,59 +534,99 @@ def _rows_vanishing_on(spec: FieldSpec, rows: np.ndarray, head: int) -> np.ndarr
     return reduced[np.array(pivots, dtype=int) >= head, head:]
 
 
-def _ad_maps(spec: FieldSpec, box: AmbientSpace, caps: dict, max_total: int) -> list:
-    """For each variable v of the box, (columns, head, ad) for bracketing
-    with v.  ad is the code matrix of ad_v on the box monomials m whose
-    bracket [m, v] stays in the box: one row per such m, filled from
-    poly_bracket.  columns lists first, head of them, the box monomials
-    whose bracket leaves the box, v itself aside, then those whose bracket
-    stays, in the order of ad's rows."""
-    maps = []
-    for v in box.variables:
-        var = LiePolynomial.monomial(spec, (v,))
-        stays, leaves = [], []
-        for m in box.monomials:
-            if len(m) < max_total and m.count(v) < caps[v]:
-                stays.append(m)
-            elif m != (v,):
-                leaves.append(m)
-        ad = np.zeros((len(stays), box.dim), dtype=np.int64)
-        for row, m in enumerate(stays):
-            for w, c in poly_bracket(LiePolynomial.monomial(spec, m), var).terms:
-                ad[row, box._index[w]] = c.code
-        maps.append(([box._index[m] for m in leaves + stays], len(leaves), ad))
-    return maps
+def _instances(lie: TruncatedLieAlgebra, gen, gvars, caps: dict, max_total: int):
+    """The images of gen's variables in every instance that fits the box, as
+    the L_box column and the scalar code of each variable's image: two (N,
+    len(gvars)) arrays."""
+    form = degree_form(gen, gvars)
+    picks = []
+    # every image has a total degree bound of at least 1
+    if not _form_exceeds(form, [1] * len(gvars), max_total):
+        pools = []  # per variable: its candidate blocks and scalar codes
+        for v, residues in zip(gvars, degree_residues(gen, gvars, lie.spec)):
+            pools.append(([i for i, md in enumerate(lie.multidegrees)
+                           if v.parity in (None, md.parity)],
+                          [1] if len(residues) == 1 else range(1, lie.spec.q)))
+        for blocks in itertools.product(*(b for b, _ in pools)):
+            if _instance_fits(form, [lie.multidegrees[i] for i in blocks], caps, max_total):
+                picks.extend(itertools.product(*(
+                    itertools.product(range(lie.blocks[i].start, lie.blocks[i].stop), codes)
+                    for i, (_, codes) in zip(blocks, pools))))
+    picks = np.array(picks, dtype=np.int64).reshape(len(picks), len(gvars), 2)
+    return picks[:, :, 0], picks[:, :, 1]
 
 
-def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace) -> SubspaceBasis:
+def _unit_rows(dim: int, columns: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Row r holds codes[r] at columns[r] and zeros elsewhere."""
+    rows = np.zeros((len(columns), dim), dtype=np.int64)
+    rows[np.arange(len(columns)), columns] = codes
+    return rows
+
+
+def _letter_map(lie: TruncatedLieAlgebra, v):
+    """ad_v as the closure applies it: (order, head, ad) with ad from
+    lie.letter_ad(v), and order the columns of the blocks whose bracket with
+    v leaves the box, head of them, followed by those of ad's blocks.  v's
+    own block is in neither part, since [v, v] = 0."""
+    ad = lie.letter_ad(v)
+    columns = np.arange(lie.dim)
+    kept = [columns[lie.blocks[i]] for i, _, _ in ad]
+    leaves = np.ones(lie.dim, dtype=bool)
+    leaves[np.concatenate([columns[lie.blocks[lie.multidegrees.index(MultiDegree.of({v: 1}))]],
+                           *kept])] = False
+    return np.concatenate([columns[leaves], *kept]), int(leaves.sum()), ad
+
+
+def _ad_image(spec: FieldSpec, lie: TruncatedLieAlgebra, span: np.ndarray, letter) -> np.ndarray:
+    """[c, v] for a basis of the combinations c of span whose bracket with
+    the letter v stays in the box, block by block (letter from _letter_map)."""
+    order, head, ad = letter
+    combos = _rows_vanishing_on(spec, span[:, order], head)
+    image = np.zeros((len(combos), lie.dim), dtype=np.int64)
+    col = 0
+    for _, k, matrix in ad:
+        image[:, lie.blocks[k]] = matmul_codes(spec, combos[:, col:col + len(matrix)], matrix)
+        col += len(matrix)
+    return image
+
+
+_SPAN_CELLS = 1 << 20  # rows times box dimension of one batch of instances
+
+
+def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
+                     target: int | None = None) -> SubspaceBasis:
     """A lower bound of the verbal ideal of gens inside the window.
 
-    The search runs in the box: every multidegree within the window's
-    per-variable caps and total degree (for a box window, the window itself).
+    The search runs in L_box, the free Lie algebra on the window's variables
+    modulo every multidegree over the window's per-variable caps or total
+    degree: those span an ideal, so the box's Lyndon monomials are a basis
+    of the quotient (freelie.TruncatedLieAlgebra, one block of codes per
+    multidegree).  The blocks outside the window come first.
 
     1. A variable's images are the Lyndon monomials of the box with its
-       parity, each times every nonzero scalar, or times 1 alone when the
-       variable's degrees in the generator share one residue mod q - 1
-       (freelie.degree_residues): scaling its image then only scales the
-       instance.  Each pool is turned into expressions once and grouped by
-       signature (parity, per-variable and total degree bound).  Sums of
-       monomials are not substituted, which is exact for a variable the
-       generator is linear in and a lower bound otherwise.  No zero image is
-       substituted either: f(.., 0, ..) is the sum of the components of f
-       that lack the variable, 0 when there are none.  Among the built-in
-       generators only sem1_graded and sem2_graded have such components,
-       and their degree bound is >= q^2 + 3: below that total degree the
-       skip of step 2 drops them whole, so no instance is lost.
+       parity, as unit code rows of L_box, each times every nonzero scalar,
+       or times 1 alone when the variable's degrees in the generator share
+       one residue mod q - 1 (freelie.degree_residues): scaling its image
+       then only scales the instance.  Sums of monomials are not
+       substituted, which is exact for a variable the generator is linear
+       in and a lower bound otherwise.  No zero image is substituted either:
+       f(.., 0, ..) is the sum of the components of f that lack the
+       variable, 0 when there are none.  Among the built-in generators only
+       sem1_graded and sem2_graded have such components, and their degree
+       bound is >= q^2 + 3: below that total degree the skip of step 2
+       drops them whole, so no instance is lost.
     2. Each generator's degree bound is compiled once per call into its
        degree form (freelie.degree_form): multiplicity vectors whose
        maximum, weighted by the image bounds, is the bound of the instance.
        A generator over the window's total degree at image bounds 1, the
-       least, is skipped.  Otherwise the product of signature classes is
-       walked (each pool holds images of its variable's parity only), and a
-       class tuple is rejected at the first vector of the form whose
+       least, is skipped.  Otherwise the tuples of multidegrees, one per
+       variable, are walked (a monomial's degree bound is its multidegree),
+       and a tuple is rejected at the first vector of the form whose
        weighted sum exceeds the window's total degree or a cap.
-    3. Every instance of a passing tuple is substituted and expanded once,
-       into a row of box coordinates.
+    3. All instances of a generator's passing tuples are evaluated together
+       in L_box (TruncatedLieAlgebra.evaluate, in batches of at most
+       _SPAN_CELLS codes).  The value is the expansion of the instance
+       truncated to the box, which the prune makes the whole expansion.
     4. The row space is closed under ad_v for each window variable v, until
        the rank stops growing.  Each round brackets with v every combination
        of the span whose bracket stays in the box.  [m, v] has the
@@ -642,10 +637,14 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace) -> SubspaceBa
        distinct multidegrees stay distinct.  Components outside the box are
        never dropped: over GF(q) the identities are not closed under
        multihomogeneous components, so a truncated bracket need not be a
-       consequence.
-    5. The result is the part of the closure inside the window, found the
-       same way with the box monomials outside the window as leading
-       columns.
+       consequence.  ad_v maps each block into one other block, so the
+       bracket is taken block by block (TruncatedLieAlgebra.letter_ad).
+    5. The result is the part of the closure inside the window: with the
+       blocks outside the window first, the rows of the closure's RREF
+       whose pivot lies inside it.  With target given, the closure stops
+       as soon as that part has dimension target.  basis_check passes the
+       dimension of the identity space, which holds the window part of the
+       full closure; a part of that dimension is then all of it.
 
     The closure contains every left-normed extension of every instance that
     stays in the window, since the verbal ideal is closed under brackets with
@@ -654,46 +653,35 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace) -> SubspaceBa
     basis_check compares the result with the exact identity space and
     raises TheoremViolation on a consequence that is not an identity.
     """
+    if not ambient.dim:
+        return SubspaceBasis.zero(spec, 0)
     caps = ambient.caps()
     max_total = ambient.max_total
-    box = AmbientSpace(ambient.label, ambient.variables,
-                       (md for md in _box_multidegrees(caps) if md.total <= max_total))
+    inside = set(ambient.multidegrees)
+    lie = TruncatedLieAlgebra(spec, [
+        *(md for md in _box_multidegrees(caps) if md.total <= max_total and md not in inside),
+        *ambient.multidegrees])
+    head = lie.dim - ambient.dim
 
-    pools = {}  # (parity, whether the variable's degrees share one residue) -> _Pool
-    rows = []
+    rows = [np.zeros((0, lie.dim), dtype=np.int64)]
+    step = max(1, _SPAN_CELLS // lie.dim)
     for gen in gens:
         gvars = expr_variables(gen)
-        form = degree_form(gen, gvars)
-        if _form_exceeds(form, [1] * len(gvars), max_total):
-            continue  # every image has a total degree bound of at least 1
-        var_pools = []
-        for v, residues in zip(gvars, degree_residues(gen, gvars, spec)):
-            key = (v.parity, len(residues) == 1)
-            if key not in pools:
-                codes = [1] if key[1] else range(1, spec.q)
-                pools[key] = _Pool(_image_pool(spec, v.parity, box, codes))
-            var_pools.append(pools[key])
-        for classes in itertools.product(*(pool.classes for pool in var_pools)):
-            if _instance_fits(form, classes, caps, max_total):
-                for combo in itertools.product(*(members for _, _, members in classes)):
-                    inst = substitute(gen, dict(zip(gvars, combo)), graded=True)
-                    rows.append(box.coords_of(
-                        expr_expand(inst, spec, caps=caps, total_cap=max_total)))
+        columns, codes = _instances(lie, gen, gvars, caps, max_total)
+        for start in range(0, len(columns), step):
+            part = slice(start, start + step)
+            rows.append(lie.evaluate(gen, {v: _unit_rows(lie.dim, columns[part, i], codes[part, i])
+                                           for i, v in enumerate(gvars)}))
+    span, pivots = rref_codes(spec, np.concatenate(rows))
 
-    span = rref_codes(spec, np.array(rows, dtype=np.int64).reshape(len(rows), box.dim))[0]
-    ad_maps = _ad_maps(spec, box, caps, max_total)
-    while True:
-        images = [matmul_codes(spec, _rows_vanishing_on(spec, span[:, columns], head), ad)
-                  for columns, head, ad in ad_maps]
-        grown = rref_codes(spec, np.concatenate([span, *images]))[0]
+    letters = [_letter_map(lie, v) for v in ambient.variables if caps[v]]
+    while target is None or sum(p >= head for p in pivots) < target:
+        grown, grown_pivots = rref_codes(spec, np.concatenate(
+            [span, *(_ad_image(spec, lie, span, letter) for letter in letters)]))
         if len(grown) == len(span):
             break
-        span = grown
-
-    inside = [box._index[w] for w in ambient.monomials]
-    outside = sorted(set(range(box.dim)) - set(inside))
-    return SubspaceBasis(spec, ambient.dim,
-                         _rows_vanishing_on(spec, span[:, outside + inside], len(outside)))
+        span, pivots = grown, grown_pivots
+    return SubspaceBasis(spec, ambient.dim, span[np.array(pivots, dtype=int) >= head, head:])
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +722,11 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
     identity spaces (grid points).  A window whose identity space needs more
     grid points is recorded as inconclusive, with the budget message as its
     witness.  A consequence that is not an identity raises TheoremViolation.
+
+    The consequence span is a subspace of the identity space once that
+    containment holds, so the span stops at the identity space's dimension
+    (consequence_span's target), and is not searched at all when that
+    dimension is 0.  Either way the span found is the same subspace.
     """
     labels = gen_labels or [f"gen{i + 1}" for i in range(len(gens))]
     soundness = []
@@ -748,7 +741,8 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
         for window in windows:
             try:
                 ids = identity_space(alg, window, check_settings)
-                cons = consequence_span(alg.spec, gens, window)
+                cons = (consequence_span(alg.spec, gens, window, ids.dim) if ids.dim
+                        else SubspaceBasis.zero(alg.spec, window.dim))
             except BudgetExceeded as exc:
                 records.append(WindowRecord(window.label, window.dim, -1, -1,
                                             "inconclusive", str(exc)))

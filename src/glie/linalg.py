@@ -135,6 +135,14 @@ def matmul_codes(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array of non-negative integers as one opaque value,
+    its big-endian bytes, so that the values sort, search and compare as the
+    rows do lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+
+
 def row_pairs(a: np.ndarray, b: np.ndarray):
     """(a_i, b_j) for every pair of rows, i slowest, as two stacked arrays."""
     return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from glie.errors import AmbientMismatch
 from glie.fields import FieldSpec
-from glie.linalg import MatrixGF, SubspaceBasis, matmul_codes, rref_codes, rref_stack
+from glie.linalg import MatrixGF, SubspaceBasis, matmul_codes, row_keys, rref_codes, rref_stack
 
 GF5 = FieldSpec.prime(5)
 GF7 = FieldSpec.prime(7)
@@ -198,3 +198,16 @@ def test_rows_and_entries_are_read_only():
     for arr in (s.rows, m.entries, m.inverse().entries):
         with pytest.raises(ValueError):
             arr[0, 0] = 0
+
+
+def test_row_keys_order_rows_lexicographically():
+    """Row keys sort and search as the rows' tuples do, also for entries
+    past one byte and rows longer than 63 binary digits could code."""
+    rng = random.Random(11)
+    rows = np.array([[rng.choice([0, 1, 255, 256, 4095, 1 << 40]) for _ in range(70)]
+                     for _ in range(300)], dtype=np.int64)
+    keys = row_keys(rows)
+    order = sorted(range(len(rows)), key=lambda i: tuple(rows[i]))
+    assert np.argsort(keys, kind="stable").tolist() == order
+    ascending = np.sort(keys)
+    assert (np.searchsorted(ascending, keys) == [order.index(i) for i in range(len(rows))]).all()

@@ -2,11 +2,13 @@
 
 Images are drawn from the real pools of consequence_span, every nonzero
 multiple of each box monomial, for graded generator sets and for the ungraded
-sem1/sem2 and [x1, x2], whose x variables take images of either parity.
-The degree form of a generator is also checked against substitution on
-random images whose per-variable and total bounds are unrelated, and on
-edge cases of the AST.  Spans whose pools keep one image per scaling class
-are checked against a reference whose pools keep every scalar multiple.
+sem1/sem2 and [x1, x2], whose x variables take images of either parity.  The
+prune reads an image's degree bound from its multidegree; substitution is
+the reference.  The degree form of a generator is also checked against
+substitution on random images whose per-variable and total bounds are
+unrelated, and on edge cases of the AST.  Spans whose pools keep one image
+per scaling class are checked against a reference whose pools keep every
+scalar multiple.
 """
 
 import random
@@ -36,6 +38,7 @@ from glie.freelie import (
     expr_parity,
     expr_variables,
     lema5_set,
+    lyndon_words,
     poly_to_expr,
     sem1,
     sem1_graded,
@@ -48,10 +51,8 @@ from glie.freelie import (
     z,
 )
 from glie.identities import (
-    basis_check,
-    _image_pool,
     _instance_fits,
-    _Pool,
+    basis_check,
     consequence_span,
     default_sl2_windows,
     total_degree_windows,
@@ -84,15 +85,18 @@ def assert_form_matches(gen, mapping):
             == degree_bound(substitute(gen, mapping, graded=False)))
 
 
+def pool(spec, parity, ambient):
+    """(multidegree, image) for every candidate image of a variable of this
+    parity (None: either parity): c * w for every Lyndon monomial w of the
+    window's multidegrees with that parity and every nonzero scalar c."""
+    return [(md, poly_to_expr(LiePolynomial.monomial(spec, w, spec.from_code(c))))
+            for md in ambient.multidegrees if parity in (None, md.parity)
+            for w in lyndon_words(md) for c in range(1, spec.q)]
+
+
 def pools_for(spec, gvars, ambient):
-    codes = range(1, spec.q)
-    pools = {p: _Pool(_image_pool(spec, p, ambient, codes)) for p in (0, 1, None)}
+    pools = {p: pool(spec, p, ambient) for p in (0, 1, None)}
     return [pools[v.parity] for v in gvars]
-
-
-def class_of(pool, i):
-    """The signature class that holds image i of the pool."""
-    return next(c for c in pool.classes if any(m is pool.exprs[i] for m in c[2]))
 
 
 def rejected_by_substitution(gen, mapping, caps, max_total) -> bool:
@@ -115,29 +119,30 @@ def test_prune_matches_substitution(name):
         for gen in make_gens():
             gvars = expr_variables(gen)
             pools = pools_for(spec, gvars, ambient)
-            if not all(pool.exprs for pool in pools):
+            if not all(pools):
                 continue  # e.g. the odd pool of (y:1,1): no instance to decide
             for _ in range(DRAWS):
-                picks = [rng.randrange(len(pool.exprs)) for pool in pools]
-                mapping = {v: pool.exprs[i] for v, pool, i in zip(gvars, pools, picks)}
+                picks = [rng.choice(images) for images in pools]
+                mapping = {v: image for v, (_, image) in zip(gvars, picks)}
                 assert_form_matches(gen, mapping)
-                classes = [class_of(pool, i) for pool, i in zip(pools, picks)]
-                fits = _instance_fits(degree_form(gen, gvars), classes, caps, max_total)
+                fits = _instance_fits(degree_form(gen, gvars), [md for md, _ in picks],
+                                      caps, max_total)
                 assert fits != rejected_by_substitution(gen, mapping, caps, max_total)
                 verdicts.add(fits)
     assert verdicts == {True, False}
 
 
 def test_pool_classes_share_parity_and_bound():
+    """The prune groups images by multidegree: an image's parity and degree
+    bound are those of its multidegree, and several images share each."""
     spec = FieldSpec.prime(5)
     ambient = default_sl2_windows(5)[3]
     for parity in (0, 1):
-        pool = _Pool(_image_pool(spec, parity, ambient, range(1, spec.q)))
-        assert len(pool.classes) < len(pool.exprs)
-        for i, expr in enumerate(pool.exprs):
-            assert sum(any(m is expr for m in members) for _, _, members in pool.classes) == 1
-            class_parity, bound, _ = class_of(pool, i)
-            assert (expr_parity(expr), degree_bound(expr)) == (class_parity, bound)
+        images = pool(spec, parity, ambient)
+        assert len({md for md, _ in images}) < len(images)
+        for md, expr in images:
+            assert (expr_parity(expr), degree_bound(expr)) == (
+                md.parity, (dict(md.counts), md.total))
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -218,33 +223,24 @@ def test_degree_form_takes_the_largest_exponent():
     assert degree_form(UNSORTED_SLOTS, gvars) == ((1, 5, 4),)
 
 
-def test_degree_bound_runs_once_per_image_and_expansion(monkeypatch):
-    """The prune walks no generator per class tuple: during the basis check
-    of S at q = 5, degree_bound runs once per pool image and once per
-    expr_expand call.  sem1_graded and sem2_graded (degree >= 28) fit no
-    window, so not one of their class tuples is decided."""
-    counts = Counter()
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for module in (freelie, identities):
-        monkeypatch.setattr(module, "degree_bound", counting("bound", module.degree_bound))
-    monkeypatch.setattr(identities, "expr_expand", counting("expand", identities.expr_expand))
+def test_span_walks_no_expression_per_image_or_instance(monkeypatch):
+    """The prune walks no generator per tuple and no image at all: during
+    the basis check of S at q = 5, degree_bound, substitute and expr_expand
+    never run, since an image's bound is its multidegree and the instances
+    are evaluated in L_box.  sem1_graded and sem2_graded (degree >= 28) fit
+    no window, so not one of their tuples is decided."""
+    gens = set_s(5)  # sem1_graded and sem2_graded are built by substitution
+    calls = Counter()
+    for name in ("degree_bound", "substitute", "expr_expand"):
+        fn = getattr(freelie, name)
+        monkeypatch.setattr(freelie, name, lambda *args, fn=fn, name=name, **kwargs:
+                            calls.update([name]) or fn(*args, **kwargs))
     forms = Counter()
     fits = identities._instance_fits
     monkeypatch.setattr(identities, "_instance_fits",
                         lambda form, *rest: forms.update([form]) or fits(form, *rest))
-    pool_init = identities._Pool.__init__
-    monkeypatch.setattr(identities._Pool, "__init__",
-                        lambda pool, images: counts.update(images=len(images))
-                        or pool_init(pool, images))
-    assert basis_check(sl2(FieldSpec.prime(5)), set_s(5), default_sl2_windows(5)).ok
-    assert counts["bound"] == counts["images"] + counts["expand"]
-    assert counts["bound"] > 0
+    assert basis_check(sl2(FieldSpec.prime(5)), gens, default_sl2_windows(5)).ok
+    assert not calls
     for gen in (sem1_graded(5), sem2_graded(5)):
         assert forms[degree_form(gen, expr_variables(gen))] == 0
     assert sum(forms.values()) > 0
@@ -315,14 +311,14 @@ def test_two_residue_variables_keep_every_multiple(monkeypatch, spec, caps, rank
     images with proper extension-field scalars are substituted."""
     win = window_box(caps) if rank > 1 else window_exact(MultiDegree.of(caps))
     scalars = set()
-    sub = identities.substitute
+    instances = identities._instances
 
-    def recording(gen, mapping, graded):
-        scalars.update(c.code for img in mapping.values()
-                       for _, c in expr_expand(img, spec).terms)
-        return sub(gen, mapping, graded=graded)
+    def recording(*args):
+        columns, codes = instances(*args)
+        scalars.update(codes.ravel().tolist())
+        return columns, codes
 
-    monkeypatch.setattr(identities, "substitute", recording)
+    monkeypatch.setattr(identities, "_instances", recording)
     span = consequence_span(spec, [two_class()], win)
     assert span.dim == rank
     assert span == every_multiple_span(monkeypatch, spec, [two_class()], win)
@@ -332,36 +328,21 @@ def test_two_residue_variables_keep_every_multiple(monkeypatch, spec, caps, rank
 def test_each_scaling_class_expands_once(monkeypatch):
     """Both variables of [y1, y2] and of zyq_zy(5) have one degree residue
     mod 4, so their images are the coefficient-1 monomials alone.  The basis
-    check of S at q = 5 expands 6 instances, and no two instances of one
+    check of S at q = 5 evaluates 6 instances, and no two instances of one
     generator in one window differ only by the scalars of their images."""
     spec = FieldSpec.prime(5)
-    windows = []
-    span, sub = identities.consequence_span, identities.substitute
-    monkeypatch.setattr(identities, "consequence_span",
-                        lambda *args: windows.append([]) or span(*args))
-    monkeypatch.setattr(identities, "substitute",
-                        lambda gen, mapping, graded: windows[-1].append((gen, mapping))
-                        or sub(gen, mapping, graded=graded))
-    expand = identities.expr_expand
-    expanded = []
-    monkeypatch.setattr(identities, "expr_expand",
-                        lambda inst, *args, **kwargs: expanded.append(inst)
-                        or expand(inst, *args, **kwargs))
-    pools = []
-    pool_init = identities._Pool.__init__
-    monkeypatch.setattr(identities._Pool, "__init__",
-                        lambda pool, images: pools.append(images) or pool_init(pool, images))
+    calls = []
+    instances = identities._instances
+
+    def recording(lie, gen, *args):
+        columns, codes = instances(lie, gen, *args)
+        calls.append((lie, gen, columns, codes))
+        return columns, codes
+
+    monkeypatch.setattr(identities, "_instances", recording)
     assert basis_check(sl2(spec), set_s(5), default_sl2_windows(5)).ok
-    assert len(expanded) == sum(map(len, windows)) == 6
-
-    for images in pools:
-        assert all(len(img.terms) == 1 and img.terms[0][1] == spec.one() for img in images)
-        assert len({img.terms[0][0] for img in images}) == len(images)
-
-    def up_to_scalar(img):
-        terms = expr_expand(img, spec).terms
-        return tuple((w, (c / terms[0][1]).code) for w, c in terms)
-
-    for instances in windows:
-        keys = [(gen, tuple(map(up_to_scalar, mapping.values()))) for gen, mapping in instances]
-        assert len(set(keys)) == len(keys)
+    assert sum(len(columns) for _, _, columns, _ in calls) == 6
+    for lie, gen, columns, codes in calls:
+        assert (codes == 1).all()
+        images = [tuple(lie.monomials[c] for c in row) for row in columns.tolist()]
+        assert len(set(images)) == len(images)
