@@ -209,17 +209,26 @@ def projective_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=homogeneous_batch,
-             pairs=()):
-    """One array of candidate values per variable: points(alg, parity) in
-    graded mode, the whole algebra otherwise and for a variable of pairs,
-    which stands for the sum of an even and an odd variable."""
+def basis_batch(alg: GradedLieAlgebra, degree: int, zero: bool = False) -> np.ndarray:
+    """The basis vectors of the degree-d part as unit code rows, after the
+    zero vector if zero is set."""
+    idx = alg.homogeneous_indices(degree)
+    out = np.zeros((zero + len(idx), alg.dim), dtype=np.int64)
+    out[np.arange(zero, zero + len(idx)), idx] = 1
+    return out
+
+
+def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=None, pairs=()):
+    """One array of candidate values per variable: points(v), by default
+    the whole homogeneous part of v's parity, in graded mode; the whole
+    algebra otherwise and for a variable of pairs, which stands for the sum
+    of an even and an odd variable."""
     domains = []
     for v in variables:
         if graded and v not in pairs:
             if v.parity is None:
                 raise ParityError(f"{v} has no parity; graded mode forbids x variables")
-            domains.append(points(alg, v.parity))
+            domains.append(points(v) if points else homogeneous_batch(alg, v.parity))
         else:
             domains.append(_code_grid(alg, range(alg.dim)))
     return domains
@@ -456,13 +465,29 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     group the window's Lyndon monomials into classes by their degrees mod
     (q - 1), one per variable: by the orthogonality of the characters of
     (GF(q)^*)^N, a polynomial vanishes on every assignment if and only if
-    each class component does.  A class component, in turn, scales by a
-    nonzero factor when a nonzero value of a variable is scaled, so it
-    vanishes everywhere if and only if it vanishes on the grid where each
-    variable is 0 or one representative of a line through 0
-    (projective_batch).  The kernel is the direct sum of the class kernels:
-    the evaluation rows on the grid, restricted to each class's columns in
-    turn, go into one running RREF.
+    each class component does.
+
+    A class component vanishes everywhere if and only if it vanishes on a
+    grid: a product of one set of points per variable v, chosen from v's cap
+    in the window (its largest degree in a monomial):
+    - cap 1, with v in every multidegree: the basis vectors of v's
+      homogeneous part (basis_batch);
+    - cap 1, with v missing from some multidegree: 0 and those basis vectors;
+    - cap 0, so that no monomial uses v: 0 alone;
+    - any other cap: 0 and one representative of each line through 0
+      (projective_batch).
+    Fix every variable but v.  At cap <= 1 the class component is g0 + g1(v)
+    as a function of v, with g0 constant (0 when v is in every multidegree)
+    and g1 linear (0 at cap 0), since a Lie monomial of degree 1 in v is
+    linear in v.  So it vanishes for every v if it does at 0 and on a basis.
+    At any other cap it scales by a nonzero factor when a nonzero value of v
+    is scaled, so it vanishes for every v if it does at 0 and on the
+    representatives.  Widening the grid to the whole homogeneous part one
+    variable at a time, each step keeps the component vanishing.
+
+    The kernel is the direct sum of the class kernels: the evaluation rows
+    on the grid, restricted to each class's columns in turn, go into one
+    running RREF.
 
     settings.budget caps the grid points (BudgetExceeded beyond).
     """
@@ -470,7 +495,17 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     if ambient.dim == 0:
         return SubspaceBasis.zero(spec, 0)
     variables = list(ambient.variables)
-    domains = _domains(alg, variables, graded=True, points=projective_batch)
+    caps = ambient.caps()
+
+    def points(v):
+        if caps[v] > 1:
+            return projective_batch(alg, v.parity)
+        if not caps[v]:
+            return np.zeros((1, alg.dim), dtype=np.int64)
+        return basis_batch(alg, v.parity,
+                           zero=any(v not in md.variables() for md in ambient.multidegrees))
+
+    domains = _domains(alg, variables, graded=True, points=points)
     total = math.prod(d.shape[0] for d in domains)
     if total > settings.budget:
         raise BudgetExceeded(
@@ -719,9 +754,11 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
     identity space and consequence span.
 
     check_settings bounds both the soundness checks (rows evaluated) and the
-    identity spaces (grid points).  A window whose identity space needs more
-    grid points is recorded as inconclusive, with the budget message as its
-    witness.  A consequence that is not an identity raises TheoremViolation.
+    identity spaces (the points of identity_space's grid, where a variable
+    of degree <= 1 takes at most 0 and a basis of its part).  A window whose
+    identity space needs more grid points is recorded as inconclusive, with
+    the budget message as its witness.  A consequence that is not an
+    identity raises TheoremViolation.
 
     The consequence span is a subspace of the identity space once that
     containment holds, so the span stops at the identity space's dimension

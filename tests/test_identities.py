@@ -49,6 +49,7 @@ from glie.freelie import (
 from glie.identities import (
     CheckSettings,
     _sl2_orbit_representatives,
+    basis_batch,
     basis_check,
     check_identity,
     check_poly_identity,
@@ -432,12 +433,18 @@ def test_sem2_check_q7_evaluates_shared_subexpressions_once(monkeypatch):
     assert len(calls) == (6 + 4) * chunks + certification
 
 
+def default_windows_named(q, labels):
+    windows = [w for w in default_sl2_windows(q) if w.label in labels]
+    assert len(windows) == len(labels)
+    return windows
+
+
 def test_identity_space_resolves_y1_z1_to_z4_at_q7():
     """(y1:1, z1..z4:1) at q = 7 has 7 * 49^4, about 40 M, homogeneous
     assignments, too many to enumerate within the default budget, but only
-    2 * 9^4 = 13,122 grid points: basis_check resolves the window.  The
-    identity space has dimension 21, as the exhaustive path certified for
-    the same window at q = 5."""
+    1 * 2^4 = 16 grid points, since every variable is linear in the window:
+    basis_check resolves the window.  The identity space has dimension 21,
+    as the exhaustive path certified for the same window at q = 5."""
     L = sl2(FieldSpec.prime(7))
     win = window_multilinear([y(1), z(1), z(2), z(3), z(4)])
     ids = identity_space(L, win)
@@ -449,18 +456,56 @@ def test_identity_space_resolves_y1_z1_to_z4_at_q7():
 
 
 def test_identity_space_over_the_grid_budget_is_inconclusive():
-    """A budget one below the 13,122 grid points of (y1:1, z1..z4:1) at
-    q = 7 raises BudgetExceeded, and basis_check, whose soundness check of
-    [y1, y2] needs 49 assignments only, records the window as inconclusive."""
+    """(y1:1, z1:2, z2:2) at q = 7 has 1 * 9 * 9 = 81 grid points: y1 is
+    linear, and z1 and z2, of degree 2, run over 0 and the 8 lines of the odd
+    part.  A budget one below raises BudgetExceeded, and basis_check, whose
+    soundness check of [y1, y2] needs 49 assignments only, records the
+    window as inconclusive."""
     L = sl2(FieldSpec.prime(7))
-    win = window_multilinear([y(1), z(1), z(2), z(3), z(4)])
-    tight = CheckSettings(budget=2 * 9 ** 4 - 1)
-    with pytest.raises(BudgetExceeded, match="13122 grid points"):
+    win = window_exact(MultiDegree.of({y(1): 1, z(1): 2, z(2): 2}))
+    tight = CheckSettings(budget=81 - 1)
+    with pytest.raises(BudgetExceeded, match="needs 81 grid points"):
         identity_space(L, win, tight)
     report = basis_check(L, [yy()], [win], check_settings=tight)
     assert report.verdict == "inconclusive"
     assert [w.status for w in report.windows] == ["inconclusive"]
     assert "grid points" in report.windows[0].witness
+
+
+@pytest.mark.parametrize("win, points", [
+    (window_multilinear([z(i) for i in range(1, 7)]), 64),
+    (default_windows_named(7, ("(z:1,1,1)",))[0], 27),
+    (default_windows_named(7, ("(y:1,z:1,1)",))[0], 18),
+], ids=["z1-z6-multilinear", "z-1-1-1", "y-1-z-1-1"])
+def test_identity_space_grid_counts_at_q7(win, points):
+    """A variable of degree 1 in every monomial takes the basis vectors of
+    its homogeneous part (2 for z, 1 for y in sl2), and one of degree <= 1
+    also takes 0: the exact grid, whatever q, passes a budget of its size
+    and raises one below."""
+    L = sl2(FieldSpec.prime(7))
+    expected = identity_space(L, win)
+    assert identity_space(L, win, CheckSettings(budget=points)) == expected
+    with pytest.raises(BudgetExceeded, match=f"needs {points} grid points"):
+        identity_space(L, win, CheckSettings(budget=points - 1))
+
+
+# twice the tracemalloc peak of identity_space(sl2(GF(7)), (z1..z6
+# multilinear)) in a fresh process, 1.06 MB on the 64 points of its basis
+# grid; on the 531,441 points of the projective grid it was about 146 MB
+MULTILINEAR_Z6_Q7_PEAK_BYTES = 2_120_000
+
+
+def test_identity_space_multilinear_z6_q7_memory_stays_bounded():
+    L = sl2(FieldSpec.prime(7))
+    win = window_multilinear([z(i) for i in range(1, 7)])
+    tracemalloc.start()
+    try:
+        ids = identity_space(L, win)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (win.dim, ids.dim) == (120, 110)
+    assert peak <= MULTILINEAR_Z6_Q7_PEAK_BYTES
 
 
 def test_identity_space_yzz_window():
@@ -521,10 +566,19 @@ def test_projective_batch_meets_every_line_once(spec):
                 (alg.name, parity)
 
 
-def default_windows_named(q, labels):
-    windows = [w for w in default_sl2_windows(q) if w.label in labels]
-    assert len(windows) == len(labels)
-    return windows
+@pytest.mark.parametrize("spec", [GF5, GF25], ids=["q5", "q25"])
+def test_basis_batch_is_a_basis_of_each_homogeneous_part(spec):
+    """After the optional zero row, the rows are d independent vectors of
+    the degree-d part, so they span it."""
+    for make in GRID_ALGEBRAS:
+        alg = make(spec)
+        for parity in (0, 1):
+            idx = alg.homogeneous_indices(parity)
+            grid = basis_batch(alg, parity, zero=True)
+            assert len(grid) == 1 + len(idx) and not grid[0].any()
+            assert not np.delete(grid, idx, axis=1).any()
+            assert SubspaceBasis(spec, alg.dim, grid[1:]).dim == len(idx), (alg.name, parity)
+            assert np.array_equal(basis_batch(alg, parity), grid[1:])
 
 
 @pytest.mark.parametrize("alg, windows", [
@@ -538,6 +592,39 @@ def default_windows_named(q, labels):
 def test_identity_space_equals_enumeration(alg, windows):
     for win in windows:
         assert identity_space(alg, win) == enumerated_identity_space(alg, win), win.label
+
+
+# one even and one odd variable, so that enumeration stays cheap at GF(25)
+LINEAR_WINDOWS = [
+    window_exact(MultiDegree.of({y(1): 1, z(1): 2})),  # y1 of cap 1 everywhere, z1 of cap 2
+    window_box({y(1): 2, z(1): 1}),  # z1 of cap 1 but not in (y1:1), y1 of cap 2
+    window_box({y(1): 0, z(1): 1}),  # y1 of cap 0
+]
+# two odd variables, at prime q only: at GF(25) abelian(0, 1, 1, 1) has
+# 25^6, about 2.4e8, assignments of them
+ODD_LINEAR_WINDOWS = [
+    window_multilinear([y(1), z(1), z(2)]),
+    window_exact(MultiDegree.of({z(1): 2, z(2): 1})),
+    window_box({z(1): 1, z(2): 1}),
+]
+
+
+@pytest.mark.parametrize("spec", [GF5, FieldSpec.prime(7), GF25], ids=["q5", "q7", "q25"])
+def test_identity_space_on_basis_grids_equals_enumeration(spec):
+    """Variables of cap <= 1 run over basis vectors (and 0 unless they are
+    in every multidegree, or 0 alone at cap 0); identity_space must still
+    equal the enumeration of every homogeneous assignment.  That includes
+    m2-I, whose odd part is 0, so that an odd variable in every
+    multidegree has no grid point at all."""
+    algebras = [make(spec) for make in GRID_ALGEBRAS]
+    assert any(not alg.homogeneous_indices(1) for alg in algebras)
+    windows = LINEAR_WINDOWS + (ODD_LINEAR_WINDOWS if spec.k == 1 else [])
+    caps = [win.caps() for win in windows]
+    assert {c.get(y(1)) for c in caps} >= {0, 1, 2} and {c[z(1)] for c in caps} >= {1, 2}
+    for alg in algebras:
+        for win in windows:
+            assert identity_space(alg, win) == enumerated_identity_space(alg, win), \
+                (alg.name, win.label)
 
 
 def test_identity_space_vectors_hold_exhaustively():
