@@ -4,6 +4,11 @@ Built-in constructors cover the algebras the verification suites need:
 sl2 and gl2 with the diagonal/off-diagonal grading, the three Z2-gradings
 of M2 viewed as a Lie algebra, the two-dimensional span{e11, e12}, the
 Heisenberg algebra, abelian algebras and direct sums.
+
+Structure constants and coordinates come in through linalg's input edge,
+as code arrays (the int rule is stated in fields).  The scalar bracket,
+AlgebraElement and validate's Jacobi check keep FieldElement arithmetic, a
+reference that shares none with the batched bracket.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import AmbientMismatch, SpecError
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
-from .linalg import MatrixGF, SubspaceBasis, row_pairs, rref_codes
+from .linalg import MatrixGF, SubspaceBasis, _as_codes, row_pairs, rref_codes
 
 _AD_BLOCK = 2048  # distinct bases, or rows, per block of ad matrices
 _MAX_KEY = 1 << 62  # element codes up to this serve as int64 keys of rows
@@ -61,32 +66,34 @@ def _code_matmul(bf, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GradedLieAlgebra:
     """Lie algebra with a Z2 degree on each basis vector.
 
-    constants[i][j] is the coordinate vector of [b_i, b_j].  Instances are
-    immutable after construction.
+    constants is a read-only int64 array of element codes, of shape
+    (dim, dim, dim): constants[i, j] is the coordinate vector of [b_i, b_j].
+    The constructor takes any nested (dim, dim, dim) sequence of codes or
+    FieldElements, an array included, and raises AmbientMismatch on any
+    other shape.  Instances are immutable after construction.
     """
 
     def __init__(self, spec: FieldSpec, degrees, constants, name: str = "L"):
         self.spec = spec
-        self.dim = len(degrees)
+        self.dim = n = len(degrees)
         self.degrees = tuple(int(d) % 2 for d in degrees)
-        self.constants = tuple(
-            tuple(tuple(self._as_el(x) for x in vec) for vec in row)
-            for row in constants
-        )
+        try:
+            regular = np.shape(constants) == (n, n, n)
+        except ValueError:  # a ragged sequence
+            regular = False
+        if not regular:
+            raise AmbientMismatch(f"structure constants are not {n} x {n} x {n}")
+        rows = [vec for row in constants for vec in row]
+        self.constants = _as_codes(spec, rows, n).reshape(n, n, n)
+        self.constants.flags.writeable = False
         self.name = name
-
-    def _as_el(self, x) -> FieldElement:
-        if isinstance(x, FieldElement):
-            return x
-        return self.spec.from_int(int(x))
 
     # -- elements -------------------------------------------------------------
 
     def element(self, coeffs) -> "AlgebraElement":
-        vec = tuple(self._as_el(x) for x in coeffs)
-        if len(vec) != self.dim:
-            raise AmbientMismatch(f"need {self.dim} coordinates")
-        return AlgebraElement(self, vec)
+        """The element with these coordinates: FieldElements or codes."""
+        codes = _as_codes(self.spec, [coeffs], self.dim)[0]
+        return AlgebraElement(self, tuple(map(self.spec.from_code, codes.tolist())))
 
     def zero_element(self) -> "AlgebraElement":
         return self.element([0] * self.dim)
@@ -103,6 +110,7 @@ class GradedLieAlgebra:
         if a.parent is not self or b.parent is not self:
             raise AmbientMismatch("bracket arguments from different algebras")
         out = [self.spec.zero()] * self.dim
+        constants = self.constants.tolist()
         for i, ai in enumerate(a.coeffs):
             if ai.is_zero():
                 continue
@@ -110,9 +118,9 @@ class GradedLieAlgebra:
                 if bj.is_zero():
                     continue
                 c = ai * bj
-                for k, s in enumerate(self.constants[i][j]):
-                    if not s.is_zero():
-                        out[k] = out[k] + c * s
+                for k, s in enumerate(constants[i][j]):
+                    if s:
+                        out[k] = out[k] + c * self.spec.from_code(s)
         return AlgebraElement(self, tuple(out))
 
     # -- batched evaluation support --------------------------------------------
@@ -122,22 +130,18 @@ class GradedLieAlgebra:
         """_bracket_terms as (i, j, ((k, code), ...), paired).  Where c_ji =
         -c_ij holds exactly, (j, i) is folded into (i, j) with paired True:
         the product is then u_i v_j - u_j v_i."""
-        terms = {(i, j): nonzero for i, j, nonzero in self._bracket_terms}
-        paired = {(i, j) for (i, j), nonzero in terms.items() if i < j and terms.get((j, i))
-                  == tuple((k, (-self.spec.from_code(s)).code) for k, s in nonzero)}
+        opposite = batch_field(self.spec).neg(self.constants.swapaxes(0, 1))
+        paired = {(i, j) for i, j, _ in self._bracket_terms
+                  if i < j and np.array_equal(self.constants[i, j], opposite[i, j])}
         return tuple((i, j, nonzero, (i, j) in paired)
-                     for (i, j), nonzero in terms.items() if (j, i) not in paired)
+                     for i, j, nonzero in self._bracket_terms if (j, i) not in paired)
 
     @cached_property
     def _bracket_terms(self):
         """Nonzero structure constants grouped by (i, j): (i, j, ((k, code), ...))."""
-        terms = []
-        for i, row in enumerate(self.constants):
-            for j, cij in enumerate(row):
-                nonzero = tuple((k, s.code) for k, s in enumerate(cij) if not s.is_zero())
-                if nonzero:
-                    terms.append((i, j, nonzero))
-        return tuple(terms)
+        return tuple((i, j, tuple((k, s) for k, s in enumerate(cij) if s))
+                     for i, row in enumerate(self.constants.tolist())
+                     for j, cij in enumerate(row) if any(cij))
 
     def batch_bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Bracket of element-code arrays of shape (N, dim).
@@ -225,21 +229,15 @@ class GradedLieAlgebra:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> "ValidationReport":
-        checks = []
+        c, checks = self.constants, []
+        # c_ij + c_ji, which is 2 c_ii on the diagonal
+        sums = batch_field(self.spec).add(c, c.swapaxes(0, 1))
+        asymmetric = np.argwhere(np.triu(sums.any(axis=2)))
         witness = None
-        ok = True
-        for i in range(self.dim):
-            if any(not x.is_zero() for x in self.constants[i][i]):
-                ok, witness = False, f"[b{i},b{i}] != 0"
-                break
-            for j in range(i + 1, self.dim):
-                if any(not (a + b).is_zero()
-                       for a, b in zip(self.constants[i][j], self.constants[j][i])):
-                    ok, witness = False, f"[b{i},b{j}] != -[b{j},b{i}]"
-                    break
-            if not ok:
-                break
-        checks.append(("anticommutativity", ok, witness))
+        if len(asymmetric):
+            i, j = asymmetric[0]
+            witness = f"[b{i},b{i}] != 0" if i == j else f"[b{i},b{j}] != -[b{j},b{i}]"
+        checks.append(("anticommutativity", witness is None, witness))
 
         ok, witness = True, None
         for i, j, k in itertools.combinations(range(self.dim), 3):
@@ -252,20 +250,15 @@ class GradedLieAlgebra:
                 break
         checks.append(("jacobi", ok, witness))
 
-        ok, witness = True, None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                target = (self.degrees[i] + self.degrees[j]) % 2
-                for k, x in enumerate(self.constants[i][j]):
-                    if not x.is_zero() and self.degrees[k] != target:
-                        ok = False
-                        witness = f"[b{i},b{j}] has a degree-{self.degrees[k]} component, expected {target}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        checks.append(("grading", ok, witness))
+        degrees = np.array(self.degrees)
+        target = (degrees[:, None] + degrees) % 2
+        misplaced = np.argwhere((c != 0) & (degrees != target[:, :, None]))
+        witness = None
+        if len(misplaced):
+            i, j, k = misplaced[0]
+            witness = (f"[b{i},b{j}] has a degree-{self.degrees[k]} component, "
+                       f"expected {target[i, j]}")
+        checks.append(("grading", witness is None, witness))
         return ValidationReport(tuple(checks))
 
     def __repr__(self):
@@ -286,8 +279,8 @@ class AlgebraElement:
         return AlgebraElement(self.parent, tuple(-a for a in self.coeffs))
 
     def scale(self, c) -> "AlgebraElement":
-        c = self.parent._as_el(c)
-        return AlgebraElement(self.parent, tuple(c * a for a in self.coeffs))
+        """c times the element; an int c is c * 1 (see fields)."""
+        return AlgebraElement(self.parent, tuple(a * c for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.coeffs)
@@ -353,10 +346,7 @@ def algebra_in_basis(spec: FieldSpec, basis: np.ndarray, brackets: np.ndarray,
     where row i * n + j of brackets is [b_i, b_j] in the ambient
     coordinates."""
     n = len(basis)
-    elements = spec.elements()
-    coords = _solve_in_span(spec, basis, brackets).tolist()
-    constants = [[tuple(elements[c] for c in coords[i * n + j]) for j in range(n)]
-                 for i in range(n)]
+    constants = _solve_in_span(spec, basis, brackets).reshape(n, n, n)
     return GradedLieAlgebra(spec, degrees, constants, name)
 
 
@@ -415,12 +405,11 @@ def m2_grading_iii(spec: FieldSpec, bprime: FieldElement | None = None) -> Grade
         bprime = find_nonsquare(spec)
     if bprime.is_square():
         raise ValueError(f"b' = {bprime} is a square; grading III needs a non-square")
-    one = spec.one()
     basis = [
-        (one, spec.zero(), spec.zero(), one),           # identity matrix
-        (spec.zero(), one, bprime, spec.zero()),        # e12 + b' e21
-        (one, spec.zero(), spec.zero(), -one),          # e11 - e22
-        (spec.zero(), one, -bprime, spec.zero()),       # e12 - b' e21
+        (1, 0, 0, 1),           # identity matrix
+        (0, 1, bprime, 0),      # e12 + b' e21
+        (1, 0, 0, -1),          # e11 - e22
+        (0, 1, -bprime, 0),     # e12 - b' e21
     ]
     return algebra_from_matrix_basis(spec, basis, (0, 0, 1, 1), f"m2-III(b'={bprime})")
 
@@ -451,29 +440,25 @@ def heisenberg(spec: FieldSpec) -> GradedLieAlgebra:
 
 def abelian(spec: FieldSpec, degrees) -> GradedLieAlgebra:
     n = len(degrees)
-    zero_row = [[0] * n for _ in range(n)]
-    constants = [[tuple(v) for v in zero_row] for _ in range(n)]
-    return GradedLieAlgebra(spec, tuple(degrees), constants, f"abelian{tuple(degrees)}")
+    return GradedLieAlgebra(spec, tuple(degrees), np.zeros((n, n, n), dtype=np.int64),
+                            f"abelian{tuple(degrees)}")
 
 
 def direct_sum(parts) -> GradedLieAlgebra:
+    """The parts side by side: block-diagonal structure constants."""
     parts = list(parts)
     spec = parts[0].spec
     if any(p.spec != spec for p in parts):
         raise AmbientMismatch("direct sum over mixed fields")
     n = sum(p.dim for p in parts)
-    degrees = tuple(d for p in parts for d in p.degrees)
-    zero = spec.zero()
-    constants = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    constants = np.zeros((n, n, n), dtype=np.int64)
     off = 0
     for p in parts:
-        for i in range(p.dim):
-            for j in range(p.dim):
-                for k in range(p.dim):
-                    constants[off + i][off + j][off + k] = p.constants[i][j][k]
+        block = slice(off, off + p.dim)
+        constants[block, block, block] = p.constants
         off += p.dim
-    name = " (+) ".join(p.name for p in parts)
-    return GradedLieAlgebra(spec, degrees, [[tuple(v) for v in row] for row in constants], name)
+    degrees = tuple(d for p in parts for d in p.degrees)
+    return GradedLieAlgebra(spec, degrees, constants, " (+) ".join(p.name for p in parts))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,18 @@ order used by find_nonsquare and by all exhaustive searches.
 
 Scalar arithmetic lives on FieldElement (operator overloading).  Hot loops
 use BatchField, which works on numpy arrays of codes: direct mod-p ops for
-prime fields, precomputed lookup tables for extensions.  Linear algebra and
-the gradings layer hold code arrays only: linalg converts FieldElement
-vectors to codes once, where they come in, and never converts back.
+prime fields, precomputed lookup tables for extensions.  Linear algebra,
+structure constants and the gradings layer hold code arrays only: linalg
+converts FieldElement vectors to codes once, where they come in, and never
+converts back.
+
+One rule reads an int everywhere.  An int given as a coordinate or a
+coefficient is an element code (and -c is minus the element of code c): a
+vector, a matrix entry, a structure constant, an element of an algebra, the
+coefficient of a monomial.  An int that multiplies something is n * 1, its
+image in the prime subfield: a Scale or AdPolyDiff coefficient, a word-table
+entry, AlgebraElement.scale, FieldElement arithmetic.  The two agree on prime
+fields only: in GF(25), code 7 is not 7 * 1, which is code 2.
 """
 
 from __future__ import annotations

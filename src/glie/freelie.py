@@ -21,7 +21,7 @@ identities of sl2 over GF(q) into well-formed Lie elements.
 
 One walker, _interpret, gives expressions their meaning.  It runs over a
 backend of four operations (zero, add, scale, ad_powers) plus the value of a
-variable, and there are four backends:
+variable, and there are five backends:
 
     scalar        AlgebraElement arithmetic, repeated alg.bracket (evaluate)
     batch         BatchField code arrays and alg.batch_ad_powers (batch_evaluate)
@@ -30,6 +30,7 @@ variable, and there are four backends:
                   (TruncatedLieAlgebra.evaluate)
     free algebra  dicts from words to coefficients, repeated commutators
                   (assoc_expand, expr_expand, poly_bracket)
+    residue sets  sets of degrees mod q - 1 of one variable (degree_residues)
 
 The scalar backend is not a batch of one: counterexample re-evaluation in
 identities and the tests use it as a reference that shares no arithmetic
@@ -60,7 +61,7 @@ from .errors import (
     ParityError,
 )
 from .fields import FieldElement, FieldSpec, batch_field
-from .linalg import matmul_codes, row_keys, row_pairs
+from .linalg import _as_codes, matmul_codes, row_keys, row_pairs
 
 NORMALIZE_TOTAL_CAP = 16
 
@@ -240,10 +241,11 @@ class LiePolynomial:
 
     @classmethod
     def monomial(cls, spec: FieldSpec, word: Word, coeff=1) -> "LiePolynomial":
-        c = coeff if isinstance(coeff, FieldElement) else spec.from_int(coeff)
+        """coeff times the Lyndon monomial of word: a FieldElement or a code."""
         if not is_lyndon(word):
             raise NotALieElement(f"{word} is not a Lyndon word")
-        return cls.from_dict(spec, {word: c})
+        (code,) = _as_codes(spec, [[coeff]])[0]
+        return cls.from_dict(spec, {word: spec.from_code(int(code))})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -477,7 +477,7 @@ def remark_boboc(spec: FieldSpec) -> BobocReport:
 
     def both_sides(b: FieldElement):
         xmat = parent.element((1, 0, 0, -1))
-        s = parent.element((spec.zero(), spec.one(), b, spec.zero()))
+        s = parent.element((0, 1, b, 0))
         lhs = parent.bracket(xmat, s)
         val = xmat
         for _ in range(q):

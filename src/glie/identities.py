@@ -209,12 +209,11 @@ def projective_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def basis_batch(alg: GradedLieAlgebra, degree: int, zero: bool = False) -> np.ndarray:
-    """The basis vectors of the degree-d part as unit code rows, after the
-    zero vector if zero is set."""
+def basis_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
+    """The basis vectors of the degree-d part as unit code rows."""
     idx = alg.homogeneous_indices(degree)
-    out = np.zeros((zero + len(idx), alg.dim), dtype=np.int64)
-    out[np.arange(zero, zero + len(idx)), idx] = 1
+    out = np.zeros((len(idx), alg.dim), dtype=np.int64)
+    out[np.arange(len(idx)), idx] = 1
     return out
 
 
@@ -280,7 +279,7 @@ def _sl2_orbit_representatives(alg: GradedLieAlgebra) -> np.ndarray | None:
     det g != 0 and g R = x g.
     """
     spec = alg.spec
-    if alg.constants != sl2(spec).constants:
+    if not np.array_equal(alg.constants, sl2(spec).constants):
         return None
     bf = batch_field(spec)
     reps = _orbit_representatives(spec)
@@ -344,7 +343,7 @@ def _witness(alg: GradedLieAlgebra, codes: dict, pairs) -> dict:
     for v, row in codes.items():
         parts = zip(pairs[v], (row * ~odd, row * odd)) if v in pairs else [(v, row)]
         for u, part in parts:
-            out[u] = alg.element([alg.spec.from_code(int(c)) for c in part])
+            out[u] = alg.element(part)
     return out
 
 
@@ -470,18 +469,18 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     A class component vanishes everywhere if and only if it vanishes on a
     grid: a product of one set of points per variable v, chosen from v's cap
     in the window (its largest degree in a monomial):
-    - cap 1, with v in every multidegree: the basis vectors of v's
-      homogeneous part (basis_batch);
-    - cap 1, with v missing from some multidegree: 0 and those basis vectors;
-    - cap 0, so that no monomial uses v: 0 alone;
+    - cap 1: the basis vectors of v's homogeneous part (basis_batch);
+    - cap 0, so that no monomial uses v, or a homogeneous part of
+      dimension 0: 0 alone;
     - any other cap: 0 and one representative of each line through 0
       (projective_batch).
-    Fix every variable but v.  At cap <= 1 the class component is g0 + g1(v)
-    as a function of v, with g0 constant (0 when v is in every multidegree)
-    and g1 linear (0 at cap 0), since a Lie monomial of degree 1 in v is
-    linear in v.  So it vanishes for every v if it does at 0 and on a basis.
-    At any other cap it scales by a nonzero factor when a nonzero value of v
-    is scaled, so it vanishes for every v if it does at 0 and on the
+    Fix every variable but v.  At cap <= 1 each monomial has degree 0 or 1
+    in v, and as q >= 5 these lie in different classes mod q - 1.  So a
+    class component is either constant in v, or linear in v, since a Lie
+    monomial of degree 1 in v is linear in v.  Either way it vanishes for
+    every v if it does on a basis, or at 0 when the part is 0.  At any
+    other cap it scales by a nonzero factor when a nonzero value of v is
+    scaled, so it vanishes for every v if it does at 0 and on the
     representatives.  Widening the grid to the whole homogeneous part one
     variable at a time, each step keeps the component vanishing.
 
@@ -500,10 +499,9 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     def points(v):
         if caps[v] > 1:
             return projective_batch(alg, v.parity)
-        if not caps[v]:
-            return np.zeros((1, alg.dim), dtype=np.int64)
-        return basis_batch(alg, v.parity,
-                           zero=any(v not in md.variables() for md in ambient.multidegrees))
+        if caps[v] and alg.homogeneous_indices(v.parity):
+            return basis_batch(alg, v.parity)
+        return np.zeros((1, alg.dim), dtype=np.int64)
 
     domains = _domains(alg, variables, graded=True, points=points)
     total = math.prod(d.shape[0] for d in domains)

@@ -5,8 +5,10 @@ rref_codes, a Gauss-Jordan pass through BatchField, reduces one matrix;
 rref_stack runs the same pass over a stack of equally shaped matrices at
 once, for the many small eliminations of the gradings layer.  SubspaceBasis
 and MatrixGF hold read-only code arrays.  Vectors of FieldElements or ints
-are converted to codes once, at the input edge (SubspaceBasis.from_vectors,
-MatrixGF.from_rows, SubspaceBasis.contains).
+are converted to codes once, at the input edge (_as_codes, behind
+SubspaceBasis.from_vectors, MatrixGF.from_rows, SubspaceBasis.contains and
+the algebra layer); an int there is an element code, by the rule stated in
+fields.
 Subspaces are always kept in reduced row echelon form, so two spans are equal
 exactly when their row arrays are equal.  Everything here is immutable after
 construction and safe to share.

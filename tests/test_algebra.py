@@ -19,6 +19,7 @@ from glie.algebra import (
     span_e11_e12,
 )
 from glie.fields import FieldSpec, find_nonsquare
+from glie.linalg import MatrixGF
 
 GF5 = FieldSpec.prime(5)
 GF7 = FieldSpec.prime(7)
@@ -74,6 +75,56 @@ def test_all_constructors_validate(spec):
         assert alg.validate().ok, alg.name
 
 
+ALL_CONSTRUCTORS = {
+    "sl2": sl2, "gl2": gl2, "m2_i": m2_grading_i, "m2_ii": m2_grading_ii,
+    "m2_iii": m2_grading_iii, "span_e11_e12": span_e11_e12, "heisenberg": heisenberg,
+    "abelian": lambda spec: abelian(spec, (0, 1, 1)),
+    "sl2+heisenberg": lambda spec: direct_sum([sl2(spec), heisenberg(spec)]),
+}
+
+
+@pytest.mark.parametrize("spec", [GF5, GF7, GF25], ids=lambda s: f"GF{s.q}")
+def test_constants_are_one_read_only_code_array(spec):
+    for name, make in ALL_CONSTRUCTORS.items():
+        L = make(spec)
+        c = L.constants
+        assert isinstance(c, np.ndarray) and c.dtype == np.int64, name
+        assert c.shape == (L.dim,) * 3 and not c.flags.writeable, name
+        assert ((0 <= c) & (c < spec.q)).all(), name
+
+
+def test_direct_sum_constants_are_block_diagonal():
+    a, b = sl2(GF7), heisenberg(GF7)
+    c = direct_sum([a, b]).constants
+    assert np.array_equal(c[:3, :3, :3], a.constants)
+    assert np.array_equal(c[3:, 3:, 3:], b.constants)
+    c = c.copy()
+    c[:3, :3, :3] = c[3:, 3:, 3:] = 0
+    assert not c.any()
+
+
+@pytest.mark.parametrize("constants", [
+    [[(0, 0)]],
+    [[(0, 0), (0, 1)], [(0, -1)]],
+    [[(0, 0), (0, 1)], [(0, -1), (0, 0, 0)]],
+    [[0, 0], [0, 0]],
+    np.zeros((2, 2, 3), dtype=np.int64),
+], ids=["one-entry", "ragged-row", "long-vector", "no-vectors", "wrong-array"])
+def test_malformed_constants_rejected_at_construction(constants):
+    with pytest.raises(AmbientMismatch):
+        GradedLieAlgebra(GF5, (0, 1), constants)
+
+
+def test_int_coordinates_are_codes_and_int_multipliers_are_multiples_of_one():
+    """At GF(25) the int 7 is code 7 as a coordinate, as in linalg, and
+    7 * 1 = 2 * 1, code 2, as a multiplier."""
+    L = sl2(GF25)
+    assert L.element([0, 7, 0]).codes().tolist() == [0, 7, 0]
+    assert MatrixGF.from_rows(GF25, [[0, 7, 0]]).entries[0].tolist() == [0, 7, 0]
+    assert L.element([0, 7, 0]) == L.element([GF25.zero(), GF25.from_code(7), GF25.zero()])
+    assert L.basis_element(1).scale(7).codes().tolist() == [0, 2, 0]
+
+
 def test_validate_catches_bad_grading():
     # sl2 with degrees (0,1,0) on (h,e,f): [h,f] = -2f is odd output from
     # even-labeled inputs
@@ -122,11 +173,8 @@ def test_bracket_parent_mismatch():
 def test_batch_bracket_matches_scalar():
     import numpy as np
 
-    constructors = (sl2, gl2, m2_grading_i, m2_grading_ii, m2_grading_iii, span_e11_e12,
-                    heisenberg, lambda spec: abelian(spec, (0, 1, 1)),
-                    lambda spec: direct_sum([sl2(spec), heisenberg(spec)]))
     for spec in (GF5, GF7, GF25):
-        for make in constructors:
+        for make in ALL_CONSTRUCTORS.values():
             L = make(spec)
             rng = random.Random(3)
             pairs = [(random_element(L, rng), random_element(L, rng)) for _ in range(30)]

@@ -362,6 +362,14 @@ def test_poly_to_expr_carries_extension_field_scalars():
     assert expr_expand(poly_to_expr(poly), gf25) == poly
 
 
+def test_monomial_reads_an_int_coefficient_as_a_code():
+    """At GF(25) the int 7 is code 7, not 7 * 1 (code 2)."""
+    gf25 = FieldSpec.extension(5, 2)
+    poly = LiePolynomial.monomial(gf25, (y(1), z(1)), 7)
+    assert [c.code for _, c in poly.terms] == [7]
+    assert poly == LiePolynomial.monomial(gf25, (y(1), z(1)), gf25.from_code(7))
+
+
 # -- substitution ------------------------------------------------------------------
 
 

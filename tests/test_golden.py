@@ -483,7 +483,7 @@ FROZEN_ALGEBRAS = {"sl2": sl2, "gl2": gl2, "m2_grading_iii": m2_grading_iii}
 
 
 def constants_json(alg):
-    return [[[x.code for x in v] for v in row] for row in alg.constants]
+    return alg.constants.tolist()
 
 
 def test_frozen_subspaces_cover_the_cases():

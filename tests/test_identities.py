@@ -474,14 +474,14 @@ def test_identity_space_over_the_grid_budget_is_inconclusive():
 
 @pytest.mark.parametrize("win, points", [
     (window_multilinear([z(i) for i in range(1, 7)]), 64),
-    (default_windows_named(7, ("(z:1,1,1)",))[0], 27),
-    (default_windows_named(7, ("(y:1,z:1,1)",))[0], 18),
+    (default_windows_named(7, ("(z:1,1,1)",))[0], 8),
+    (default_windows_named(7, ("(y:1,z:1,1)",))[0], 4),
 ], ids=["z1-z6-multilinear", "z-1-1-1", "y-1-z-1-1"])
 def test_identity_space_grid_counts_at_q7(win, points):
-    """A variable of degree 1 in every monomial takes the basis vectors of
-    its homogeneous part (2 for z, 1 for y in sl2), and one of degree <= 1
-    also takes 0: the exact grid, whatever q, passes a budget of its size
-    and raises one below."""
+    """A variable of cap 1 takes the basis vectors of its homogeneous part
+    (2 for z, 1 for y in sl2), whether or not every monomial holds it: the
+    exact grid, whatever q, passes a budget of its size and raises one
+    below."""
     L = sl2(FieldSpec.prime(7))
     expected = identity_space(L, win)
     assert identity_space(L, win, CheckSettings(budget=points)) == expected
@@ -517,6 +517,16 @@ def test_identity_space_yzz_window():
     # spanned by [[z1,z2],y1] = -[y1,[z1,z2]]; the Lyndon word is y1 z1 z2
     member = LiePolynomial.monomial(GF5, (y(1), z(1), z(2)))
     assert ids.contains(coords_of(win, member))
+    assert ids == brute_force_identity_space(L, win)
+
+
+def test_identity_space_empty_odd_part_matches_brute_force():
+    """m2-I has no odd part, so z1 of cap 1 takes 0 alone, and every
+    polynomial that holds z1 is an identity: y1 is the one that is not."""
+    L = m2_grading_i(GF5)
+    win = window_box({y(1): 1, z(1): 1})
+    ids = identity_space(L, win)
+    assert (win.dim, ids.dim) == (3, 2)
     assert ids == brute_force_identity_space(L, win)
 
 
@@ -568,17 +578,16 @@ def test_projective_batch_meets_every_line_once(spec):
 
 @pytest.mark.parametrize("spec", [GF5, GF25], ids=["q5", "q25"])
 def test_basis_batch_is_a_basis_of_each_homogeneous_part(spec):
-    """After the optional zero row, the rows are d independent vectors of
-    the degree-d part, so they span it."""
+    """The rows are d independent vectors of the degree-d part, so they
+    span it."""
     for make in GRID_ALGEBRAS:
         alg = make(spec)
         for parity in (0, 1):
             idx = alg.homogeneous_indices(parity)
-            grid = basis_batch(alg, parity, zero=True)
-            assert len(grid) == 1 + len(idx) and not grid[0].any()
+            grid = basis_batch(alg, parity)
+            assert len(grid) == len(idx)
             assert not np.delete(grid, idx, axis=1).any()
-            assert SubspaceBasis(spec, alg.dim, grid[1:]).dim == len(idx), (alg.name, parity)
-            assert np.array_equal(basis_batch(alg, parity), grid[1:])
+            assert SubspaceBasis(spec, alg.dim, grid).dim == len(idx), (alg.name, parity)
 
 
 @pytest.mark.parametrize("alg, windows", [
@@ -611,11 +620,10 @@ ODD_LINEAR_WINDOWS = [
 
 @pytest.mark.parametrize("spec", [GF5, FieldSpec.prime(7), GF25], ids=["q5", "q7", "q25"])
 def test_identity_space_on_basis_grids_equals_enumeration(spec):
-    """Variables of cap <= 1 run over basis vectors (and 0 unless they are
-    in every multidegree, or 0 alone at cap 0); identity_space must still
-    equal the enumeration of every homogeneous assignment.  That includes
-    m2-I, whose odd part is 0, so that an odd variable in every
-    multidegree has no grid point at all."""
+    """Variables of cap 1 run over basis vectors, and those of cap 0 over 0
+    alone; identity_space must still equal the enumeration of every
+    homogeneous assignment.  That includes m2-I, whose odd part is 0, so
+    that its odd variables take 0 alone."""
     algebras = [make(spec) for make in GRID_ALGEBRAS]
     assert any(not alg.homogeneous_indices(1) for alg in algebras)
     windows = LINEAR_WINDOWS + (ODD_LINEAR_WINDOWS if spec.k == 1 else [])
