@@ -314,35 +314,58 @@ def lyndon_decompose(spec: FieldSpec, ncpoly: dict) -> LiePolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _expr_node(cls):
+    """cls as a frozen dataclass that keeps its hash after the first use.
+    The generated hash walks the node's whole subtree, and expressions share
+    subtrees, so each walk would hash them again.  String hashes are salted
+    per process, so the kept hash is left out of pickles and copies."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = fields_hash(self)
+            return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_expr_node
 class Var:
     var: Variable
 
 
-@dataclass(frozen=True)
+@_expr_node
 class Sum:
     terms: tuple  # tuple[LieExpr]
 
 
-@dataclass(frozen=True)
+@_expr_node
 class Scale:
     coeff: int | FieldElement  # an int n stands for n * 1
     expr: "LieExpr"
 
 
-@dataclass(frozen=True)
+@_expr_node
 class AdPower:
     base: "LieExpr"
     exponent: int
 
 
-@dataclass(frozen=True)
+@_expr_node
 class AdPolyDiff:
     base: "LieExpr"
     terms: tuple  # tuple[(int coeff, int exponent)], exponents >= 1
 
 
-@dataclass(frozen=True)
+@_expr_node
 class BracketChain:
     head: "LieExpr"
     slots: tuple  # tuple[AdPower | AdPolyDiff]

@@ -14,6 +14,7 @@ exactly, the consequence span is a lower bound, so "strict-inclusion" means
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -44,7 +45,7 @@ from .freelie import (
     y,
     z,
 )
-from .linalg import MatrixGF, SubspaceBasis, kernel_codes, matmul_codes, rref_codes
+from .linalg import MatrixGF, SubspaceBasis, kernel_codes, matmul_codes, row_pairs, rref_codes
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +219,32 @@ def basis_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
 
 
 def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=None, pairs=()):
-    """One array of candidate values per variable: points(v), by default
-    the whole homogeneous part of v's parity, in graded mode; the whole
-    algebra otherwise and for a variable of pairs, which stands for the sum
-    of an even and an odd variable."""
+    """One joint domain per variable (see _assignment_slice): points(v), by
+    default the whole homogeneous part of v's parity, in graded mode; the
+    whole algebra otherwise and for a variable of pairs, which stands for the
+    sum of an even and an odd variable."""
     domains = []
     for v in variables:
         if graded and v not in pairs:
             if v.parity is None:
                 raise ParityError(f"{v} has no parity; graded mode forbids x variables")
-            domains.append(points(v) if points else homogeneous_batch(alg, v.parity))
+            domains.append({v: points(v) if points else homogeneous_batch(alg, v.parity)})
         else:
-            domains.append(_code_grid(alg, range(alg.dim)))
+            domains.append({v: _code_grid(alg, range(alg.dim))})
     return domains
 
 
-def _assignment_slice(variables, domains, start: int, stop: int):
-    """Assignments number start..stop-1 of the cartesian product, with the
-    first variable slowest (itertools.product order)."""
-    sizes = [d.shape[0] for d in domains]
+def _domain_size(domain: dict) -> int:
+    """The number of rows of a joint domain."""
+    return len(next(iter(domain.values())))
+
+
+def _assignment_slice(domains, start: int, stop: int) -> dict:
+    """Assignments number start..stop-1 of the cartesian product of the
+    joint domains, the first slowest (itertools.product order).  A joint
+    domain maps each of its variables to an array of code rows, all of one
+    length: its row i assigns row i of each array."""
+    sizes = [_domain_size(d) for d in domains]
     strides = []
     acc = 1
     for s in reversed(sizes):
@@ -245,14 +253,22 @@ def _assignment_slice(variables, domains, start: int, stop: int):
     strides.reverse()
     idx = np.arange(start, stop)
     assignment = {}
-    for v, dom, stride, size in zip(variables, domains, strides, sizes):
-        assignment[v] = dom[(idx // stride) % size]
+    for dom, stride, size in zip(domains, strides, sizes):
+        pick = (idx // stride) % size
+        for v, rows in dom.items():
+            assignment[v] = rows[pick]
     return assignment
 
 
 # ---------------------------------------------------------------------------
 # orbits of sl2 under conjugation
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _sl2_constants(spec: FieldSpec) -> np.ndarray:
+    """The structure constants of sl2(spec), a read-only code array."""
+    return sl2(spec).constants
 
 
 def _orbit_representatives(spec: FieldSpec) -> np.ndarray:
@@ -279,7 +295,7 @@ def _sl2_orbit_representatives(alg: GradedLieAlgebra) -> np.ndarray | None:
     det g != 0 and g R = x g.
     """
     spec = alg.spec
-    if not np.array_equal(alg.constants, sl2(spec).constants):
+    if not np.array_equal(alg.constants, _sl2_constants(spec)):
         return None
     bf = batch_field(spec)
     reps = _orbit_representatives(spec)
@@ -304,6 +320,105 @@ def _sl2_orbit_representatives(alg: GradedLieAlgebra) -> np.ndarray | None:
         bad = xs[np.argmin(ok)].tolist()
         raise TheoremViolation(f"sl2 element {bad} is conjugate to no orbit representative")
     return reps
+
+
+def _centralizer_maps(spec: FieldSpec, rs: np.ndarray):
+    """The centralizer C(r) in GL2(F) of each nonzero r of sl2, modulo
+    scalars.  rs holds the 2x2 matrices r as (n, 4) code rows; returns the
+    maps as (m, 4) code rows and, for each, the index of its r in rs.
+
+    r is no scalar, so C(r) = F[r]^x, the invertible aI + br: modulo
+    scalars, I and the sI + r with det(sI + r) = s^2 + det r != 0, at most
+    q + 1 maps per r."""
+    bf = batch_field(spec)
+    scalars = np.outer(np.arange(spec.q), [1, 0, 0, 1])  # sI for every s in F
+    maps = np.concatenate([np.broadcast_to([1, 0, 0, 1], (len(rs), 1, 4)),
+                           bf.add(scalars, rs[:, None])], axis=1)
+    det = bf.sub(bf.mul(maps[..., 0], maps[..., 3]), bf.mul(maps[..., 1], maps[..., 2]))
+    owners, kept = np.nonzero(det)
+    return maps[owners, kept], owners
+
+
+_PAIR_CELLS = 1 << 14  # image coordinates computed at once by _orbit_pairs
+
+
+def _orbit_pairs(alg: GradedLieAlgebra, reps: np.ndarray):
+    """One pair (r, s) per orbit of GL2(F), acting by conjugation, on pairs
+    of elements of sl2, with r from the certified table reps: two (N, 3)
+    code arrays, by row of reps, then by the code of s.
+
+    (r, s) and (r, s') share an orbit exactly when s' = g s g^-1 for some g
+    in the stabilizer of r, its centralizer C(r).  For r = 0 that is GL2,
+    whose orbits reps represents.  For a nonzero r, s is replaced by the
+    least code among its images under the maps of _centralizer_maps, C(r)
+    modulo the scalars, which act trivially: one element per orbit.  This
+    raises TheoremViolation unless each map g commutes with r and has an
+    inverse, so that the pairs cover every pair of sl2 whatever the maps
+    are.  The images are computed at most _PAIR_CELLS coordinates at a
+    time."""
+    spec = alg.spec
+    bf = batch_field(spec)
+    q = spec.q
+    codes = np.arange(q)
+    xs = _code_grid(alg, range(3))
+    basis = MatrixGF.from_rows(spec, SL2_BASIS).entries
+    seen = np.zeros((len(reps), q ** 3), dtype=bool)
+    zero = ~reps.any(axis=1)
+    seen[np.flatnonzero(zero)[:, None], reps @ q ** np.arange(3)] = True  # GL2 = C(0)
+    nonzero = np.flatnonzero(~zero)
+    rs = matmul_codes(spec, reps[nonzero], basis)
+    maps, owners = _centralizer_maps(spec, rs)
+    r = rs[owners]
+    inverse = bf.mul(np.stack([maps[:, 3], bf.neg(maps[:, 1]), bf.neg(maps[:, 2]), maps[:, 0]],
+                              axis=1),
+                     bf.inv(bf.sub(bf.mul(maps[:, 0], maps[:, 3]),
+                                   bf.mul(maps[:, 1], maps[:, 2])))[:, None])
+    ok = ((_m2_mult(spec, maps, inverse) == [1, 0, 0, 1]).all(axis=1)
+          & (_m2_mult(spec, maps, r) == _m2_mult(spec, r, maps)).all(axis=1))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise TheoremViolation(
+            f"centralizer map {maps[i].tolist()} of {r[i].tolist()} is singular or moves it")
+    # conj[j, i]: the (h, e, f) coordinates of g_j b_i g_j^-1, its (e11, e12,
+    # e21) entries.  Coordinate k of the image of x under g_j is the sum over
+    # i of x_i conj[j, i, k], looked up in add3 at the index that sums
+    # parts[i][x_i, k * m + j] = (x_i conj[j, i, k]) q^(2 - i)
+    left, right = row_pairs(maps, basis)
+    conj = _m2_mult(spec, _m2_mult(spec, left, right), np.repeat(inverse, 3, axis=0))
+    conj = conj[:, :3].reshape(len(maps), 3, 3)
+    parts = [bf.mul(codes[:, None], conj[:, i].T.reshape(1, -1)) * q ** (2 - i) for i in range(3)]
+    add3 = functools.reduce(bf.add, np.ix_(codes, codes, codes)).ravel()
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))  # the runs of one r
+    step = max(1, _PAIR_CELLS // (3 * len(maps)))
+    for start in range(0, q ** 3, step):
+        chunk = xs[start:start + step].T
+        index = parts[0][chunk[0]]
+        index += parts[1][chunk[1]]
+        index += parts[2][chunk[2]]
+        images = add3[index].reshape(-1, 3, len(maps))
+        least = np.minimum.reduceat(images[:, 0] + q * (images[:, 1] + q * images[:, 2]),
+                                    starts, axis=1)
+        seen[nonzero[owners[starts]], least] = True
+    rows, found = np.nonzero(seen)
+    return reps[rows], xs[found]
+
+
+_ORBITS: dict = {}  # (spec, bytes of _orbit_representatives(spec)) -> _sl2_orbits
+
+
+def _sl2_orbits(alg: GradedLieAlgebra):
+    """(reps, firsts, seconds): the certified representatives of
+    _sl2_orbit_representatives and the pair rows of _orbit_pairs, if alg has
+    the structure constants of sl2; None for any other algebra.  Both are
+    certified once per field and representative table."""
+    spec = alg.spec
+    if not np.array_equal(alg.constants, _sl2_constants(spec)):
+        return None
+    key = (spec, _orbit_representatives(spec).tobytes())
+    if key not in _ORBITS:
+        reps = _sl2_orbit_representatives(alg)
+        _ORBITS[key] = (reps, *_orbit_pairs(alg, reps))
+    return _ORBITS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +462,17 @@ def _witness(alg: GradedLieAlgebra, codes: dict, pairs) -> dict:
     return out
 
 
-def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSettings,
+def _run_check(alg, domains, batch_fn, scalar_fn, settings: CheckSettings,
                covered: int | None = None, pairs=()):
-    """Shared enumeration loop for expression and polynomial checks.
+    """Shared enumeration loop for expression and polynomial checks, over the
+    product of the joint domains (_assignment_slice).
 
     covered, the number of assignments the domains stand for, is by default
-    their product.  A refuted check reports as evaluations the number of
-    rows up to and including the first failing one, whatever the chunk
-    size, and its witness with the variables of pairs split (_witness)."""
-    if not variables:
+    the number of rows of their product.  A refuted check reports as
+    evaluations the number of rows up to and including the first failing
+    one, whatever the chunk size, and its witness with the variables of
+    pairs split (_witness)."""
+    if not domains:
         val = scalar_fn({})
         return CheckReport(val.is_zero(), 1,
                            None if val.is_zero() else {}, None if val.is_zero() else val)
@@ -366,18 +483,17 @@ def _run_check(alg, variables, domains, batch_fn, scalar_fn, settings: CheckSett
         if not bad.size:
             return None
         row = int(bad[0])
-        witness = _witness(alg, {v: assignment[v][row] for v in variables}, pairs)
+        witness = _witness(alg, {v: rows[row] for v, rows in assignment.items()}, pairs)
         value = scalar_fn(witness)
         if value.is_zero():
             raise TheoremViolation("counterexample failed re-evaluation")
         return CheckReport(False, offset + row + 1, witness, value)
 
-    total = math.prod(d.shape[0] for d in domains)
+    total = math.prod(map(_domain_size, domains))
     if total > settings.budget:
         raise BudgetExceeded(f"check needs {total} evaluations (budget {settings.budget})")
     for done in range(0, total, _CHUNK):
-        failed = first_failure(
-            _assignment_slice(variables, domains, done, min(done + _CHUNK, total)), done)
+        failed = first_failure(_assignment_slice(domains, done, min(done + _CHUNK, total)), done)
         if failed is not None:
             return failed
     return CheckReport(True, total if covered is None else covered)
@@ -414,21 +530,31 @@ def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
     sem1_graded and sem2_graded) is one variable x_i over the whole algebra.
     When every variable ranges over the whole algebra of sl2, conjugation
     by GL2(F) is a Lie automorphism phi with f(phi a, phi b, ...) =
-    phi f(a, b, ...), so the first variable needs only the q + 1 certified
-    orbit representatives (_sl2_orbit_representatives): q^4 rows for the
-    q^6 graded assignments of sem*_graded.
+    phi f(a, b, ...), so f vanishes on an assignment exactly when it
+    vanishes on any conjugate of it.  Hence the first two variables need
+    one pair per GL2-orbit of pairs (_sl2_orbits), the others still ranging
+    over the whole algebra: a pair (a, b) is conjugate to (r, b') with r
+    one of the q + 1 certified orbit representatives, and the conjugations
+    that keep r form its stabilizer, the centralizer C(r), so b' needs one
+    element per orbit of C(r).  That is q + 1 elements for r = 0, where
+    C(r) = GL2, and q^2 + q - 1, q^2 + 2q or q^2 for r = [[0, d], [1, 0]]
+    with d zero, a nonzero square or a non-square: q^3 + q^2 + q rows in
+    all for the q^6 graded assignments of sem*_graded.  A single variable
+    takes the q + 1 representatives alone.
     """
     variables = expr_variables(e)
     f, pairs = _merge_pairs(e, variables) if graded else (e, {})
     variables = expr_variables(f)
     domains = _domains(alg, variables, graded, pairs=pairs)
-    covered = math.prod(d.shape[0] for d in domains)
-    if variables and (not graded or set(variables) <= pairs.keys()):
-        reps = _sl2_orbit_representatives(alg)
-        if reps is not None:
-            domains[0] = reps
+    covered = math.prod(map(_domain_size, domains))
+    orbits = (_sl2_orbits(alg) if variables and (not graded or set(variables) <= pairs.keys())
+              else None)
+    if orbits is not None:
+        reps, firsts, seconds = orbits
+        domains[:2] = ([{variables[0]: reps}] if len(variables) == 1
+                       else [{variables[0]: firsts, variables[1]: seconds}])
     return _run_check(
-        alg, variables, domains,
+        alg, domains,
         lambda assignment: batch_evaluate(f, alg, assignment),
         lambda assignment: evaluate(e, alg, assignment, graded=graded),
         settings, covered, pairs,
@@ -441,7 +567,7 @@ def check_poly_identity(poly: LiePolynomial, alg: GradedLieAlgebra,
     variables = poly.variables()
     domains = _domains(alg, variables, graded)
     return _run_check(
-        alg, variables, domains,
+        alg, domains,
         lambda assignment: poly_batch_evaluate(
             poly, alg, assignment, next(iter(assignment.values())).shape[0]),
         lambda assignment: poly_evaluate(poly, alg, assignment),
@@ -504,7 +630,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
         return np.zeros((1, alg.dim), dtype=np.int64)
 
     domains = _domains(alg, variables, graded=True, points=points)
-    total = math.prod(d.shape[0] for d in domains)
+    total = math.prod(map(_domain_size, domains))
     if total > settings.budget:
         raise BudgetExceeded(
             f"identity space needs {total} grid points (budget {settings.budget})")
@@ -520,7 +646,7 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     pivots: list[int] = []
     for done in range(0, total, _CHUNK):
         stop = min(done + _CHUNK, total)
-        assignment = _assignment_slice(variables, domains, done, stop)
+        assignment = _assignment_slice(domains, done, stop)
         cols = [word_tree_batch_evaluate(w, alg, assignment) for w in ambient.monomials]
         values = np.stack(cols, axis=2).reshape(-1, ambient.dim)
         for mask in classes.values():

@@ -1,5 +1,11 @@
+import copy
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -423,3 +429,27 @@ def test_substitute_zero_image():
     per, total = degree_bound(inst)
     assert y(1) not in per and (per, total) == ({z(2): 1}, 1)
     assert degree_form(inst, [z(2)]) == ((1,),)
+
+
+def test_expression_nodes_keep_their_hash_but_do_not_pickle_it():
+    """A node keeps its hash after the first use.  Copies and pickles leave
+    it out, so each process hashes afresh with its own string salt: a node
+    pickled under another hash seed is found again as a dict key here."""
+    e = sem2(5)
+    h = hash(e)
+    assert e.__dict__["_hash"] == h
+    for other in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert "_hash" not in other.__dict__
+        assert other == e and hash(other) == h
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; from glie.freelie import sem2; e = sem2(5); hash(e); "
+         "sys.stdout.write(pickle.dumps(e).hex())"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = pickle.loads(bytes.fromhex(proc.stdout))
+    assert {e: 1}.get(loaded) == 1 and hash(loaded) == h

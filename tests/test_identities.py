@@ -264,15 +264,33 @@ def test_check_equals_enumeration(e, alg, graded):
 
 
 def test_sem_checks_evaluate_orbit_rows_only():
-    """x1 over the q + 1 orbit representatives and x2 over sl2: q^4 rows,
-    within a budget far below the q^6 graded assignments."""
+    """(x1, x2) over one pair per GL2-orbit: q^3 + q^2 + q rows, within a
+    budget far below the q^6 graded assignments."""
     for q in (5, 7):
-        rows = (q + 1) * q ** 3
+        rows = q ** 3 + q ** 2 + q
         for e in (sem1_graded(q), sem2_graded(q)):
             report = check_identity(e, sl2(FieldSpec.prime(q)), settings=CheckSettings(budget=rows))
             assert report.holds and report.evaluations == q ** 6
             with pytest.raises(BudgetExceeded, match=f"{rows} evaluations"):
                 check_identity(e, sl2(FieldSpec.prime(q)), settings=CheckSettings(budget=rows - 1))
+
+
+def test_third_whole_algebra_variable_ranges_over_sl2():
+    """Ungraded, with three variables: (x1, x2) over the 155 orbit pairs and
+    x3 over all 125 elements.  The Jacobi sum holds; [x1, [x2, x3]] does not,
+    and its witness re-evaluates to the reported value."""
+    a, b, c = (Var(x(i)) for i in (1, 2, 3))
+    jacobi = Sum((bracket(a, bracket(b, c)), bracket(b, bracket(c, a)), bracket(c, bracket(a, b))))
+    L = sl2(GF5)
+    rows = 155 * 125
+    report = check_identity(jacobi, L, graded=False, settings=CheckSettings(budget=rows))
+    assert report.holds and report.evaluations == 125 ** 3
+    with pytest.raises(BudgetExceeded, match=f"{rows} evaluations"):
+        check_identity(jacobi, L, graded=False, settings=CheckSettings(budget=rows - 1))
+    e = bracket(a, bracket(b, c))
+    report = check_identity(e, L, graded=False)
+    assert not report.holds and sorted(report.counterexample) == [x(1), x(2), x(3)]
+    assert evaluate(e, L, report.counterexample, graded=False) == report.value
 
 
 def test_unpaired_graded_variable_keeps_the_whole_domain():
@@ -334,8 +352,68 @@ def test_broken_orbit_table_raises(monkeypatch, table):
         check_identity(sem1_graded(5), sl2(GF5))
 
 
+def _gl2_orbit_ids(q: int) -> np.ndarray:
+    """Brute force over GF(q), q prime: for each pair (a, b) of sl2 elements,
+    numbered code(a) * q^3 + code(b) with (h, e, f) codes, the least such
+    number over its orbit under conjugation by all of GL2(q)."""
+    elements = np.array(list(itertools.product(range(q), repeat=3)))[:, ::-1]  # h fastest
+    h, e, f = elements.T
+    matrices = np.stack([h, e, f, -h], axis=1).reshape(-1, 2, 2)
+    place = q ** np.arange(3)
+    least = np.full(q ** 6, q ** 6)
+    for g in itertools.product(range(q), repeat=4):
+        g = np.array(g).reshape(2, 2)
+        det = int(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) % q
+        if not det:
+            continue
+        inverse = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) * pow(det, -1, q)
+        image = (g @ matrices @ inverse) % q
+        codes = image.reshape(-1, 4)[:, :3] @ place
+        least = np.minimum(least, (codes[:, None] * q ** 3 + codes[None, :]).ravel())
+    return least
+
+
+def test_orbit_pairs_hit_every_gl2_orbit_once_at_q5():
+    """The 155 pair rows at q = 5 lie in 155 distinct orbits of GL2(5) on
+    sl2 x sl2, and those are all of its orbits."""
+    firsts, seconds = identities._sl2_orbits(sl2(GF5))[1:]
+    assert len(firsts) == 5 ** 3 + 5 ** 2 + 5
+    orbit = _gl2_orbit_ids(5)
+    place = 5 ** np.arange(3)
+    hit = orbit[(firsts @ place) * 5 ** 3 + seconds @ place]
+    assert len(set(hit.tolist())) == len(hit)
+    assert set(hit.tolist()) == set(orbit.tolist())
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_orbit_pair_counts_per_representative(q):
+    """Pairs per representative r: q + 1 for r = 0 (GL2's orbits), and for
+    r = [[0, d], [1, 0]]: q^2 + q - 1 for d = 0, q^2 + 2q for d a nonzero
+    square and q^2 for a non-square; q^3 + q^2 + q in all."""
+    reps, firsts, _ = identities._sl2_orbits(sl2(FieldSpec.prime(q)))
+    squares = {d * d % q for d in range(1, q)}
+    expected = [q + 1] + [q * q + q - 1 if d == 0 else q * q + 2 * q if d in squares else q * q
+                          for d in range(q)]
+    counts = [int((firsts == r).all(axis=1).sum()) for r in reps]
+    assert counts == expected
+    assert sum(counts) == q ** 3 + q ** 2 + q
+
+
+def test_sem_checks_at_gf25_on_orbit_pairs():
+    """sl2(GF(25)): both sem generators hold on all 25^6 graded assignments,
+    checked on 16,275 pair rows with extension-field arithmetic."""
+    L = sl2(GF25)
+    rows = 25 ** 3 + 25 ** 2 + 25
+    assert rows == 16_275
+    for e in (sem1_graded(25), sem2_graded(25)):
+        report = check_identity(e, L, settings=CheckSettings(budget=rows))
+        assert report.holds and report.evaluations == 25 ** 6
+        with pytest.raises(BudgetExceeded, match=f"{rows} evaluations"):
+            check_identity(e, L, settings=CheckSettings(budget=rows - 1))
+
+
 def test_soundness_of_s_at_q13_within_the_default_budget():
-    """q^6 = 4.83 M graded assignments are over the 4 M budget; the 30,758
+    """q^6 = 4.83 M graded assignments are over the 4 M budget; the 2,379
     orbit rows are not."""
     report = basis_check(sl2(FieldSpec.prime(13)), set_s(13), [])
     assert report.verdict == "all-equal"
@@ -416,21 +494,19 @@ def test_sem2_check_q7_evaluates_shared_subexpressions_once(monkeypatch):
     of the slots that use it.  The check merges x1 = y1 + z1 and
     x2 = y2 + z2 into single variables, so per chunk that leaves 6 adds for
     the outer sum and 1 for each of the four two-term AdPolyDiff slots,
-    whose sum starts from its first power; x1 over its 8 orbit
-    representatives and x2 over sl2 make one chunk of 2,744 rows.  The
-    certification of the representatives adds a fixed number of its own."""
-    L = sl2(FieldSpec.prime(7))  # built before counting: only the check's adds count
+    whose sum starts from its first power; the 399 orbit pairs of (x1, x2)
+    make one chunk.  The orbit tables are built and certified before
+    counting, once per field, so only the evaluation's adds count."""
+    L = sl2(FieldSpec.prime(7))
+    identities._sl2_orbits(L)
     calls = []
     add = BatchField.add
     monkeypatch.setattr(BatchField, "add", lambda self, a, b: calls.append(1) or add(self, a, b))
-    _sl2_orbit_representatives(L)
-    certification = len(calls)
-    calls.clear()
     report = check_identity(sem2_graded(7), L)
     assert report.holds and report.evaluations == 7 ** 6
-    chunks = -(-8 * 7 ** 3 // identities._CHUNK)
+    chunks = -(-(7 ** 3 + 7 ** 2 + 7) // identities._CHUNK)
     assert chunks == 1
-    assert len(calls) == (6 + 4) * chunks + certification
+    assert len(calls) == (6 + 4) * chunks
 
 
 def default_windows_named(q, labels):

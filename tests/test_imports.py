@@ -1,4 +1,5 @@
-"""Every name a glie module imports is used in that module.
+"""Every name a glie module imports is used in that module, and the main
+pipelines import no numpy submodule lazily.
 
 An import left behind when the code that used it is deleted keeps a
 dependency alive that nothing needs, and hides from a reader that the
@@ -6,6 +7,9 @@ module no longer relies on it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "glie"
@@ -41,3 +45,31 @@ def test_src_modules_use_every_import():
     assert modules
     found = {path.name: unused_imports(path.read_text()) for path in modules}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_pipelines_do_not_import_numpy_ma():
+    """A plain np.unique(a) asks np.ma.is_masked, which imports numpy.ma on
+    first use: about 15 ms, as long as a whole q = 7 basis check.  Neither
+    the q = 5 basis check nor the p = 5 gradings pipeline may do that."""
+    code = (
+        "import sys\n"
+        "from glie import gradings\n"
+        "from glie.algebra import sl2\n"
+        "from glie.fields import FieldSpec\n"
+        "from glie.freelie import set_s\n"
+        "from glie.identities import basis_check, default_sl2_windows\n"
+        "spec = FieldSpec.prime(5)\n"
+        "assert basis_check(sl2(spec), set_s(5), default_sl2_windows(5)).ok\n"
+        "for target, check in (('sl2_lie', gradings.natural_characterization),\n"
+        "                      ('m2_assoc', gradings.unit_component_check)):\n"
+        "    descriptors = gradings.enumerate_z2_gradings(target, spec)\n"
+        "    gradings.classify_up_to_iso(descriptors)\n"
+        "    for d in descriptors:\n"
+        "        check(d)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

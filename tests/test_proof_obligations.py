@@ -82,6 +82,27 @@ def orbit_representative_dropped():
         identities._orbit_representatives = original
 
 
+def centralizer_map_moves_its_representative():
+    """A centralizer list with [[1, 1], [0, 1]] added for every
+    representative: it commutes with no r = [[0, d], [1, 0]], so the pair
+    table built from it must refuse the sem1 check.  The tables are cached
+    per field, so the cache is emptied before and after."""
+    original = identities._centralizer_maps
+
+    def with_shear(spec, rs):
+        maps, owners = original(spec, rs)
+        return (np.concatenate([maps, np.tile([1, 1, 0, 1], (len(rs), 1))]),
+                np.concatenate([owners, np.arange(len(rs))]))
+
+    identities._centralizer_maps = with_shear
+    identities._ORBITS.clear()
+    try:
+        check_identity(sem1_graded(5), sl2(GF5))
+    finally:
+        identities._centralizer_maps = original
+        identities._ORBITS.clear()
+
+
 def natural_grading_without_isomorphism():
     """exp(ad e) carries the natural grading to even = span{h - 2e}, odd =
     span{e, f + h}, which meets both recognition hypotheses.  With the
@@ -117,6 +138,7 @@ def unit_criterion_disagrees():
 
 SCENARIOS = [non_identity_consequence, counterexample_not_reproduced,
              ad_power_kernel_corrupted, orbit_representative_dropped,
+             centralizer_map_moves_its_representative,
              natural_grading_without_isomorphism, unit_criterion_disagrees]
 
 
