@@ -21,7 +21,7 @@ identities of sl2 over GF(q) into well-formed Lie elements.
 
 One walker, _interpret, gives expressions their meaning.  It runs over a
 backend of four operations (zero, add, scale, ad_powers) plus the value of a
-variable, and there are five backends:
+variable.  Four backends give values, and four analyse structure on sets:
 
     scalar        AlgebraElement arithmetic, repeated alg.bracket (evaluate)
     batch         BatchField code arrays and alg.batch_ad_powers (batch_evaluate)
@@ -30,12 +30,17 @@ variable, and there are five backends:
                   (TruncatedLieAlgebra.evaluate)
     free algebra  dicts from words to coefficients, repeated commutators
                   (assoc_expand, expr_expand, poly_bracket)
+    variables     sets of variables (expr_variables)
+    parities      sets of parities of components (expr_parity, substitute)
+    degree forms  sets of multiplicity vectors (degree_form, degree_bound)
     residue sets  sets of degrees mod q - 1 of one variable (degree_residues)
 
-The scalar backend is not a batch of one: counterexample re-evaluation in
-identities and the tests use it as a reference that shares no arithmetic
-with the batch backend.  Only the walk is shared.  Likewise the free
-algebra backend is the tests' reference for the truncated one.
+Besides _interpret and its _children, only replace, which rebuilds
+expressions, dispatches on the node types.  The scalar backend is not a
+batch of one: counterexample re-evaluation in identities and the tests use
+it as a reference that shares no arithmetic with the batch backend.  Only
+the walk is shared.  Likewise the free algebra backend is the tests'
+reference for the truncated one.
 
 Within one call the walker evaluates each structurally distinct
 subexpression once, the leading slots of a bracket chain counting as one:
@@ -251,14 +256,8 @@ class LiePolynomial:
         return not self.terms
 
     def add(self, other: "LiePolynomial") -> "LiePolynomial":
-        acc = dict(self.terms)
-        for w, c in other.terms:
-            s = acc.get(w, self.spec.zero()) + c
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-        return LiePolynomial.from_dict(self.spec, acc)
+        return LiePolynomial.from_dict(self.spec, _nc_add_scaled(
+            self.spec, dict(self.terms), dict(other.terms), self.spec.one()))
 
     def components(self):
         """Multihomogeneous components; they sum back to the polynomial."""
@@ -384,152 +383,21 @@ def chain(head, *slots) -> BracketChain:
     return BracketChain(head, tuple(slots))
 
 
-def expr_variables(e) -> list:
-    out = set()
-
-    def walk(node):
-        if isinstance(node, Var):
-            out.add(node.var)
-        elif isinstance(node, Sum):
-            for t in node.terms:
-                walk(t)
-        elif isinstance(node, Scale):
-            walk(node.expr)
-        elif isinstance(node, BracketChain):
-            walk(node.head)
-            for s in node.slots:
-                walk(s.base)
-        else:
-            raise TypeError(f"not a LieExpr node: {node!r}")
-
-    walk(e)
-    return sorted(out, key=lambda v: v.sort_key)
-
-
-def _slot_multiplicity(s) -> int:
-    """How many times a slot can bracket with its base: the exponent of an
-    AdPower, the largest exponent of an AdPolyDiff."""
-    return s.exponent if isinstance(s, AdPower) else max(eexp for _, eexp in s.terms)
-
-
-def degree_bound(e):
-    """Per-variable and total upper bounds on expansion degrees."""
-
-    def walk(node):
-        if isinstance(node, Var):
-            return {node.var: 1}, 1
-        if isinstance(node, Sum):
-            per: dict = {}
-            tot = 0
-            for t in node.terms:
-                p, s = walk(t)
-                for v, d in p.items():
-                    per[v] = max(per.get(v, 0), d)
-                tot = max(tot, s)
-            return per, tot
-        if isinstance(node, Scale):
-            return walk(node.expr)
-        if isinstance(node, BracketChain):
-            per, tot = walk(node.head)
-            for s in node.slots:
-                bp, bt = walk(s.base)
-                mult = _slot_multiplicity(s)
-                for v, d in bp.items():
-                    per[v] = per.get(v, 0) + mult * d
-                tot += mult * bt
-            return per, tot
-        raise TypeError(f"not a LieExpr node: {node!r}")
-
-    return walk(e)
-
-
-def degree_form(e, variables) -> tuple:
-    """degree_bound of e as a max-plus function of the bounds of its leaves.
-
-    Returns distinct multiplicity vectors t, indexed like variables (which
-    must hold every variable of e), such that for any substitution m of
-    those variables
-
-        degree_bound(substitute(e, m)) = max over t of sum_i t[i] * b_i,
-
-    per variable and in total alike, where b_i = degree_bound(m[variables[i]]).
-    A Sum takes the union of its terms' vectors, ZERO the zero vector (its
-    bound is 0); a BracketChain slot adds _slot_multiplicity times each
-    vector of its base to each of the head's.
-    The vectors come by decreasing total multiplicity, so the one most
-    likely to exceed a cap comes first.
-    """
-    unit = {v: tuple(int(v == u) for u in variables) for v in variables}
-
-    def walk(node) -> set:
-        if isinstance(node, Var):
-            return {unit[node.var]}
-        if isinstance(node, Sum):
-            return set().union(*map(walk, node.terms)) or {(0,) * len(variables)}
-        if isinstance(node, Scale):
-            return walk(node.expr)
-        if isinstance(node, BracketChain):
-            out = walk(node.head)
-            for s in node.slots:
-                mult, base = _slot_multiplicity(s), walk(s.base)
-                out = {tuple(a + mult * b for a, b in zip(t, u)) for t in out for u in base}
-            return out
-        raise TypeError(f"not a LieExpr node: {node!r}")
-
-    return tuple(sorted(walk(e), key=lambda t: (-sum(t), t)))
-
-
-def expr_parity(e):
-    """0/1 for homogeneous-parity expressions, None for mixed or ungraded."""
-
-    def walk(node):
-        if isinstance(node, Var):
-            return node.var.parity
-        if isinstance(node, Scale):
-            return walk(node.expr)
-        if isinstance(node, Sum):
-            ps = {walk(t) for t in node.terms}
-            return ps.pop() if len(ps) == 1 else None
-        if isinstance(node, BracketChain):
-            par = walk(node.head)
-            if par is None:
-                return None
-            for s in node.slots:
-                bp = walk(s.base)
-                if isinstance(s, AdPower):
-                    exps = [s.exponent]
-                else:
-                    exps = [eexp for _, eexp in s.terms]
-                if bp is None:
-                    if any(eexp % 2 for eexp in exps):
-                        return None
-                    contribs = {0}
-                else:
-                    contribs = {(eexp * bp) % 2 for eexp in exps}
-                if len(contribs) != 1:
-                    return None
-                par = (par + contribs.pop()) % 2
-            return par
-        raise TypeError(f"not a LieExpr node: {node!r}")
-
-    return walk(e)
-
-
 # ---------------------------------------------------------------------------
 # the expression interpreter and its backends
 # ---------------------------------------------------------------------------
 
 
 class _Backend(NamedTuple):
-    """What _interpret needs to give expressions values.  scale takes a field
-    element, so Lie polynomials with extension-field coefficients go through
-    it too.  add may update its first argument in place: the walker only
-    passes accumulators it got from zero or values no one else holds."""
+    """What _interpret needs to give expressions values.  scale takes a
+    coefficient as the node holds it: an int n, which stands for n * 1, or a
+    FieldElement, as in Lie polynomials with extension-field coefficients.
+    add may update its first argument in place: the walker only passes
+    accumulators it got from zero or values no one else holds."""
 
-    spec: FieldSpec
     zero: Callable       # () -> value
     add: Callable        # (accumulator, value) -> value
-    scale: Callable      # (FieldElement, value) -> value
+    scale: Callable      # (int | FieldElement, value) -> value
     ad_powers: Callable  # (u, w, exponents) -> [u (ad w)^e for each e]
     leaf: Callable       # Variable -> value
 
@@ -585,8 +453,7 @@ def _interpret(e, ops: _Backend, memo: dict | None = None):
     if isinstance(e, Var):
         val = ops.leaf(e.var)
     elif isinstance(e, Scale):
-        c = e.coeff if isinstance(e.coeff, FieldElement) else ops.spec.from_int(e.coeff)
-        val = ops.scale(c, _interpret(e.expr, ops, memo))
+        val = ops.scale(e.coeff, _interpret(e.expr, ops, memo))
     elif isinstance(e, Sum):
         val = ops.zero()
         for t in e.terms:
@@ -600,7 +467,7 @@ def _interpret(e, ops: _Backend, memo: dict | None = None):
                 (val,) = ops.ad_powers(val, w, (s.exponent,))
             else:
                 powers = ops.ad_powers(val, w, [x for _, x in s.terms])
-                first, *rest = [power if coeff == 1 else ops.scale(ops.spec.from_int(coeff), power)
+                first, *rest = [power if coeff == 1 else ops.scale(coeff, power)
                                 for (coeff, _), power in zip(s.terms, powers)]
                 # add may update the first term in place, so start from it
                 # only if no one else holds it: not the prefix value, which
@@ -616,15 +483,6 @@ def _interpret(e, ops: _Backend, memo: dict | None = None):
     return val
 
 
-def _poly_value(poly: LiePolynomial, ops: _Backend):
-    exprs = [word_to_expr(w) for w, _ in poly.terms]
-    memo = _memo_for(*exprs)
-    acc = ops.zero()
-    for (_, c), e in zip(poly.terms, exprs):
-        acc = ops.add(acc, ops.scale(c, _interpret(e, ops, memo)))
-    return acc
-
-
 def _lookup(assignment: dict):
     def leaf(v):
         if v not in assignment:
@@ -634,28 +492,111 @@ def _lookup(assignment: dict):
     return leaf
 
 
+def _code(spec: FieldSpec, c) -> int:
+    """The code of a coefficient: a FieldElement's own, n * 1 for an int n."""
+    return c.code if isinstance(c, FieldElement) else c % spec.p
+
+
 def _algebra_backend(alg: GradedLieAlgebra, assignment: dict) -> _Backend:
     """AlgebraElement arithmetic, one assignment at a time.  It shares no
     arithmetic with the batch backend, so it stays an independent reference
     for re-evaluating counterexamples."""
-    return _Backend(alg.spec, alg.zero_element, operator.add, lambda c, a: a.scale(c),
+    return _Backend(alg.zero_element, operator.add, lambda c, a: a.scale(c),
                     partial(repeated_brackets, alg.bracket), _lookup(assignment))
 
 
 def _batch_backend(alg: GradedLieAlgebra, assignment: dict, count: int) -> _Backend:
     """(count, dim) arrays of coordinate codes, one row per assignment."""
     bf = batch_field(alg.spec)
-    return _Backend(alg.spec, lambda: bf.zeros((count, alg.dim)), bf.add,
-                    lambda c, a: bf.scale(c.code, a), alg.batch_ad_powers, _lookup(assignment))
+    return _Backend(lambda: bf.zeros((count, alg.dim)), bf.add,
+                    lambda c, a: bf.scale(_code(alg.spec, c), a), alg.batch_ad_powers,
+                    _lookup(assignment))
 
 
 def _free_backend(spec: FieldSpec) -> _Backend:
     """The free associative algebra: dicts from words to nonzero
     coefficients, bracketed by the commutator."""
     one = spec.one()
-    return _Backend(spec, dict, lambda acc, b: _nc_add_scaled(spec, acc, b, one),
+    return _Backend(dict, lambda acc, b: _nc_add_scaled(spec, acc, b, one),
                     lambda c, a: _nc_add_scaled(spec, {}, a, c),
                     partial(repeated_brackets, partial(_nc_comm, spec)), lambda v: {(v,): one})
+
+
+def _sets(leaf, ad_powers, zero=frozenset(), add=operator.or_) -> _Backend:
+    """A backend whose values are sets, read off the structure of an
+    expression alone: nothing cancels, and scale keeps a set."""
+    return _Backend(lambda: zero, add, lambda c, a: a, ad_powers, leaf)
+
+
+@lru_cache(maxsize=256)
+def _variables(e) -> tuple:
+    # kept per expression, as nodes are immutable: one basis check asks for
+    # each generator's variables in every window
+    return tuple(sorted(_interpret(e, _sets(
+        lambda v: {v}, lambda u, w, exponents: [u | w] * len(exponents)))))
+
+
+def expr_variables(e) -> list:
+    """The variables of e, ascending: _interpret on sets of variables."""
+    return list(_variables(e))
+
+
+def _parities(e) -> frozenset:
+    """The parities of e's components: _interpret on sets of parities, an x
+    variable taking both, a slot adding each exponent (all of an
+    AdPolyDiff's) times each parity of its base.  ZERO has no component."""
+
+    def ad_powers(u, w, exponents):
+        return [{(a + k * b) % 2 for a in u for b in w} if k else u for k in exponents]
+
+    return frozenset(_interpret(e, _sets(
+        lambda v: {0, 1} if v.parity is None else {v.parity}, ad_powers)))
+
+
+def expr_parity(e):
+    """0 or 1 if every component of e has that parity, else None: for mixed
+    or ungraded expressions, and for those with no component at all (ZERO,
+    or a bracket with it), which have every parity."""
+    parities = _parities(e)
+    return next(iter(parities)) if len(parities) == 1 else None
+
+
+def degree_form(e, variables) -> tuple:
+    """degree_bound of e as a max-plus function of the bounds of its leaves.
+
+    Returns distinct multiplicity vectors t, indexed like variables (which
+    must hold every variable of e), such that for any substitution m of
+    those variables
+
+        degree_bound(substitute(e, m)) = max over t of sum_i t[i] * b_i,
+
+    per variable and in total alike, where b_i = degree_bound(m[variables[i]]).
+    _interpret on sets of vectors: a Sum takes the union of its terms', a
+    slot adds its largest exponent times each vector of its base to each of
+    the head's.  ZERO, whose bound is 0, gives the zero vector, which a Sum
+    with other vectors drops: bounds are >= 0, so the maximum stays.  The
+    vectors come by decreasing total multiplicity, so the one most likely
+    to exceed a cap comes first.
+    """
+    unit = {v: tuple(int(v == u) for u in variables) for v in variables}
+    zero = frozenset({(0,) * len(variables)})
+
+    def ad_powers(u, w, exponents):
+        top = max(exponents)
+        return [{tuple(a + top * b for a, b in zip(t, s)) for t in u for s in w}] * len(exponents)
+
+    form = _interpret(e, _sets(lambda v: {unit[v]}, ad_powers, zero,
+                               lambda a, b: (a | b) - zero or zero))
+    return tuple(sorted(form, key=lambda t: (-sum(t), t)))
+
+
+def degree_bound(e):
+    """Per-variable and total upper bounds on expansion degrees: the largest
+    entry of each variable and the largest sum among the vectors of e's
+    degree_form over its variables."""
+    variables = expr_variables(e)
+    form = degree_form(e, variables)
+    return dict(zip(variables, map(max, zip(*form)))), max(map(sum, form))
 
 
 def degree_residues(e, variables, spec: FieldSpec) -> list:
@@ -671,8 +612,7 @@ def degree_residues(e, variables, spec: FieldSpec) -> list:
                  for k in exponents]
         return [{(a + b) % modulus for a in u for b in step} for step in steps]
 
-    return [_interpret(e, _Backend(spec, set, set.union, lambda c, a: a, ad_powers,
-                                   lambda u, v=v: {int(u == v) % modulus}))
+    return [_interpret(e, _sets(lambda u, v=v: {int(u == v) % modulus}, ad_powers))
             for v in variables]
 
 
@@ -724,12 +664,12 @@ def word_tree_batch_evaluate(word: Word, alg: GradedLieAlgebra, assignment: dict
 
 
 def poly_evaluate(poly: LiePolynomial, alg: GradedLieAlgebra, assignment: dict) -> AlgebraElement:
-    return _poly_value(poly, _algebra_backend(alg, assignment))
+    return _interpret(poly_to_expr(poly), _algebra_backend(alg, assignment))
 
 
 def poly_batch_evaluate(poly: LiePolynomial, alg: GradedLieAlgebra, assignment: dict,
                         count: int) -> np.ndarray:
-    return _poly_value(poly, _batch_backend(alg, assignment, count))
+    return _interpret(poly_to_expr(poly), _batch_backend(alg, assignment, count))
 
 
 # ---------------------------------------------------------------------------
@@ -751,17 +691,11 @@ def _nc_mul(spec, a: dict, b: dict) -> dict:
 
 
 def _nc_comm(spec, a: dict, b: dict) -> dict:
-    out = dict(_nc_mul(spec, a, b))
-    for w, c in _nc_mul(spec, b, a).items():
-        s = out.get(w, spec.zero()) - c
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return out
+    return _nc_add_scaled(spec, _nc_mul(spec, a, b), _nc_mul(spec, b, a), -spec.one())
 
 
-def _nc_add_scaled(spec, acc: dict, other: dict, coeff: FieldElement) -> dict:
+def _nc_add_scaled(spec, acc: dict, other: dict, coeff: int | FieldElement) -> dict:
+    """acc + coeff * other, in acc; an int coeff n is n * 1."""
     for w, c in other.items():
         s = acc.get(w, spec.zero()) + coeff * c
         if s.is_zero():
@@ -806,8 +740,7 @@ def expr_expand(e, spec: FieldSpec, caps: dict | None = None,
 
 def poly_bracket(a: LiePolynomial, b: LiePolynomial) -> LiePolynomial:
     """[a, b] in the Lyndon basis, computed in the free associative algebra."""
-    ops = _free_backend(a.spec)
-    return lyndon_decompose(a.spec, _nc_comm(a.spec, _poly_value(a, ops), _poly_value(b, ops)))
+    return lyndon_decompose(a.spec, assoc_expand(bracket(poly_to_expr(a), poly_to_expr(b)), a.spec))
 
 
 # ---------------------------------------------------------------------------
@@ -984,8 +917,8 @@ class TruncatedLieAlgebra:
         an (N, dim) code array."""
         bf = batch_field(self.spec)
         count = _row_count(assignment)
-        return _interpret(e, _Backend(self.spec, lambda: bf.zeros((count, self.dim)), bf.add,
-                                      lambda c, a: bf.scale(c.code, a),
+        return _interpret(e, _Backend(lambda: bf.zeros((count, self.dim)), bf.add,
+                                      lambda c, a: bf.scale(_code(self.spec, c), a),
                                       partial(repeated_brackets, self.bracket),
                                       _lookup(assignment)))
 
@@ -1016,17 +949,15 @@ def poly_to_expr(poly: LiePolynomial):
 def substitute(f, mapping: dict, graded: bool = True):
     """Replace variables by expressions (or Lyndon polynomials).
 
-    In graded mode each image must have a well-defined parity matching its
-    variable; x variables and the zero image accept anything.  Unmapped
-    variables are kept.
+    In graded mode every component of an image must have the parity of its
+    variable; x variables accept anything, and so does an image with no
+    component, such as the zero image.  Unmapped variables are kept.
     """
     images = {}
     for v, img in mapping.items():
         expr = poly_to_expr(img) if isinstance(img, LiePolynomial) else img
-        if graded and v.parity is not None and expr != ZERO:
-            par = expr_parity(expr)
-            if par != v.parity:
-                raise ParityError(f"{v} has parity {v.parity}, image has parity {par}")
+        if graded and v.parity is not None and not _parities(expr) <= {v.parity}:
+            raise ParityError(f"{v} has parity {v.parity}, image has parity {expr_parity(expr)}")
         images[Var(v)] = expr
     return replace(f, images)
 
@@ -1147,13 +1078,10 @@ BUILTIN_SETS = {
 
 
 def builtin(name: str, q: int):
+    """The built-in expression or generator set of that name, in any case and
+    with _ for -."""
+    found = {**BUILTIN_NAMES, **{k.lower(): fn for k, fn in BUILTIN_SETS.items()}}
     key = name.lower().replace("_", "-")
-    if key in BUILTIN_NAMES:
-        return BUILTIN_NAMES[key](q)
-    if name in BUILTIN_SETS:
-        return BUILTIN_SETS[name](q)
-    if key in {k.lower() for k in BUILTIN_SETS}:
-        for k, fn in BUILTIN_SETS.items():
-            if k.lower() == key:
-                return fn(q)
-    raise KeyError(f"unknown builtin {name!r}")
+    if key not in found:
+        raise KeyError(f"unknown builtin {name!r}")
+    return found[key](q)

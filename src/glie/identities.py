@@ -110,7 +110,8 @@ def _box_multidegrees(caps: dict):
 
 
 def window_box(caps: dict, label: str | None = None) -> AmbientSpace:
-    """All multidegrees with 0 <= deg_v <= caps[v] (total degree >= 1)."""
+    """The window on the whole box of caps, every multidegree of
+    _box_multidegrees(caps), labelled by the caps unless a label is given."""
     variables = sorted(caps, key=lambda v: v.sort_key)
     if label is None:
         label = "(" + ", ".join(f"{v}:{caps[v]}" for v in variables) + ")"
@@ -509,10 +510,11 @@ def _merge_pairs(e, variables):
         return e, {}
     sums = {Sum((Var(v), Var(z(v.index)))): Var(x(v.index))
             for v in variables if v.kind == "y" and z(v.index) in variables}
-    left = set(expr_variables(replace(e, sums)))
-    sums = {s: xv for s, xv in sums.items()
-            if not left & {t.var for t in s.terms}}
-    return replace(e, sums), {xv.var: tuple(t.var for t in s.terms) for s, xv in sums.items()}
+    merged = replace(e, sums)
+    left = set(expr_variables(merged))
+    kept = {s: xv for s, xv in sums.items() if not left & {t.var for t in s.terms}}
+    return (merged if kept == sums else replace(e, kept),
+            {xv.var: tuple(t.var for t in s.terms) for s, xv in kept.items()})
 
 
 def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,

@@ -31,6 +31,7 @@ from glie.freelie import (
     evaluate,
     expr_expand,
     expr_parity,
+    expr_variables,
     is_lyndon,
     lyndon_words,
     poly_evaluate,
@@ -289,6 +290,47 @@ def test_expr_parity():
     assert expr_parity(zyq_zy(5)) == 1
 
 
+def test_zero_has_every_parity():
+    """ZERO has no component, so it has every parity and no one parity:
+    expr_parity gives None for it and for every bracket with it, except
+    through (ad 0)^0, the identity; a Sum reads only its other terms; and
+    substitute takes such an image for a variable of either parity."""
+    y1, z1 = Var(y(1)), Var(z(1))
+    assert expr_parity(ZERO) is None
+    assert expr_parity(Sum((ZERO, z1))) == 1
+    assert expr_parity(Sum((y1, ZERO, Scale(2, y1)))) == 0
+    assert expr_parity(chain(y1, AdPower(ZERO, 2))) is None
+    assert expr_parity(bracket(ZERO, z1)) is None
+    assert expr_parity(chain(y1, AdPower(ZERO, 0))) == 0
+    for image in (ZERO, bracket(ZERO, z1), chain(z1, AdPolyDiff(ZERO, ((1, 2), (-1, 1))))):
+        assert substitute(bracket(y1, z1), {y(1): image, z(1): image}) == bracket(image, image)
+    with pytest.raises(ParityError):
+        substitute(yy(), {y(2): Sum((ZERO, z1))})
+
+
+def test_zero_degree_form_and_bound():
+    """ZERO has no variable and bound 0: its degree form is the zero vector,
+    which a Sum with other terms drops, and a slot on it adds nothing."""
+    y1, z1 = Var(y(1)), Var(z(1))
+    assert expr_variables(ZERO) == [] and degree_bound(ZERO) == ({}, 0)
+    assert degree_form(ZERO, []) == ((),) and degree_form(ZERO, [z(1)]) == ((0,),)
+    assert degree_form(Sum((ZERO, z1)), [z(1)]) == ((1,),)
+    assert degree_form(Sum((ZERO, ZERO)), [y(1), z(1)]) == ((0, 0),)
+    assert degree_bound(Sum((z1, ZERO))) == ({z(1): 1}, 1)
+    assert degree_bound(chain(y1, AdPower(ZERO, 2))) == ({y(1): 1}, 1)
+    assert degree_form(chain(ZERO, AdPower(z1, 3)), [z(1)]) == ((3,),)
+
+
+def test_analyses_answer_each_call_afresh():
+    """The variables are kept per expression, but the list expr_variables
+    returns is the caller's to change."""
+    e = zyq_zy(5)
+    first = expr_variables(e)
+    first.append(x(1))
+    assert expr_variables(e) == [y(1), z(1)]
+    assert expr_variables(zyq_zy(5)) is not expr_variables(zyq_zy(5))
+
+
 def test_multihomog_components():
     p = expr_expand(zyq_zy(5), GF5, caps={z(1): 1, y(1): 5})
     comps = p.components()
@@ -420,6 +462,11 @@ def test_builtin_lookup():
     assert len(builtin("lema5", 5)) == 3
     with pytest.raises(KeyError):
         builtin("nope", 5)
+    # one lookup for every spelling: any case, _ for -
+    assert builtin("SEM1_Graded", 5) == builtin("sem1-graded", 5)
+    assert builtin("s", 5) == builtin("S", 5) and builtin("LEMA5", 5) == builtin("lema5", 5)
+    with pytest.raises(KeyError):
+        builtin("S-", 5)
 
 
 def test_substitute_zero_image():

@@ -28,7 +28,14 @@ sem2(2), which are no identities there), with the scalar evaluate result of
 the first rows; poly_batch_evaluate of a GF(25) polynomial with proper
 extension-field coefficients; and expr_expand terms of a fixed list of
 expressions, among them AdPolyDiff slots whose terms are not given in
-ascending exponent order.
+ascending exponent order.  Its "analyses" key holds what expr_variables,
+expr_parity, degree_bound and degree_form (over the expression's own
+variables) returned when each was still a walker of its own, before they
+became backends of the one interpreter: on sem1, sem2, sem1_graded,
+sem2_graded and zyq_zy at q = 5, 7, 11 and 13, on sem1 and sem2 over
+renamed variables, yy, zz, chains with unsorted AdPolyDiff exponents, an
+ad power of exponent 0, bases of mixed parity, ungraded variables, and
+substitute instances with bracket images.  None of them holds ZERO.
 
 data/linalg_golden.json holds what rref_rows (rows and pivots; now read
 through rref_codes),
@@ -82,8 +89,12 @@ from glie.freelie import (
     batch_evaluate,
     bracket,
     chain,
+    degree_bound,
+    degree_form,
     evaluate,
     expr_expand,
+    expr_parity,
+    expr_variables,
     lema5_set,
     poly_batch_evaluate,
     poly_evaluate,
@@ -92,6 +103,7 @@ from glie.freelie import (
     sem2,
     sem2_graded,
     set_s,
+    substitute,
     x,
     y,
     yy,
@@ -331,6 +343,54 @@ def test_expr_expand_frozen():
         assert field_of(frozen[name]["field"]) == spec
         terms = [[[str(v) for v in w], c.code] for w, c in expr_expand(e, spec).terms]
         assert terms == frozen[name]["terms"], name
+
+
+def analysis_cases():
+    """(name, expression) of every frozen analysis, in the order frozen."""
+    y1, y2, z1, z2, x1, x2 = (Var(y(1)), Var(y(2)), Var(z(1)), Var(z(2)),
+                              Var(x(1)), Var(x(2)))
+    builtins = (("sem1", sem1), ("sem2", sem2), ("sem1-graded", sem1_graded),
+                ("sem2-graded", sem2_graded), ("zyq-zy", zyq_zy))
+    return [(f"{name}({q})", make(q)) for q in (5, 7, 11, 13) for name, make in builtins] + [
+        ("sem1(5;y1,z2)", sem1(5, y(1), z(2))),
+        ("sem2(7;z1,y2)", sem2(7, z(1), y(2))),
+        ("sem2(5;z2,z1)", sem2(5, z(2), z(1))),
+        ("yy", yy()),
+        ("zz", zz()),
+        ("unsorted-exponents", chain(y1, AdPolyDiff(z1, ((1, 4), (-1, 2))),
+                                     AdPolyDiff(y2, ((-1, 1), (1, 5), (2, 3))))),
+        ("exponent-0", chain(z1, AdPower(y1, 0), AdPower(z2, 1))),
+        ("exponent-0-last", chain(y1, AdPower(z1, 0))),
+        ("mixed-sum", Sum((bracket(y1, z1), Scale(3, chain(z1, AdPower(y1, 2)))))),
+        ("mixed-base-even", chain(y1, AdPower(Sum((y2, z1)), 2))),
+        ("mixed-base-odd", chain(y1, AdPolyDiff(Sum((y2, z1)), ((1, 2), (-1, 1))))),
+        ("mixed-head", chain(Sum((y1, z1)), AdPower(z2, 2))),
+        ("ungraded", chain(x1, AdPower(x2, 3))),
+        ("zyq-zy(5)[brackets]",
+         substitute(zyq_zy(5), {z(1): bracket(z1, y2), y(1): bracket(z1, z2)})),
+        ("sem1(5)[brackets]",
+         substitute(sem1(5), {x(1): bracket(y1, z1), x(2): bracket(z1, z2)}, graded=False)),
+        ("sem2-graded(5)[brackets]",
+         substitute(sem2_graded(5), {y(1): bracket(y1, y2), z(2): bracket(z1, y1)})),
+        ("yy[chains]", substitute(yy(), {y(1): bracket(z1, z2), y(2): chain(y1, AdPower(z1, 2))})),
+    ]
+
+
+def analyses_json(e):
+    variables = expr_variables(e)
+    per, total = degree_bound(e)
+    return {"variables": [str(v) for v in variables], "parity": expr_parity(e),
+            "per": {str(v): d for v, d in per.items()}, "total": total,
+            "form": [list(t) for t in degree_form(e, variables)]}
+
+
+def test_analyses_frozen():
+    frozen = FREELIE_GOLDEN["analyses"]
+    cases = analysis_cases()
+    assert [name for name, _ in cases] == [c["expr"] for c in frozen]
+    for (name, e), case in zip(cases, frozen):
+        assert analyses_json(e) == {k: v for k, v in case.items() if k != "expr"}, name
+    assert {c["parity"] for c in frozen} == {0, 1, None}
 
 
 # -- linear algebra and the automorphism scan ----------------------------------------

@@ -1,5 +1,6 @@
-"""Every name a glie module imports is used in that module, and the main
-pipelines import no numpy submodule lazily.
+"""Every name a glie module imports is used in that module, the main
+pipelines import no numpy submodule lazily, and only the expression
+interpreter dispatches on expression node types.
 
 An import left behind when the code that used it is deleted keeps a
 dependency alive that nothing needs, and hides from a reader that the
@@ -73,3 +74,45 @@ def test_pipelines_do_not_import_numpy_ma():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+NODE_TYPES = {"Var", "Sum", "Scale", "AdPower", "AdPolyDiff", "BracketChain"}
+
+
+def node_dispatchers(source: str) -> set:
+    """Names of the top-level functions and methods that test isinstance
+    against an expression node type, nested functions counting as theirs."""
+    tree = ast.parse(source)
+    found = set()
+    defs = [node for top in tree.body
+            for node in ([top] + (top.body if isinstance(top, ast.ClassDef) else []))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for fn in defs:
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                    & NODE_TYPES):
+                found.add(fn.name)
+    return found
+
+
+def test_scan_finds_node_dispatch():
+    source = ("def walk(e):\n"
+              "    def inner(n):\n"
+              "        return isinstance(n, (Var, Sum))\n"
+              "    return inner(e)\n"
+              "class K:\n"
+              "    def m(self, e):\n"
+              "        return isinstance(e, BracketChain)\n"
+              "def other(e):\n"
+              "    return isinstance(e, LiePolynomial)\n")
+    assert node_dispatchers(source) == {"walk", "m"}
+
+
+def test_only_the_interpreter_dispatches_on_node_types():
+    """Variables, parity, degree forms and residues are backends of
+    freelie._interpret; a walker of its own would repeat its dispatch."""
+    found = {path.name: node_dispatchers(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("freelie.py") == {"_children", "_interpret", "replace"}
+    assert {name: fns for name, fns in found.items() if fns} == {}
