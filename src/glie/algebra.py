@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AmbientMismatch, SpecError
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
-from .linalg import MatrixGF, SubspaceBasis, _as_codes, row_pairs, rref_codes
+from .linalg import SubspaceBasis, _as_codes, row_pairs, rref_codes
 
 _AD_BLOCK = 2048  # distinct bases, or rows, per block of ad matrices
 _MAX_KEY = 1 << 62  # element codes up to this serve as int64 keys of rows
@@ -334,7 +334,7 @@ def algebra_from_matrix_basis(spec: FieldSpec, basis, degrees, name: str) -> Gra
     """Build structure constants from a list of 2x2 matrices (4-coordinate
     vectors of field elements or codes) that must be bracket-closed and
     independent."""
-    basis = MatrixGF.from_rows(spec, basis).entries
+    basis = _as_codes(spec, basis)
     left, right = row_pairs(basis, basis)
     comms = batch_field(spec).sub(_m2_mult(spec, left, right), _m2_mult(spec, right, left))
     return algebra_in_basis(spec, basis, comms, degrees, name)

@@ -16,7 +16,7 @@ One rule reads an int everywhere.  An int given as a coordinate or a
 coefficient is an element code (and -c is minus the element of code c): a
 vector, a matrix entry, a structure constant, an element of an algebra, the
 coefficient of a monomial.  An int that multiplies something is n * 1, its
-image in the prime subfield: a Scale or AdPolyDiff coefficient, a word-table
+image in the prime subfield: a Scale or Ad coefficient, a word-table
 entry, AlgebraElement.scale, FieldElement arithmetic.  The two agree on prime
 fields only: in GF(25), code 7 is not 7 * 1, which is code 2.
 """

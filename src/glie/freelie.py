@@ -9,15 +9,16 @@ lives as the span of Lie monomials) and peels off Lyndon terms by
 triangularity; that route is canonical, so results never depend on a
 rewriting order.
 
-Expressions (LieExpr) extend plain brackets with operator slots: in a
-left-normed chain [head, s1, s2, ...] each slot s denotes an operator acting
-on the accumulated value v:
+Expressions (LieExpr) are built from four nodes: Var, Sum, Scale and Ad.
+Ad(v, w, terms) is v followed by an operator, a sum of ad powers of w:
 
-    w^k          v -> v (ad w)^k         (k-fold [v, w, ..., w])
-    (w^a - w^b)  v -> v ((ad w)^a - (ad w)^b), generally any +/- power sum
+    ((1, k),)            v -> v (ad w)^k         (k-fold [v, w, ..., w])
+    ((1, a), (-1, b))    v -> v ((ad w)^a - (ad w)^b), generally any power sum
 
-which is exactly the convention that turns the classical two-variable
-identities of sl2 over GF(q) into well-formed Lie elements.
+A left-normed chain [head, s1, s2, ...] with such operator slots is nested
+Ad nodes (chain, with the slot builders AdPower and AdPolyDiff), which is
+exactly the convention that turns the classical two-variable identities of
+sl2 over GF(q) into well-formed Lie elements.
 
 One walker, _interpret, gives expressions their meaning.  It runs over a
 backend of four operations (zero, add, scale, ad_powers) plus the value of a
@@ -43,9 +44,10 @@ the walk is shared.  Likewise the free algebra backend is the tests'
 reference for the truncated one.
 
 Within one call the walker evaluates each structurally distinct
-subexpression once, the leading slots of a bracket chain counting as one:
-in sem2_graded(q), x1 = y1 + z1 is summed once, not at every slot that uses
-it.  Only the values asked for more than once are kept until the call ends.
+subexpression once, so chains that share leading slots share their inner
+Ad node: in sem2_graded(q), x1 = y1 + z1 is summed once, not at every slot
+that uses it.  Only the values asked for more than once are kept until the
+call ends.
 """
 
 from __future__ import annotations
@@ -353,34 +355,42 @@ class Scale:
 
 
 @_expr_node
-class AdPower:
+class Ad:
+    """value followed by the operator sum of coeff (ad base)^exponent over
+    terms, (coeff, exponent) pairs of ints, exponents >= 0.  A left-normed
+    chain is nested Ad nodes, its head innermost."""
+
+    value: "LieExpr"
     base: "LieExpr"
-    exponent: int
+    terms: tuple  # tuple[(int coeff, int exponent)]
 
 
-@_expr_node
-class AdPolyDiff:
-    base: "LieExpr"
-    terms: tuple  # tuple[(int coeff, int exponent)], exponents >= 1
-
-
-@_expr_node
-class BracketChain:
-    head: "LieExpr"
-    slots: tuple  # tuple[AdPower | AdPolyDiff]
-
-
-LieExpr = (Var, Sum, Scale, BracketChain)
+LieExpr = (Var, Sum, Scale, Ad)
 ZERO = Sum(())  # the zero expression: it has every parity and no variable
 
 
-def bracket(a, b) -> BracketChain:
+def AdPower(base, exponent: int) -> tuple:
+    """The chain slot (ad base)^exponent."""
+    return base, ((1, exponent),)
+
+
+def AdPolyDiff(base, terms) -> tuple:
+    """The chain slot sum of coeff (ad base)^exponent over the (coeff,
+    exponent) pairs of terms."""
+    return base, tuple(terms)
+
+
+def chain(value, *slots):
+    """The left-normed chain [value, s1, s2, ...]: one Ad node per slot,
+    nested, so chain(value) is value."""
+    for base, terms in slots:
+        value = Ad(value, base, terms)
+    return value
+
+
+def bracket(a, b) -> Ad:
     """Plain commutator [a, b]."""
-    return BracketChain(a, (AdPower(b, 1),))
-
-
-def chain(head, *slots) -> BracketChain:
-    return BracketChain(head, tuple(slots))
+    return Ad(a, b, ((1, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +413,13 @@ class _Backend(NamedTuple):
 
 
 def _children(e) -> tuple:
-    """The subexpressions _interpret asks for to evaluate e.  A chain with
-    slots is its prefix (the head itself for one slot) followed by its last
-    slot, so chains that share leading slots share their prefix."""
+    """The subexpressions _interpret asks for to evaluate e."""
     if isinstance(e, Scale):
         return (e.expr,)
     if isinstance(e, Sum):
         return e.terms
-    if isinstance(e, BracketChain):
-        if not e.slots:
-            return (e.head,)
-        *rest, last = e.slots
-        return (BracketChain(e.head, tuple(rest)) if rest else e.head), last.base
+    if isinstance(e, Ad):
+        return e.value, e.base
     return ()
 
 
@@ -435,16 +440,16 @@ def _memo_for(*exprs) -> dict:
 
 
 def _interpret(e, ops: _Backend, memo: dict | None = None):
-    """The one walk of the expression AST.  An AdPower slot asks the backend
-    for one power of ad; an AdPolyDiff slot asks for all of its exponents at
-    once and adds the powers, scaling those whose coefficient is not 1.
+    """The one walk of the expression AST.  An Ad node asks the backend for
+    all of its exponents at once and adds the powers, scaling those whose
+    coefficient is not 1.
 
     memo comes from _memo_for, by default for e alone: each subexpression it
-    names is evaluated once and its value kept there.  Such a value may be handed out again, so it is
-    never the first argument of add, which may update that in place.  The
-    walk is no nested closure on purpose: one that calls itself is a
-    reference cycle, which would keep each chunk's assignment arrays alive
-    until the garbage collector runs."""
+    names is evaluated once and its value kept there.  Such a value may be
+    handed out again, so it is never the first argument of add, which may
+    update that in place.  The walk is no nested closure on purpose: one
+    that calls itself is a reference cycle, which would keep each chunk's
+    assignment arrays alive until the garbage collector runs."""
     if memo is None:
         memo = _memo_for(e)
     val = memo.get(e)
@@ -458,24 +463,18 @@ def _interpret(e, ops: _Backend, memo: dict | None = None):
         val = ops.zero()
         for t in e.terms:
             val = ops.add(val, _interpret(t, ops, memo))
-    elif isinstance(e, BracketChain):
-        children = [_interpret(c, ops, memo) for c in _children(e)]
-        val = children[0]
-        if e.slots:
-            s, w = e.slots[-1], children[1]
-            if isinstance(s, AdPower):
-                (val,) = ops.ad_powers(val, w, (s.exponent,))
-            else:
-                powers = ops.ad_powers(val, w, [x for _, x in s.terms])
-                first, *rest = [power if coeff == 1 else ops.scale(coeff, power)
-                                for (coeff, _), power in zip(s.terms, powers)]
-                # add may update the first term in place, so start from it
-                # only if no one else holds it: not the prefix value, which
-                # exponent 0 returns, nor a power of a repeated exponent
-                shared = first is val or any(first is t for t in rest)
-                val = ops.add(ops.zero(), first) if shared else first
-                for t in rest:
-                    val = ops.add(val, t)
+    elif isinstance(e, Ad):
+        val = _interpret(e.value, ops, memo)
+        powers = ops.ad_powers(val, _interpret(e.base, ops, memo), [k for _, k in e.terms])
+        first, *rest = [power if coeff == 1 else ops.scale(coeff, power)
+                        for (coeff, _), power in zip(e.terms, powers)]
+        # add may update the first term in place, so start from it only if
+        # no one else holds it: not the value, which exponent 0 returns, nor
+        # a power of a repeated exponent
+        shared = first is val or any(first is t for t in rest)
+        val = ops.add(ops.zero(), first) if shared else first
+        for t in rest:
+            val = ops.add(val, t)
     else:
         raise TypeError(f"not a LieExpr node: {e!r}")
     if e in memo:
@@ -543,8 +542,8 @@ def expr_variables(e) -> list:
 
 def _parities(e) -> frozenset:
     """The parities of e's components: _interpret on sets of parities, an x
-    variable taking both, a slot adding each exponent (all of an
-    AdPolyDiff's) times each parity of its base.  ZERO has no component."""
+    variable taking both, an Ad node adding each of its exponents times
+    each parity of its base.  ZERO has no component."""
 
     def ad_powers(u, w, exponents):
         return [{(a + k * b) % 2 for a in u for b in w} if k else u for k in exponents]
@@ -571,9 +570,9 @@ def degree_form(e, variables) -> tuple:
         degree_bound(substitute(e, m)) = max over t of sum_i t[i] * b_i,
 
     per variable and in total alike, where b_i = degree_bound(m[variables[i]]).
-    _interpret on sets of vectors: a Sum takes the union of its terms', a
-    slot adds its largest exponent times each vector of its base to each of
-    the head's.  ZERO, whose bound is 0, gives the zero vector, which a Sum
+    _interpret on sets of vectors: a Sum takes the union of its terms', an
+    Ad node adds its largest exponent times each vector of its base to each
+    of its value's.  ZERO, whose bound is 0, gives the zero vector, which a Sum
     with other vectors drops: bounds are >= 0, so the maximum stays.  The
     vectors come by decreasing total multiplicity, so the one most likely
     to exceed a cap comes first.
@@ -601,9 +600,9 @@ def degree_bound(e):
 
 def degree_residues(e, variables, spec: FieldSpec) -> list:
     """For each of variables, a set holding its degree mod q - 1 in every
-    multihomogeneous component of e, or more: _interpret on residue sets, a
-    slot adding each exponent (all of an AdPolyDiff's) times its base's one
-    residue, else every residue.  If v has one residue r, then
+    multihomogeneous component of e, or more: _interpret on residue sets, an
+    Ad node adding each of its exponents times its base's one residue, else
+    every residue.  If v has one residue r, then
     e(.., c * m, ..) = c^r * e(.., m, ..) for every c in GF(q)^*."""
     modulus = spec.q - 1
 
@@ -617,7 +616,8 @@ def degree_residues(e, variables, spec: FieldSpec) -> list:
 
 
 def _row_count(assignment: dict) -> int:
-    sizes = {a.shape[0] for a in assignment.values()}
+    """The rows of the assignment arrays; the empty assignment is one row."""
+    sizes = {a.shape[0] for a in assignment.values()} or {1}
     if len(sizes) != 1:
         raise ValueError("assignment arrays must share their first dimension")
     return sizes.pop()
@@ -661,15 +661,6 @@ def word_tree_batch_evaluate(word: Word, alg: GradedLieAlgebra, assignment: dict
     """batch_evaluate of the standard bracketing of a Lyndon word."""
     return _interpret(word_to_expr(word),
                       _batch_backend(alg, assignment, _row_count(assignment)))
-
-
-def poly_evaluate(poly: LiePolynomial, alg: GradedLieAlgebra, assignment: dict) -> AlgebraElement:
-    return _interpret(poly_to_expr(poly), _algebra_backend(alg, assignment))
-
-
-def poly_batch_evaluate(poly: LiePolynomial, alg: GradedLieAlgebra, assignment: dict,
-                        count: int) -> np.ndarray:
-    return _interpret(poly_to_expr(poly), _batch_backend(alg, assignment, count))
 
 
 # ---------------------------------------------------------------------------
@@ -973,11 +964,8 @@ def replace(e, images: dict):
         return Scale(e.coeff, replace(e.expr, images))
     if isinstance(e, Sum):
         return Sum(tuple(replace(t, images) for t in e.terms))
-    if isinstance(e, BracketChain):
-        return BracketChain(replace(e.head, images), tuple(
-            AdPower(replace(s.base, images), s.exponent) if isinstance(s, AdPower)
-            else AdPolyDiff(replace(s.base, images), s.terms)
-            for s in e.slots))
+    if isinstance(e, Ad):
+        return Ad(replace(e.value, images), replace(e.base, images), e.terms)
     raise TypeError(f"not a LieExpr node: {e!r}")
 
 

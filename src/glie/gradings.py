@@ -31,12 +31,12 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import GradedLieAlgebra, _m2_mult, _solve_in_span, algebra_in_basis, gl2, sl2
+from .algebra import SL2_BASIS, GradedLieAlgebra, _m2_mult, _solve_in_span, algebra_in_basis, gl2, sl2
 from .errors import SpecError, TheoremViolation, UnsupportedField
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
 from .identities import CheckSettings, check_identity
-from .linalg import MatrixGF, SubspaceBasis, matmul_codes, row_keys, row_pairs, rref_stack
+from .linalg import MatrixGF, SubspaceBasis, _as_codes, matmul_codes, row_keys, row_pairs, rref_stack
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 _NATURAL_ROWS = ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]])  # RREF parts of the natural grading
@@ -268,8 +268,7 @@ def natural_sl2_descriptor(spec: FieldSpec) -> GradingDescriptor:
 
 def _lifted_parts(d: GradingDescriptor, unit_in_even: bool):
     """The parts of an sl2 grading carried into gl2, the identity matrix added to one."""
-    # rows h, e, f in (e11, e12, e21, e22) coordinates
-    embed = MatrixGF.from_rows(d.spec, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]).entries
+    embed = _as_codes(d.spec, SL2_BASIS)  # rows h, e, f as 2x2 matrices
     parts = [matmul_codes(d.spec, s.rows, embed) for s in (d.even, d.odd)]
     parts[not unit_in_even] = np.concatenate([parts[not unit_in_even], [[1, 0, 0, 1]]])
     return tuple(SubspaceBasis(d.spec, 4, rows) for rows in parts)
@@ -427,11 +426,11 @@ def _qpower_hypothesis(d: GradingDescriptor):
     return f"a = {tuple(a[failing[0]].tolist())}, c = {tuple(c_star.tolist())}"
 
 
-def natural_characterization(d: GradingDescriptor,
-                             require_iso: bool = True) -> NaturalVerdict:
+def natural_characterization(d: GradingDescriptor) -> NaturalVerdict:
     """Check the two recognition hypotheses (1-dimensional even part and the
     q-power identity over F.1 + even) and, when they hold, produce an explicit
-    graded automorphism carrying the grading to the natural one."""
+    graded automorphism carrying the grading to the natural one, raising
+    TheoremViolation if there is none."""
     if d.parent_kind != "sl2":
         raise SpecError("natural characterization applies to sl2 gradings")
     spec = d.spec
@@ -445,13 +444,11 @@ def natural_characterization(d: GradingDescriptor,
     maps = sl2_automorphisms(spec)
     images = np.concatenate([d.even.rows, d.odd.rows]) @ maps.transpose(0, 2, 1) % spec.p
     hits = np.flatnonzero(~images[:, _OFF_NATURAL].any(axis=1))
-    if hits.size:
-        return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, maps[hits[0]]))
-    if require_iso:
+    if not hits.size:
         raise TheoremViolation(
             f"hypotheses hold for {d!r} but no graded isomorphism to the "
             "natural grading exists")
-    return NaturalVerdict(True, None, None, None)
+    return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, maps[hits[0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,14 @@ from .freelie import (
     evaluate,
     expr_variables,
     lyndon_words,
-    poly_batch_evaluate,
-    poly_evaluate,
+    poly_to_expr,
     replace,
     word_tree_batch_evaluate,
     x,
     y,
     z,
 )
-from .linalg import MatrixGF, SubspaceBasis, kernel_codes, matmul_codes, row_pairs, rref_codes
+from .linalg import SubspaceBasis, _as_codes, kernel_codes, matmul_codes, row_pairs, rref_codes
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def _sl2_orbit_representatives(alg: GradedLieAlgebra) -> np.ndarray | None:
     bf = batch_field(spec)
     reps = _orbit_representatives(spec)
     xs = _code_grid(alg, range(alg.dim))
-    basis = MatrixGF.from_rows(spec, SL2_BASIS).entries
+    basis = _as_codes(spec, SL2_BASIS)
     matrices = matmul_codes(spec, xs, basis)
     a, b, c, d = matrices.T
     nonzero = xs.any(axis=1)
@@ -362,7 +361,7 @@ def _orbit_pairs(alg: GradedLieAlgebra, reps: np.ndarray):
     q = spec.q
     codes = np.arange(q)
     xs = _code_grid(alg, range(3))
-    basis = MatrixGF.from_rows(spec, SL2_BASIS).entries
+    basis = _as_codes(spec, SL2_BASIS)
     seen = np.zeros((len(reps), q ** 3), dtype=bool)
     zero = ~reps.any(axis=1)
     seen[np.flatnonzero(zero)[:, None], reps @ q ** np.arange(3)] = True  # GL2 = C(0)
@@ -463,43 +462,6 @@ def _witness(alg: GradedLieAlgebra, codes: dict, pairs) -> dict:
     return out
 
 
-def _run_check(alg, domains, batch_fn, scalar_fn, settings: CheckSettings,
-               covered: int | None = None, pairs=()):
-    """Shared enumeration loop for expression and polynomial checks, over the
-    product of the joint domains (_assignment_slice).
-
-    covered, the number of assignments the domains stand for, is by default
-    the number of rows of their product.  A refuted check reports as
-    evaluations the number of rows up to and including the first failing
-    one, whatever the chunk size, and its witness with the variables of
-    pairs split (_witness)."""
-    if not domains:
-        val = scalar_fn({})
-        return CheckReport(val.is_zero(), 1,
-                           None if val.is_zero() else {}, None if val.is_zero() else val)
-
-    def first_failure(assignment, offset: int):
-        values = batch_fn(assignment)
-        bad = np.nonzero(values.any(axis=1))[0]
-        if not bad.size:
-            return None
-        row = int(bad[0])
-        witness = _witness(alg, {v: rows[row] for v, rows in assignment.items()}, pairs)
-        value = scalar_fn(witness)
-        if value.is_zero():
-            raise TheoremViolation("counterexample failed re-evaluation")
-        return CheckReport(False, offset + row + 1, witness, value)
-
-    total = math.prod(map(_domain_size, domains))
-    if total > settings.budget:
-        raise BudgetExceeded(f"check needs {total} evaluations (budget {settings.budget})")
-    for done in range(0, total, _CHUNK):
-        failed = first_failure(_assignment_slice(domains, done, min(done + _CHUNK, total)), done)
-        if failed is not None:
-            return failed
-    return CheckReport(True, total if covered is None else covered)
-
-
 def _merge_pairs(e, variables):
     """(f, pairs): e with each pair y_i, z_i that it uses only through the
     node Sum((Var(y_i), Var(z_i))), the node substitute builds for
@@ -543,6 +505,14 @@ def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
     with d zero, a nonzero square or a non-square: q^3 + q^2 + q rows in
     all for the q^6 graded assignments of sem*_graded.  A single variable
     takes the q + 1 representatives alone.
+
+    The rows run over the product of the joint domains (_assignment_slice),
+    _CHUNK at a time.  A check that holds reports as evaluations the number
+    of assignments covered, a refuted one the number of rows up to and
+    including the first failing one, whatever the chunk size, with its
+    witness re-evaluated by the scalar backend on e itself, the variables of
+    merged pairs split (_witness).  An expression without variables has one
+    row, the empty assignment.
     """
     variables = expr_variables(e)
     f, pairs = _merge_pairs(e, variables) if graded else (e, {})
@@ -555,26 +525,27 @@ def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
         reps, firsts, seconds = orbits
         domains[:2] = ([{variables[0]: reps}] if len(variables) == 1
                        else [{variables[0]: firsts, variables[1]: seconds}])
-    return _run_check(
-        alg, domains,
-        lambda assignment: batch_evaluate(f, alg, assignment),
-        lambda assignment: evaluate(e, alg, assignment, graded=graded),
-        settings, covered, pairs,
-    )
+    total = math.prod(map(_domain_size, domains))
+    if total > settings.budget:
+        raise BudgetExceeded(f"check needs {total} evaluations (budget {settings.budget})")
+    for done in range(0, total, _CHUNK):
+        assignment = _assignment_slice(domains, done, min(done + _CHUNK, total))
+        bad = np.flatnonzero(batch_evaluate(f, alg, assignment).any(axis=1))
+        if bad.size:
+            row = int(bad[0])
+            witness = _witness(alg, {v: rows[row] for v, rows in assignment.items()}, pairs)
+            value = evaluate(e, alg, witness, graded=graded)
+            if value.is_zero():
+                raise TheoremViolation("counterexample failed re-evaluation")
+            return CheckReport(False, done + row + 1, witness, value)
+    return CheckReport(True, covered)
 
 
 def check_poly_identity(poly: LiePolynomial, alg: GradedLieAlgebra,
                         graded: bool = True,
                         settings: CheckSettings = CheckSettings()) -> CheckReport:
-    variables = poly.variables()
-    domains = _domains(alg, variables, graded)
-    return _run_check(
-        alg, domains,
-        lambda assignment: poly_batch_evaluate(
-            poly, alg, assignment, next(iter(assignment.values())).shape[0]),
-        lambda assignment: poly_evaluate(poly, alg, assignment),
-        settings,
-    )
+    """check_identity of the polynomial's expression (poly_to_expr)."""
+    return check_identity(poly_to_expr(poly), alg, graded, settings)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from glie.freelie import (
     Var,
     ZERO,
     assoc_expand,
+    batch_evaluate,
     bracket,
     builtin,
     chain,
@@ -34,7 +35,6 @@ from glie.freelie import (
     expr_variables,
     is_lyndon,
     lyndon_words,
-    poly_evaluate,
     poly_to_expr,
     print_word,
     sem1,
@@ -269,7 +269,7 @@ def test_expand_agrees_with_evaluation_exhaustive():
         for combo in itertools.product(*pools):
             assignment = dict(zip(variables, combo))
             left = evaluate(e, L, assignment, graded=True)
-            right = poly_evaluate(p, L, assignment)
+            right = evaluate(poly_to_expr(p), L, assignment, graded=False)
             assert left == right
 
 
@@ -369,6 +369,29 @@ def test_evaluate_zero_head():
     L = sl2(GF5)
     e = chain(Scale(0, Var(y(1))), AdPower(Var(y(1)), 2))
     assert evaluate(e, L, {y(1): L.basis_element(0)}).is_zero()
+
+
+def test_chains_are_nested_ad_nodes():
+    a, s1, s2 = Var(y(1)), AdPower(Var(z(1)), 2), AdPolyDiff(Var(y(2)), ((1, 3), (-1, 1)))
+    assert chain(a) is a
+    assert chain(chain(a, s1), s2) == chain(a, s1, s2)
+    assert hash(chain(chain(a, s1), s2)) == hash(chain(a, s1, s2))
+
+
+def test_chains_share_their_leading_slots(monkeypatch):
+    """Two chains of one Sum that share a and s1 ask for [a, s1] once."""
+    import numpy as np
+
+    L = sl2(GF5)
+    calls = []
+    batch_ad_powers = type(L).batch_ad_powers
+    monkeypatch.setattr(type(L), "batch_ad_powers", lambda self, u, w, exponents: (
+        calls.append(list(exponents)) or batch_ad_powers(self, u, w, exponents)))
+    a, s1 = Var(y(1)), AdPower(Var(z(1)), 2)
+    e = Sum((chain(a, s1, AdPower(Var(z(2)), 1)), chain(a, s1, AdPower(Var(y(2)), 1))))
+    rows = np.array([[1, 0, 0], [0, 1, 2]])
+    batch_evaluate(e, L, {y(1): rows, y(2): rows, z(1): rows[::-1], z(2): rows[::-1]})
+    assert calls == [[2], [1], [1]]
 
 
 def test_evaluate_parity_enforced():

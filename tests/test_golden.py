@@ -96,8 +96,7 @@ from glie.freelie import (
     expr_parity,
     expr_variables,
     lema5_set,
-    poly_batch_evaluate,
-    poly_evaluate,
+    poly_to_expr,
     sem1,
     sem1_graded,
     sem2,
@@ -300,9 +299,9 @@ def test_poly_evaluate_frozen():
         for word, code in case["terms"]})
     assert any(c.code >= spec.p for _, c in poly.terms)  # proper extension scalars
     assignment = assignment_of(case["rows"])
-    count = len(case["values"])
-    assert poly_batch_evaluate(poly, alg, assignment, count).tolist() == case["values"]
-    value = poly_evaluate(poly, alg, element_assignment(alg, assignment, 0))
+    assert batch_evaluate(poly_to_expr(poly), alg, assignment).tolist() == case["values"]
+    value = evaluate(poly_to_expr(poly), alg, element_assignment(alg, assignment, 0),
+                     graded=False)
     assert [c.code for c in value.coeffs] == case["values"][0]
 
 

@@ -21,18 +21,21 @@ from glie.errors import BudgetExceeded, ParityError, TheoremViolation
 from glie.fields import BatchField, FieldSpec, batch_field
 from glie.freelie import (
     AdPolyDiff,
+    AdPower,
     LiePolynomial,
     MultiDegree,
     Sum,
     Var,
+    ZERO,
     batch_evaluate,
     bracket,
     chain,
     evaluate,
+    expr_expand,
     expr_variables,
     lema5_set,
-    poly_batch_evaluate,
     poly_bracket,
+    poly_to_expr,
     sem1,
     sem1_graded,
     sem2_graded,
@@ -99,7 +102,7 @@ def brute_force_identity_space(alg, ambient):
         if not any(codes):
             continue
         poly = ambient.poly_of(spec, [spec.from_code(c) for c in codes])
-        values = poly_batch_evaluate(poly, alg, assignment, total)
+        values = batch_evaluate(poly_to_expr(poly), alg, assignment)
         if not values.any():
             good.append([spec.from_code(c) for c in codes])
     return SubspaceBasis.from_vectors(spec, ambient.dim, good)
@@ -234,6 +237,29 @@ def test_check_ordinary_sem1():
         settings=CheckSettings(budget=20_000))
     assert report.holds
     assert report.evaluations == 125 ** 2
+
+
+def test_variable_free_checks():
+    # an expression without variables has one row, the empty assignment; a
+    # bracket with ZERO keeps its variable's whole domain
+    L = sl2(GF5)
+    report = check_identity(ZERO, L)
+    assert (report.holds, report.evaluations, report.counterexample) == (True, 1, None)
+    report = check_identity(chain(ZERO, AdPower(Var(y(1)), 0)), L)
+    assert (report.holds, report.evaluations) == (True, 5)
+
+
+@pytest.mark.parametrize("poly, graded", [
+    (LiePolynomial.from_dict(GF5, {(y(1),): GF5.one(), (z(1),): GF5.one()}), True),
+    (expr_expand(bracket(Var(x(1)), Var(x(2))), GF5), False),
+], ids=["y1+z1-graded", "x1x2-ungraded"])
+def test_poly_check_is_the_check_of_its_expression(poly, graded):
+    L = sl2(GF5)
+    poly_report = check_poly_identity(poly, L, graded=graded)
+    report = check_identity(poly_to_expr(poly), L, graded=graded)
+    assert not report.holds
+    assert ((poly_report.holds, poly_report.evaluations, poly_report.counterexample)
+            == (report.holds, report.evaluations, report.counterexample))
 
 
 GF7 = FieldSpec.prime(7)

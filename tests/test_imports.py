@@ -1,10 +1,12 @@
-"""Every name a glie module imports is used in that module, the main
-pipelines import no numpy submodule lazily, and only the expression
-interpreter dispatches on expression node types.
+"""Every name a glie module imports is used in that module, every private
+top-level name of glie is read somewhere in glie, the main pipelines import
+no numpy submodule lazily, and only the expression interpreter dispatches
+on expression node types.
 
 An import left behind when the code that used it is deleted keeps a
 dependency alive that nothing needs, and hides from a reader that the
-module no longer relies on it.
+module no longer relies on it; a private helper left behind when its last
+caller is deleted is dead code in the same way.
 """
 
 import ast
@@ -48,6 +50,58 @@ def test_src_modules_use_every_import():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) of each private top-level function, class or
+    assignment of the modules (name -> source) that no module reads, by
+    name, as an attribute or in an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found.extend((module, n) for n in names
+                         if n.startswith("_") and not n.startswith("__") and n not in read)
+    return sorted(found)
+
+
+def test_scan_finds_unreferenced_private_names():
+    sources = {"a.py": ("_LIMIT = 3\n"
+                        "_unused: int = 4\n"
+                        "_KEY = 5\n"
+                        "def _helper():\n"
+                        "    return _LIMIT\n"
+                        "def _dead():\n"
+                        "    return _helper()\n"
+                        "class _Gone:\n"
+                        "    pass\n"),
+               "b.py": ("from . import a\n"
+                        "from .a import _helper\n"
+                        "x = _helper() + a._KEY\n")}
+    assert unreferenced_private_names(sources) == [
+        ("a.py", "_Gone"), ("a.py", "_dead"), ("a.py", "_unused")]
+
+
+def test_src_private_names_are_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    assert unreferenced_private_names(sources) == []
+
+
 def test_pipelines_do_not_import_numpy_ma():
     """A plain np.unique(a) asks np.ma.is_masked, which imports numpy.ma on
     first use: about 15 ms, as long as a whole q = 7 basis check.  Neither
@@ -76,7 +130,7 @@ def test_pipelines_do_not_import_numpy_ma():
     assert proc.stdout == "False\n"
 
 
-NODE_TYPES = {"Var", "Sum", "Scale", "AdPower", "AdPolyDiff", "BracketChain"}
+NODE_TYPES = {"Var", "Sum", "Scale", "Ad"}
 
 
 def node_dispatchers(source: str) -> set:
@@ -104,7 +158,7 @@ def test_scan_finds_node_dispatch():
               "    return inner(e)\n"
               "class K:\n"
               "    def m(self, e):\n"
-              "        return isinstance(e, BracketChain)\n"
+              "        return isinstance(e, Ad)\n"
               "def other(e):\n"
               "    return isinstance(e, LiePolynomial)\n")
     assert node_dispatchers(source) == {"walk", "m"}

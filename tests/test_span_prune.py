@@ -23,7 +23,6 @@ from glie.fields import FieldSpec
 from glie.freelie import (
     AdPolyDiff,
     AdPower,
-    BracketChain,
     LiePolynomial,
     MultiDegree,
     Sum,
@@ -201,8 +200,8 @@ UNSORTED_SLOTS = chain(
 
 @pytest.mark.parametrize("gen", [
     UNSORTED_SLOTS,
-    BracketChain(Var(y(1)), ()),
-    chain(Var(y(1)), AdPower(BracketChain(Var(z(1)), ()), 2)),
+    chain(Var(y(1))),
+    chain(Var(y(1)), AdPower(chain(Var(z(1))), 2)),
     chain(Var(x(1)), AdPower(Var(x(2)), 3)),
 ], ids=["unsorted-exponents", "no-slots", "no-slot-base", "ungraded"])
 def test_degree_form_edge_cases(gen):
