@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AmbientMismatch, SpecError
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
-from .linalg import SubspaceBasis, _as_codes, row_pairs, rref_codes
+from .linalg import SubspaceBasis, _as_codes, matmul_codes, row_pairs, rref_codes
 
 _AD_BLOCK = 2048  # distinct bases, or rows, per block of ad matrices
 _MAX_KEY = 1 << 62  # element codes up to this serve as int64 keys of rows
@@ -325,9 +325,7 @@ class ValidationReport:
 def _m2_mult(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise associative products of 2x2 matrices given as (N, 4) code
     arrays in (e11, e12, e21, e22) coordinates."""
-    bf = batch_field(spec)
-    a, b = a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)
-    return bf.add(bf.mul(a[:, :, :1], b[:, :1, :]), bf.mul(a[:, :, 1:], b[:, 1:, :])).reshape(-1, 4)
+    return matmul_codes(spec, a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)).reshape(-1, 4)
 
 
 def algebra_from_matrix_basis(spec: FieldSpec, basis, degrees, name: str) -> GradedLieAlgebra:

@@ -364,6 +364,10 @@ class Ad:
     base: "LieExpr"
     terms: tuple  # tuple[(int coeff, int exponent)]
 
+    def __post_init__(self):
+        if not self.terms:
+            raise ValueError("an Ad node needs at least one (coeff, exponent) term")
+
 
 LieExpr = (Var, Sum, Scale, Ad)
 ZERO = Sum(())  # the zero expression: it has every parity and no variable

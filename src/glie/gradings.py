@@ -1,7 +1,7 @@
-"""Z2-gradings of M2(F) (associative) and sl2(F) (Lie) over small prime
-fields: enumeration through involutive automorphisms, classification up to
-graded isomorphism, the unit-component criterion, and the recognition of the
-natural grading of sl2.
+"""Z2-gradings of M2(F) (associative) and sl2(F) (Lie) over small finite
+fields F = GF(q): enumeration through involutive automorphisms,
+classification up to graded isomorphism, the unit-component criterion, and
+the recognition of the natural grading of sl2.
 
 In characteristic != 2 every Z2-grading is the eigensplit of the involutive
 automorphism that negates the odd part, so enumeration reduces to finding
@@ -12,15 +12,17 @@ automorphism maps the ad-nilpotent e and f to ad-nilpotent elements; the full
 automorphism list doubles as the isomorphism group for orbit classification,
 with no reliance on Aut = PGL2 as an input fact.
 
-Everything here runs on int64 arrays of element codes, like linalg: the
+Everything here runs on int64 arrays of element codes, and computes in
+GF(q) only through BatchField, linalg.matmul_codes and linalg.rref_stack: the
 scan, the eigensplits (the images of phi + I and phi - I of all involutions
-phi, reduced in one linalg.rref_stack), the orbits (a map list is applied to
+phi, reduced in one rref_stack), the orbits (a map list is applied to
 all rows of a subspace at once, and the whole stack of images is reduced in
 one rref_stack), the closure checks of a split (the products of all part
 pairs in one batch, read in the basis even + odd from one elimination), the
 structure constants of a grading, the q-power check (one batch of odd
 elements against one even element) and the search for an isomorphism to the
-natural grading (one product of the grading's rows with every map).
+natural grading (the even row times every map, then the odd rows times the
+maps that keep the even row in F.h).
 FieldElement appears only in remark_boboc, which keeps scalar brackets.
 """
 
@@ -32,16 +34,15 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .algebra import SL2_BASIS, GradedLieAlgebra, _m2_mult, _solve_in_span, algebra_in_basis, gl2, sl2
-from .errors import SpecError, TheoremViolation, UnsupportedField
+from .errors import SpecError, TheoremViolation
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
 from .identities import CheckSettings, check_identity
-from .linalg import MatrixGF, SubspaceBasis, _as_codes, matmul_codes, row_keys, row_pairs, rref_stack
+from .linalg import (MatrixGF, SubspaceBasis, _as_codes, grid_codes, matmul_codes, projective_codes,
+                     row_keys, row_pairs, rref_stack)
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 _NATURAL_ROWS = ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]])  # RREF parts of the natural grading
-# the (h, e, f) coordinates outside the natural part of an even row (the first) and an odd row
-_OFF_NATURAL = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=bool)
 
 
 @lru_cache(maxsize=None)
@@ -125,41 +126,28 @@ def descriptor_to_algebra(d: GradingDescriptor) -> GradedLieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _det3_mod(a: np.ndarray, p: int) -> np.ndarray:
-    det = (
-        a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-        - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-        + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-    )
-    return det % p
-
-
 @lru_cache(maxsize=None)
 def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
-    """All invertible 3x3 matrices over GF(p) commuting with the sl2 bracket,
+    """All invertible 3x3 matrices over GF(q) commuting with the sl2 bracket,
     sorted, as a read-only (N, 3, 3) int64 array whose column i is the image
-    of b_i.
+    of b_i; N = |PGL2(q)| = q(q^2 - 1).
 
-    The scan is exhaustive over the (p^2 - 1)^2 pairs (phi(e), phi(f)) of
+    The scan is exhaustive over the (q^2 - 1)^2 pairs (phi(e), phi(f)) of
     nonzero ad-nilpotent elements, taken _SCAN_ROWS pairs at a time so that
-    its memory does not grow with p.  It misses no automorphism:
+    its memory does not grow with q.  It misses no automorphism:
     ad_phi(x) = phi ad_x phi^-1, so phi maps the ad-nilpotent e and f to
     ad-nilpotent elements, and a h + b e + c f is ad-nilpotent exactly when
     a^2 + bc = 0 (the matrix squares to (a^2 + bc) I, and ad of a matrix with
     eigenvalues +-l != 0 has the eigenvalue 2l != 0).  As [e, f] = h,
-    phi(h) := [phi(e), phi(f)]; a candidate is kept when it is invertible and
-    respects [h, e] and [h, f].  [e, f] then holds by construction, and the
+    phi(h) := [phi(e), phi(f)]; a candidate is kept when it respects [h, e]
+    and [h, f] and has rank 3.  [e, f] then holds by construction, and the
     remaining brackets follow by antisymmetry.
     """
-    if spec.k != 1:
-        raise UnsupportedField("automorphism scan needs a prime field")
-    p = spec.p
+    bf = batch_field(spec)
     alg = _parent_algebra(spec, "sl2")
-    eye = np.eye(3, dtype=np.int64)
-    relations = [(j, alg.batch_bracket(eye[:1], eye[j:j + 1])[0]) for j in (1, 2)]
-    nonzero = np.indices((p,) * 3, dtype=np.int64).reshape(3, -1).T[1:]
+    nonzero = grid_codes(spec, 3)[1:]
     a, b, c = nonzero.T
-    nilpotent = nonzero[(a * a + b * c) % p == 0]
+    nilpotent = nonzero[bf.add(bf.mul(a, a), bf.mul(b, c)) == 0]
     k = len(nilpotent)
     found = []
     for start in range(0, k * k, _SCAN_ROWS):
@@ -167,12 +155,10 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
         m = np.empty((len(pair), 3, 3), dtype=np.int64)
         m[:, :, 1], m[:, :, 2] = nilpotent[pair // k], nilpotent[pair % k]
         m[:, :, 0] = alg.batch_bracket(m[:, :, 1], m[:, :, 2])
-        mask = _det3_mod(m, p) != 0
-        for j, c0j in relations:
-            lhs = m @ c0j
-            lhs %= p
-            mask &= (lhs == alg.batch_bracket(m[:, :, 0], m[:, :, j])).all(axis=1)
-        found.append(m[mask])
+        for j in (1, 2):  # phi([h, b_j]) = [phi(h), phi(b_j)], [h, b_j] = constants[0, j]
+            m = m[(matmul_codes(spec, m, alg.constants[0, j, :, None])[:, :, 0]
+                   == alg.batch_bracket(m[:, :, 0], m[:, :, j])).all(axis=1)]
+        found.append(m[rref_stack(spec, m)[1] == 3])
     out = np.concatenate(found, axis=0)
     out = out[np.lexsort(tuple(out.reshape(len(out), 9).T[::-1]))]
     out.flags.writeable = False  # the cached array is shared by every caller
@@ -181,23 +167,25 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def m2_automorphisms(spec: FieldSpec) -> np.ndarray:
-    """The distinct conjugation maps x -> g x g^-1 of M2 (inner = all, by
-    Skolem-Noether; scalar multiples of g collapse) on (e11, e12, e21, e22)
-    coordinates, sorted, as a read-only (N, 4, 4) int64 array.  The map of g
-    is the Kronecker product of g and the transpose of g^-1."""
-    if spec.k != 1:
-        raise UnsupportedField("automorphism scan needs a prime field")
-    p = spec.p
-    g = np.indices((p,) * 4, dtype=np.int64).reshape(4, -1).T
-    det = (g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]) % p
-    g, inv_det = g[det != 0], batch_field(spec).inv(det[det != 0])
+    """The conjugation maps x -> g x g^-1 of M2 (inner = all, by
+    Skolem-Noether) on (e11, e12, e21, e22) coordinates, sorted, as a
+    read-only (N, 4, 4) int64 array; N = |PGL2(q)| = q(q^2 - 1).  The map of g
+    is the Kronecker product of g and the transpose of g^-1.  g runs over the
+    q^3 + q^2 + q + 1 matrices whose first nonzero entry is 1, one per scalar
+    class (projective_codes); conjugation by g is the identity only when g
+    is scalar, so no two maps are equal (TheoremViolation if they are)."""
+    bf = batch_field(spec)
+    g = projective_codes(spec, 4)[1:]
     a, b, c, d = g.T
-    ginv_t = np.stack([d, -c, -b, a], axis=1).reshape(-1, 2, 2) * inv_det[:, None, None]
-    maps = np.einsum("nij,nkl->nikjl", g.reshape(-1, 2, 2), ginv_t).reshape(-1, 16) % p
-    maps = maps[np.lexsort(maps.T[::-1])]
-    out = maps[np.r_[True, (maps[1:] != maps[:-1]).any(axis=1)]].reshape(-1, 4, 4)
-    out.flags.writeable = False  # the cached array is shared by every caller
-    return out
+    det = bf.sub(bf.mul(a, d), bf.mul(b, c))
+    adj_t = np.stack([d, bf.neg(c), bf.neg(b), a], axis=1)
+    g, ginv_t = g[det != 0], bf.mul(adj_t[det != 0], bf.inv(det[det != 0])[:, None])
+    maps = bf.mul(g.reshape(-1, 2, 1, 2, 1), ginv_t.reshape(-1, 1, 2, 1, 2)).reshape(-1, 16)
+    maps = maps[np.lexsort(maps.T[::-1])].reshape(-1, 4, 4)
+    if (maps[1:] == maps[:-1]).all(axis=(1, 2)).any():
+        raise TheoremViolation("two non-proportional matrices conjugate alike")
+    maps.flags.writeable = False  # the cached array is shared by every caller
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +199,10 @@ def _involution_splits(spec: FieldSpec, kind: str, maps: np.ndarray):
     In characteristic != 2, ker(phi - I) = im(phi + I) and ker(phi + I) =
     im(phi - I): the even and odd parts are the row spaces of (phi + I)^T and
     (phi - I)^T, all reduced in one rref_stack."""
-    p, n = spec.p, maps.shape[1]
+    bf, n = batch_field(spec), maps.shape[1]
     eye = np.eye(n, dtype=np.int64)
-    phis = maps[((maps @ maps) % p == eye).all(axis=(1, 2))].transpose(0, 2, 1)
-    reduced, ranks = rref_stack(spec, np.concatenate([phis + eye, phis - eye]) % p)
+    phis = maps[(matmul_codes(spec, maps, maps) == eye).all(axis=(1, 2))].transpose(0, 2, 1)
+    reduced, ranks = rref_stack(spec, np.concatenate([bf.add(phis, eye), bf.sub(phis, eye)]))
     parts = [SubspaceBasis(spec, n, rows[:rank]) for rows, rank in zip(reduced, ranks)]
     return [GradingDescriptor(kind, spec, even, odd, "involution")
             for even, odd in zip(parts[:len(phis)], parts[len(phis):])]
@@ -229,8 +217,6 @@ def enumerate_z2_gradings(target: str, spec: FieldSpec):
     brute-forced automorphism list.  The trivial grading (odd = 0) arises
     from the identity automorphism.
     """
-    if spec.k != 1:
-        raise UnsupportedField("grading enumeration is restricted to prime fields")
     key = target.lower().replace("-", "_")
     if key == "m2_assoc":
         descriptors = _involution_splits(spec, "m2", m2_automorphisms(spec))
@@ -303,7 +289,7 @@ def _image_stacks(d: GradingDescriptor, maps: np.ndarray):
     order, as two (N, dim, n) stacks: all maps are applied at once, and each
     stack of images is reduced in one rref_stack (the maps are invertible,
     so every image keeps the dimension of its part)."""
-    return tuple(rref_stack(d.spec, s.rows @ maps.transpose(0, 2, 1) % d.spec.p)[0]
+    return tuple(rref_stack(d.spec, matmul_codes(d.spec, s.rows, maps.transpose(0, 2, 1)))[0]
                  for s in (d.even, d.odd))
 
 
@@ -346,12 +332,11 @@ def classify_up_to_iso(gradings) -> list:
     for d, label in zip(gradings, labels):
         classes.setdefault(label, []).append(d)
     out = []
-    q = spec.q
     for canon in sorted(classes):
         members = classes[canon]
         rep = min(members, key=lambda d: d.key())
         alg = descriptor_to_algebra(rep)
-        report = check_identity(zyq_zy(q), alg, graded=True,
+        report = check_identity(zyq_zy(spec.q), alg, graded=True,
                                 settings=CheckSettings(budget=2_000_000))
         out.append(GradingClass(rep, len(members), rep.even.dim, rep.odd.dim,
                                 report.holds))
@@ -441,14 +426,14 @@ def natural_characterization(d: GradingDescriptor) -> NaturalVerdict:
         return NaturalVerdict(False, "q-power", witness, None)
     # the maps are invertible, so phi carries the grading to the natural one
     # exactly when it maps the even row into F.h and the odd rows into F.e + F.f
-    maps = sl2_automorphisms(spec)
-    images = np.concatenate([d.even.rows, d.odd.rows]) @ maps.transpose(0, 2, 1) % spec.p
-    hits = np.flatnonzero(~images[:, _OFF_NATURAL].any(axis=1))
+    maps = sl2_automorphisms(spec).transpose(0, 2, 1)  # phi^T maps code rows
+    maps = maps[~matmul_codes(spec, d.even.rows, maps)[:, 0, 1:].any(axis=1)]
+    hits = np.flatnonzero(~matmul_codes(spec, d.odd.rows, maps)[:, :, 0].any(axis=1))
     if not hits.size:
         raise TheoremViolation(
             f"hypotheses hold for {d!r} but no graded isomorphism to the "
             "natural grading exists")
-    return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, maps[hits[0]]))
+    return NaturalVerdict(True, None, None, MatrixGF.from_rows(spec, maps[hits[0]].T))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ from .freelie import (
     y,
     z,
 )
-from .linalg import SubspaceBasis, _as_codes, kernel_codes, matmul_codes, row_pairs, rref_codes
+from .linalg import (SubspaceBasis, _as_codes, grid_codes, kernel_codes, matmul_codes, projective_codes,
+                     row_pairs, rref_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -180,42 +181,32 @@ def total_degree_windows(max_total: int, per_var_cap: int):
 # ---------------------------------------------------------------------------
 
 
-def _code_grid(alg: GradedLieAlgebra, free) -> np.ndarray:
-    """All q^len(free) vectors of codes that are zero off the coordinates in
-    free, as (q^len(free), dim) rows, the first free coordinate fastest."""
-    q = alg.spec.q
-    count = q ** len(free)
-    out = np.zeros((count, alg.dim), dtype=np.int64)
-    base = np.arange(count)
-    for pos, i in enumerate(free):
-        out[:, i] = (base // (q ** pos)) % q
+def _on_coordinates(alg: GradedLieAlgebra, rows: np.ndarray, idx) -> np.ndarray:
+    """Code rows over the coordinates idx as (N, dim) rows, zero elsewhere."""
+    out = np.zeros((len(rows), alg.dim), dtype=np.int64)
+    out[:, idx] = rows
     return out
 
 
 def homogeneous_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
-    """All q^d elements of the degree-d part, as (q^d, dim) coordinate codes."""
-    return _code_grid(alg, alg.homogeneous_indices(degree))
+    """All q^d elements of the degree-d part, as (q^d, dim) coordinate codes
+    (linalg.grid_codes on its coordinates)."""
+    idx = alg.homogeneous_indices(degree)
+    return _on_coordinates(alg, grid_codes(alg.spec, len(idx)), idx)
 
 
 def projective_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
     """The zero vector and one representative of each line through 0 of the
-    degree-d part: the vectors whose first nonzero coordinate is code 1.
-    1 + (q^d - 1)/(q - 1) rows of coordinate codes."""
+    degree-d part (linalg.projective_codes on its coordinates): 1 + (q^d -
+    1)/(q - 1) rows of coordinate codes."""
     idx = alg.homogeneous_indices(degree)
-    blocks = [np.zeros((1, alg.dim), dtype=np.int64)]
-    for lead, i in enumerate(idx):
-        block = _code_grid(alg, idx[lead + 1:])
-        block[:, i] = 1
-        blocks.append(block)
-    return np.concatenate(blocks)
+    return _on_coordinates(alg, projective_codes(alg.spec, len(idx)), idx)
 
 
 def basis_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
     """The basis vectors of the degree-d part as unit code rows."""
     idx = alg.homogeneous_indices(degree)
-    out = np.zeros((len(idx), alg.dim), dtype=np.int64)
-    out[np.arange(len(idx)), idx] = 1
-    return out
+    return _on_coordinates(alg, np.eye(len(idx), dtype=np.int64), idx)
 
 
 def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=None, pairs=()):
@@ -230,7 +221,7 @@ def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=None, pairs=
                 raise ParityError(f"{v} has no parity; graded mode forbids x variables")
             domains.append({v: points(v) if points else homogeneous_batch(alg, v.parity)})
         else:
-            domains.append({v: _code_grid(alg, range(alg.dim))})
+            domains.append({v: grid_codes(alg.spec, alg.dim)})
     return domains
 
 
@@ -299,7 +290,7 @@ def _sl2_orbit_representatives(alg: GradedLieAlgebra) -> np.ndarray | None:
         return None
     bf = batch_field(spec)
     reps = _orbit_representatives(spec)
-    xs = _code_grid(alg, range(alg.dim))
+    xs = grid_codes(spec, alg.dim)
     basis = _as_codes(spec, SL2_BASIS)
     matrices = matmul_codes(spec, xs, basis)
     a, b, c, d = matrices.T
@@ -360,7 +351,7 @@ def _orbit_pairs(alg: GradedLieAlgebra, reps: np.ndarray):
     bf = batch_field(spec)
     q = spec.q
     codes = np.arange(q)
-    xs = _code_grid(alg, range(3))
+    xs = grid_codes(spec, 3)
     basis = _as_codes(spec, SL2_BASIS)
     seen = np.zeros((len(reps), q ** 3), dtype=bool)
     zero = ~reps.any(axis=1)
@@ -848,7 +839,8 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
                 check_settings: CheckSettings = CheckSettings()) -> BasisCheckReport:
     """Soundness first (every generator must hold on every graded
     assignment, by check_identity), then a window-by-window comparison of
-    identity space and consequence span.
+    identity space and consequence span.  gen_labels, when given, names each
+    generator (ValueError unless there is one label per generator).
 
     check_settings bounds both the soundness checks (rows evaluated) and the
     identity spaces (the points of identity_space's grid, where a variable
@@ -862,7 +854,9 @@ def basis_check(alg: GradedLieAlgebra, gens, windows,
     (consequence_span's target), and is not searched at all when that
     dimension is 0.  Either way the span found is the same subspace.
     """
-    labels = gen_labels or [f"gen{i + 1}" for i in range(len(gens))]
+    labels = [f"gen{i + 1}" for i in range(len(gens))] if gen_labels is None else list(gen_labels)
+    if len(labels) != len(gens):
+        raise ValueError(f"{len(labels)} labels for {len(gens)} generators")
     soundness = []
     refuted = False
     for label, gen in zip(labels, gens):

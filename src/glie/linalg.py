@@ -1,5 +1,5 @@
 """Dense exact linear algebra over GF(q) on int64 arrays of element codes:
-RREF, kernels and subspace lattice operations.
+RREF, kernels, products, subspaces, and the vectors and lines of F^n.
 
 rref_codes, a Gauss-Jordan pass through BatchField, reduces one matrix;
 rref_stack runs the same pass over a stack of equally shaped matrices at
@@ -127,14 +127,35 @@ def kernel_codes(spec: FieldSpec, reduced: np.ndarray, pivots) -> np.ndarray:
 
 
 def matmul_codes(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrix product of an (m, k) and a (k, n) code array."""
+    """The matrix product of (..., m, k) and (..., k, n) code arrays, the
+    leading axes broadcast as in numpy's matmul."""
     if spec.k == 1:
         return a @ b % spec.p
     bf = batch_field(spec)
-    out = bf.zeros((a.shape[0], b.shape[1]))
-    for j in range(a.shape[1]):
-        out = bf.add(out, bf.mul(a[:, j, None], b[j]))
+    out = bf.zeros(np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1])))
+    for j in range(a.shape[-1]):
+        out = bf.add(out, bf.mul(a[..., :, j, None], b[..., j, None, :]))
     return out
+
+
+def grid_codes(spec: FieldSpec, n: int) -> np.ndarray:
+    """All q^n code vectors of length n as (q^n, n) rows, the first
+    coordinate fastest."""
+    grid = np.arange(spec.q ** n, dtype=np.int64)[:, None] // spec.q ** np.arange(n)
+    grid %= spec.q
+    return grid
+
+
+def projective_codes(spec: FieldSpec, n: int) -> np.ndarray:
+    """The zero vector of F^n and one representative of each line through 0,
+    the vector whose first nonzero coordinate is code 1: 1 + (q^n - 1)/(q - 1)
+    rows, by the position of that coordinate, then as in grid_codes."""
+    blocks = [np.zeros((1, n), dtype=np.int64)]
+    for lead in range(n):
+        block = np.zeros((spec.q ** (n - 1 - lead), n), dtype=np.int64)
+        block[:, lead], block[:, lead + 1:] = 1, grid_codes(spec, n - 1 - lead)
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -225,9 +246,7 @@ class SubspaceBasis:
         """All q^dim elements of the subspace as a (q^dim, ambient_dim) code
         array: the combinations of the rows with coefficients in code order,
         the coefficient of row 0 changing slowest."""
-        q = self.spec.q
-        coeffs = np.indices((q,) * self.dim, dtype=np.int64).reshape(self.dim, q ** self.dim)
-        return matmul_codes(self.spec, coeffs.T, self.rows)
+        return matmul_codes(self.spec, grid_codes(self.spec, self.dim)[:, ::-1], self.rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from glie.errors import ExpansionTooLarge, NotALieElement, ParityError
 from glie.fields import FieldSpec
 from glie.identities import homogeneous_batch
 from glie.freelie import (
+    Ad,
     AdPolyDiff,
     AdPower,
     LiePolynomial,
@@ -376,6 +377,16 @@ def test_chains_are_nested_ad_nodes():
     assert chain(a) is a
     assert chain(chain(a, s1), s2) == chain(a, s1, s2)
     assert hash(chain(chain(a, s1), s2)) == hash(chain(a, s1, s2))
+
+
+def test_ad_nodes_need_a_term():
+    """An empty operator sum is refused where the node is built, not in the
+    first walk of the expression."""
+    with pytest.raises(ValueError, match="at least one"):
+        chain(Var(y(1)), AdPolyDiff(Var(y(2)), ()))
+    with pytest.raises(ValueError, match="at least one"):
+        Ad(Var(y(1)), Var(y(2)), ())
+    assert expr_variables(chain(Var(y(1)), AdPolyDiff(Var(y(2)), ((1, 0),)))) == [y(1), y(2)]
 
 
 def test_chains_share_their_leading_slots(monkeypatch):

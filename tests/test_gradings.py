@@ -7,7 +7,7 @@ import pytest
 
 from glie import algebra, gradings, linalg
 from glie.algebra import _m2_mult, gl2, sl2
-from glie.errors import SpecError, UnsupportedField
+from glie.errors import SpecError
 from glie.fields import FieldElement, FieldSpec
 from glie.gradings import (
     _ASSOC_PAIRS,
@@ -30,6 +30,7 @@ from glie.gradings import (
 from glie.linalg import MatrixGF, SubspaceBasis, row_pairs
 
 GF5 = FieldSpec.prime(5)
+GF25 = FieldSpec.extension(5, 2)
 
 # tracemalloc peak of sl2_automorphisms(GF(7)) when it scanned all p^9
 # candidate matrices in blocks of p^7
@@ -63,6 +64,40 @@ def test_sl2_automorphism_count_and_closure():
 
 def test_m2_automorphism_count():
     assert len(m2_automorphisms(GF5)) == 120
+
+
+@pytest.mark.parametrize("spec", [GF5, FieldSpec.prime(7), GF25], ids=lambda s: f"GF{s.q}")
+def test_m2_scan_takes_one_matrix_per_scalar_class(spec, monkeypatch):
+    """The candidates g are the q^3 + q^2 + q + 1 rows of projective_codes,
+    not the q^4 matrices, and still give all |PGL2(q)| = q(q^2 - 1) maps."""
+    q, sizes = spec.q, []
+    monkeypatch.setattr(gradings, "projective_codes", lambda spec, n: (
+        sizes.append(n) or linalg.projective_codes(spec, n)))
+    maps = m2_automorphisms.__wrapped__(spec)
+    assert sizes == [4]
+    assert len(linalg.projective_codes(spec, 4)) - 1 == q ** 3 + q ** 2 + q + 1
+    assert len(maps) == q * (q * q - 1)
+    assert np.array_equal(maps, m2_automorphisms(spec))
+
+
+def test_gradings_pipeline_over_gf25():
+    """The pipeline over GF(25), against the theory of PGL2(q) for odd q,
+    which is Aut(sl2) and Aut(M2): the identity and the q^2 involutions give
+    q^2 + 1 gradings of each target.  The involutions form two conjugacy
+    classes: q(q + 1)/2 with eigenvalues in F, the class of diag(1, -1) and
+    of the natural grading, where [z1, y1^q] = [z1, y1] holds, and
+    q(q - 1)/2 without, where it fails."""
+    q = GF25.q
+    assert len(sl2_automorphisms(GF25)) == len(m2_automorphisms(GF25)) == q * (q * q - 1)
+    sl, m2 = (enumerate_z2_gradings(target, GF25) for target in ("sl2_lie", "m2_assoc"))
+    assert len(sl) == len(m2) == q * q + 1
+    for descriptors, even_dims in ((sl, (3, 1)), (m2, (4, 2))):
+        classes = classify_up_to_iso(descriptors)
+        assert sorted((c.size, c.even_dim, c.zyq_identity_holds) for c in classes) == [
+            (1, even_dims[0], True), (q * (q - 1) // 2, even_dims[1], False),
+            (q * (q + 1) // 2, even_dims[1], True)]
+    assert sum(natural_characterization(d).hypotheses_hold for d in sl) == q * (q + 1) // 2
+    assert all(unit_component_check(d) for d in m2)
 
 
 def test_enumerate_m2_gradings():
@@ -104,11 +139,6 @@ def test_eigensplit_matches_kernels_for_every_involution(target, p):
     # the identity and the p^2 involutions of PGL2(p), each with its own split
     assert len(expected) == len(set(expected)) == p * p + 1
     assert sorted(d.key() for d in gradings) == expected
-
-
-def test_enumeration_rejects_extension_fields():
-    with pytest.raises(UnsupportedField):
-        enumerate_z2_gradings("m2_assoc", FieldSpec.extension(5, 2))
 
 
 def test_classify_m2_three_classes():
@@ -479,7 +509,8 @@ def p6_scan(spec):
         m = np.empty((len(digits), 3, 3), dtype=np.int64)
         m[:, :, 1], m[:, :, 2] = digits[:, :3], digits[:, 3:]
         m[:, :, 0] = alg.batch_bracket(m[:, :, 1], m[:, :, 2])
-        mask = gradings._det3_mod(m, p) != 0
+        # the determinant of a 3x3 matrix is column 0 . (column 1 x column 2)
+        mask = np.einsum("ni,ni->n", m[:, :, 0], np.cross(m[:, :, 1], m[:, :, 2])) % p != 0
         for j, c0j in relations:
             mask &= ((m @ c0j) % p == alg.batch_bracket(m[:, :, 0], m[:, :, j])).all(axis=1)
         found.append(m[mask])

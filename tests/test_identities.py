@@ -894,6 +894,20 @@ def test_basis_check_strict_inclusion_for_yy_alone():
     assert rec.witness is not None
 
 
+def test_basis_check_needs_one_label_per_generator():
+    """With four labels for five generators, zz(), which fails on sl2,
+    would be neither labelled nor checked for soundness, yet it would
+    enter the consequence span."""
+    gens = set_s(5) + [zz()]
+    with pytest.raises(ValueError, match="4 labels for 5 generators"):
+        basis_check(sl2(GF5), gens, [], gen_labels=list("abcd"))
+    with pytest.raises(ValueError, match="2 labels for 1 generators"):
+        basis_check(sl2(GF5), [yy()], [], gen_labels=["a", "b"])
+    report = basis_check(sl2(GF5), gens, [], gen_labels=list("abcde"))
+    assert [label for label, _ in report.soundness] == list("abcde")
+    assert report.verdict == "refuted"
+
+
 def test_basis_check_soundness_hard_failure():
     report = basis_check(sl2(GF5), [yy(), zz()], windows=[])
     assert report.verdict == "refuted"

@@ -1,7 +1,8 @@
 """Every name a glie module imports is used in that module, every private
 top-level name of glie is read somewhere in glie, the main pipelines import
-no numpy submodule lazily, and only the expression interpreter dispatches
-on expression node types.
+no numpy submodule lazily, only the expression interpreter dispatches
+on expression node types, and the gradings and identities layers leave
+GF(q) arithmetic to the field layer.
 
 An import left behind when the code that used it is deleted keeps a
 dependency alive that nothing needs, and hides from a reader that the
@@ -170,3 +171,29 @@ def test_only_the_interpreter_dispatches_on_node_types():
     found = {path.name: node_dispatchers(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert found.pop("freelie.py") == {"_children", "_interpret", "replace"}
     assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def field_attribute_reads(source: str) -> list:
+    """(line, attribute) of each read of an attribute named p or k: the
+    characteristic and the degree of a FieldSpec or BatchField, which only
+    code that does its own mod-p arithmetic needs."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("p", "k"))
+
+
+def test_scan_finds_field_attribute_reads():
+    source = ("def f(spec, a, bf):\n"
+              "    q = spec.q\n"
+              "    if spec.k != 1:\n"
+              "        return a % spec.p\n"
+              "    return bf.mul(a, a), q\n")
+    assert field_attribute_reads(source) == [(3, "k"), (4, "p")]
+
+
+def test_gradings_and_identities_do_no_field_arithmetic():
+    """GF(q) is computed in fields and linalg (BatchField, matmul_codes,
+    rref_codes, rref_stack) and in the algebra and freelie kernels; a layer
+    above them that reads spec.p or spec.k would have a prime-only path."""
+    found = {name: field_attribute_reads((SRC / name).read_text())
+             for name in ("gradings.py", "identities.py")}
+    assert found == {"gradings.py": [], "identities.py": []}

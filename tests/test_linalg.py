@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glie.errors import AmbientMismatch
-from glie.fields import FieldSpec
-from glie.linalg import MatrixGF, SubspaceBasis, matmul_codes, row_keys, rref_codes, rref_stack
+from glie.fields import FieldSpec, batch_field
+from glie.linalg import (MatrixGF, SubspaceBasis, grid_codes, matmul_codes, projective_codes, row_keys,
+                         rref_codes, rref_stack)
 
 GF5 = FieldSpec.prime(5)
 GF7 = FieldSpec.prime(7)
@@ -211,3 +212,47 @@ def test_row_keys_order_rows_lexicographically():
     assert np.argsort(keys, kind="stable").tolist() == order
     ascending = np.sort(keys)
     assert (np.searchsorted(ascending, keys) == [order.index(i) for i in range(len(rows))]).all()
+
+
+@pytest.mark.parametrize("spec", [GF5, GF25], ids=lambda s: f"GF{s.q}")
+def test_grid_codes_lists_every_vector_first_coordinate_fastest(spec):
+    q = spec.q
+    for n in range(4):
+        grid = grid_codes(spec, n)
+        assert grid.shape == (q ** n, n)
+        assert (grid @ q ** np.arange(n) == np.arange(q ** n)).all()
+
+
+@pytest.mark.parametrize("spec", [GF5, GF25], ids=lambda s: f"GF{s.q}")
+def test_projective_codes_meet_every_line_once(spec):
+    """The zero row, then rows whose first nonzero coordinate is 1, one per
+    line: every nonzero vector of F^3 is a nonzero multiple of exactly one
+    row."""
+    q, bf = spec.q, batch_field(spec)
+    for n in range(4):
+        assert projective_codes(spec, n).shape == (1 + (q ** n - 1) // (q - 1), n)
+    rows = projective_codes(spec, 3)
+    assert not rows[0].any()
+    lines = rows[1:]
+    assert (lines[np.arange(len(lines)), (lines != 0).argmax(axis=1)] == 1).all()
+    multiples = np.concatenate([bf.scale(lam, lines) for lam in range(1, q)])
+    codes = multiples @ q ** np.arange(3)
+    assert sorted(codes.tolist()) == list(range(1, q ** 3))
+
+
+@pytest.mark.parametrize("spec", [GF5, GF25], ids=lambda s: f"GF{s.q}")
+def test_matmul_codes_on_stacks_is_the_product_of_each_item(spec):
+    """(N, n, n) @ (N, n, n), (m, n) @ (N, n, k) and (N, m, n) @ (n, k)
+    agree with the 2-d product of each item; the 2-d product is checked
+    against FieldElement arithmetic."""
+    rng = np.random.default_rng(spec.q)
+    a, b = (rng.integers(0, spec.q, (30, 3, 3)) for _ in range(2))
+    left, right = rng.integers(0, spec.q, (2, 3)), rng.integers(0, spec.q, (3, 4))
+    for got, pairs in ((matmul_codes(spec, a, b), zip(a, b)),
+                       (matmul_codes(spec, left, b), ((left, m) for m in b)),
+                       (matmul_codes(spec, a, right), ((m, right) for m in a))):
+        assert np.array_equal(got, [matmul_codes(spec, x, y) for x, y in pairs])
+    els = spec.elements()
+    expected = [[sum((els[x] * els[y] for x, y in zip(row, col)), spec.zero()).code
+                 for col in right.T] for row in a[0]]
+    assert matmul_codes(spec, a[0], right).tolist() == expected

@@ -136,10 +136,24 @@ def unit_criterion_disagrees():
     unit_component_check(d)
 
 
+def conjugation_scan_repeats_a_scalar_class():
+    """M2 candidates with the multiples 2g of the scalar-class
+    representatives g added: 2g conjugates as g does, so the maps are no
+    longer distinct and the scan must refuse them."""
+    original = gradings.projective_codes
+    gradings.projective_codes = lambda spec, n: np.concatenate(
+        [original(spec, n), 2 * original(spec, n)[1:]])
+    try:
+        gradings.m2_automorphisms.__wrapped__(GF5)
+    finally:
+        gradings.projective_codes = original
+
+
 SCENARIOS = [non_identity_consequence, counterexample_not_reproduced,
              ad_power_kernel_corrupted, orbit_representative_dropped,
              centralizer_map_moves_its_representative,
-             natural_grading_without_isomorphism, unit_criterion_disagrees]
+             natural_grading_without_isomorphism, unit_criterion_disagrees,
+             conjugation_scan_repeats_a_scalar_class]
 
 
 def raises_theorem_violation(scenario) -> bool:
