@@ -17,10 +17,11 @@ GF(q) only through BatchField, linalg.matmul_codes and linalg.rref_stack: the
 scan, the eigensplits (the images of phi + I and phi - I of all involutions
 phi, reduced in one rref_stack), the orbits (a map list is applied to
 all rows of a subspace at once, and the whole stack of images is reduced in
-one rref_stack), the closure checks of a split (the products of all part
-pairs in one batch, read in the basis even + odd from one elimination), the
-structure constants of a grading, the q-power check (one batch of odd
-elements against one even element) and the search for an isomorphism to the
+one rref_stack), the split checks (one rref_stack of [basis | all n^2
+products of the basis]^T per dims class proves every split of an
+enumeration, and yields each grading's structure constants in its
+homogeneous basis even + odd), the q-power check (one matrix
+ad(x)^q - ad(x) for the even basis vector x) and the search for an isomorphism to the
 natural grading (the even row times every map, then the odd rows times the
 maps that keep the even row in F.h).
 FieldElement appears only in remark_boboc, which keeps scalar brackets.
@@ -28,18 +29,18 @@ FieldElement appears only in remark_boboc, which keeps scalar brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import SL2_BASIS, GradedLieAlgebra, _m2_mult, _solve_in_span, algebra_in_basis, gl2, sl2
+from .algebra import SL2_BASIS, GradedLieAlgebra, _m2_mult, gl2, sl2
 from .errors import SpecError, TheoremViolation
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
 from .identities import CheckSettings, check_identity
 from .linalg import (MatrixGF, SubspaceBasis, _as_codes, grid_codes, matmul_codes, projective_codes,
-                     row_keys, row_pairs, rref_stack)
+                     row_keys, rref_stack)
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 _NATURAL_ROWS = ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]])  # RREF parts of the natural grading
@@ -62,40 +63,72 @@ _LIE_PAIRS = ((0, 0), (0, 1), (1, 1))  # [odd, even] follows by antisymmetry
 _ASSOC_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _split_products(spec: FieldSpec, evens: np.ndarray, odds: np.ndarray, mult, pairs):
+    """(constants, respects) for a (B, de, n) stack of even and a (B, do, n)
+    stack of odd parts, de + do = n, under a bilinear product mult.  One
+    rref_stack of [basis | all n^2 products of the basis]^T, basis = even +
+    odd, proves each basis one of F^n (SpecError if not) and gives
+    constants[b, i, j], the coordinates of b_i b_j in it; respects[b] says
+    whether the products of each listed pair (g, h) of parts lie in R_{g+h}."""
+    basis = np.concatenate([evens, odds], axis=1)
+    items, n = basis.shape[:2]
+    if n != basis.shape[2]:
+        raise SpecError("even and odd parts do not split the algebra")
+    left, right = np.repeat(basis, n, axis=1), np.tile(basis, (1, n, 1))
+    products = mult(left.reshape(-1, n), right.reshape(-1, n)).reshape(items, n * n, n)
+    reduced, _ = rref_stack(spec, np.concatenate([basis, products], axis=1).transpose(0, 2, 1))
+    if (reduced[:, :, :n] != np.eye(n, dtype=np.int64)).any():
+        raise SpecError("even and odd parts do not split the algebra")
+    constants = reduced[:, :, n:].reshape(items, n, n, n).transpose(0, 2, 3, 1)
+    part = (slice(0, evens.shape[1]), slice(evens.shape[1], n))
+    wrong = [constants[:, part[g], part[h], part[(g + h + 1) % 2]] for g, h in pairs]
+    return constants, ~np.any([w.any(axis=(1, 2, 3)) for w in wrong], axis=0)
+
+
 def _respects_degrees(even: SubspaceBasis, odd: SubspaceBasis, mult, pairs) -> bool:
     """Whether mult(R_g, R_h) lies in R_{g+h} for each listed pair (g, h) of parts
-    of dimensions adding up to n: all products, in coordinates of the basis even +
-    odd from one elimination, vanish in the wrong degree.  SpecError if they do not span."""
-    parts = (even.rows, odd.rows)
-    left, right, degree = map(np.concatenate, zip(*(
-        (*row_pairs(parts[g], parts[h]), np.full(len(parts[g]) * len(parts[h]), (g + h) % 2))
-        for g, h in pairs)))
-    try:
-        coords = _solve_in_span(even.spec, np.concatenate(parts), mult(left, right))
-    except SpecError:
-        raise SpecError("even and odd parts do not split the algebra") from None
-    return not coords[degree[:, None] != np.repeat([0, 1], [even.dim, odd.dim])].any()
+    of dimensions adding up to n: _split_products on a stack of one."""
+    return bool(_split_products(even.spec, even.rows[None], odd.rows[None], mult, pairs)[1][0])
 
 
 @dataclass(frozen=True)
 class GradingDescriptor:
-    """An even/odd split of M2 (as Lie algebra) or sl2, validated as a Lie grading."""
+    """An even/odd split of M2 (as Lie algebra) or sl2, validated as a Lie
+    grading; constants, the parent's structure constants in the homogeneous
+    basis even + odd, come out of that check."""
 
     parent_kind: str  # "m2" | "sl2"
     spec: FieldSpec
     even: SubspaceBasis
     odd: SubspaceBasis
     origin: str
+    constants: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        parent = _parent_algebra(self.spec, self.parent_kind)
-        n = parent.dim
-        if any(s.spec != self.spec or s.ambient_dim != n for s in (self.even, self.odd)):
+    def __post_init__(self):  # the check of a stack of one
+        checked = self.checked_stack(self.parent_kind, self.spec, [(self.even, self.odd)], "")
+        object.__setattr__(self, "constants", checked[0].constants)
+
+    @classmethod
+    def checked_stack(cls, kind: str, spec: FieldSpec, splits, origin: str) -> list:
+        """One descriptor per (even, odd) SubspaceBasis pair of a list of one
+        dims class, all checked as Lie gradings of the parent in one
+        _split_products; SpecError if any split fails."""
+        parent = _parent_algebra(spec, kind)
+        if any(s.spec != spec or s.ambient_dim != parent.dim for split in splits for s in split):
             raise SpecError("grading subspaces have the wrong field or ambient dimension")
-        if self.even.dim + self.odd.dim != n:
+        if any(e.dim + o.dim != parent.dim or e.dim != splits[0][0].dim for e, o in splits):
             raise SpecError("even and odd parts do not split the algebra")
-        if not _respects_degrees(self.even, self.odd, parent.batch_bracket, _LIE_PAIRS):
+        if not splits:
+            return []
+        evens, odds = (np.stack([s.rows for s in part]) for part in zip(*splits))
+        constants, respects = _split_products(spec, evens, odds, parent.batch_bracket, _LIE_PAIRS)
+        if not respects.all():
             raise SpecError("bracket closure fails for the split")
+        out = [object.__new__(cls) for _ in splits]  # filled as __init__ would, checked
+        for d, (even, odd), c in zip(out, splits, constants):
+            d.__dict__.update(parent_kind=kind, spec=spec, even=even, odd=odd, origin=origin,
+                              constants=c)
+        return out
 
     def key(self):
         return _key(self.even.rows, self.odd.rows)
@@ -109,12 +142,9 @@ class GradingDescriptor:
 
 
 def descriptor_to_algebra(d: GradingDescriptor) -> GradedLieAlgebra:
-    """The parent Lie algebra rewritten in a homogeneous basis."""
-    parent = _parent_algebra(d.spec, d.parent_kind)
-    rows = np.concatenate([d.even.rows, d.odd.rows])
+    """The parent Lie algebra in the homogeneous basis, from d.constants."""
     degrees = (0,) * d.even.dim + (1,) * d.odd.dim
-    alg = algebra_in_basis(d.spec, rows, parent.batch_bracket(*row_pairs(rows, rows)),
-                           degrees, f"{d.parent_kind}[{d.origin}]")
+    alg = GradedLieAlgebra(d.spec, degrees, d.constants, f"{d.parent_kind}[{d.origin}]")
     report = alg.validate()
     if not report.ok:
         raise SpecError(f"descriptor does not define a graded algebra: {report.failing()}")
@@ -198,14 +228,18 @@ def _involution_splits(spec: FieldSpec, kind: str, maps: np.ndarray):
     involution is determined by its split, so the splits are distinct too).
     In characteristic != 2, ker(phi - I) = im(phi + I) and ker(phi + I) =
     im(phi - I): the even and odd parts are the row spaces of (phi + I)^T and
-    (phi - I)^T, all reduced in one rref_stack."""
+    (phi - I)^T, all reduced in one rref_stack.  The splits of each dims
+    class are then checked together, by GradingDescriptor.checked_stack."""
     bf, n = batch_field(spec), maps.shape[1]
     eye = np.eye(n, dtype=np.int64)
     phis = maps[(matmul_codes(spec, maps, maps) == eye).all(axis=(1, 2))].transpose(0, 2, 1)
     reduced, ranks = rref_stack(spec, np.concatenate([bf.add(phis, eye), bf.sub(phis, eye)]))
     parts = [SubspaceBasis(spec, n, rows[:rank]) for rows, rank in zip(reduced, ranks)]
-    return [GradingDescriptor(kind, spec, even, odd, "involution")
-            for even, odd in zip(parts[:len(phis)], parts[len(phis):])]
+    classes = {}
+    for even, odd in zip(parts[:len(phis)], parts[len(phis):]):
+        classes.setdefault((even.dim, odd.dim), []).append((even, odd))
+    return [d for splits in classes.values()
+            for d in GradingDescriptor.checked_stack(kind, spec, splits, "involution")]
 
 
 def enumerate_z2_gradings(target: str, spec: FieldSpec):
@@ -217,13 +251,11 @@ def enumerate_z2_gradings(target: str, spec: FieldSpec):
     brute-forced automorphism list.  The trivial grading (odd = 0) arises
     from the identity automorphism.
     """
-    key = target.lower().replace("-", "_")
-    if key == "m2_assoc":
-        descriptors = _involution_splits(spec, "m2", m2_automorphisms(spec))
-    elif key == "sl2_lie":
-        descriptors = _involution_splits(spec, "sl2", sl2_automorphisms(spec))
-    else:
+    kind = {"m2_assoc": "m2", "sl2_lie": "sl2"}.get(target.lower().replace("-", "_"))
+    if kind is None:
         raise SpecError(f"unknown grading target {target!r}")
+    maps = m2_automorphisms(spec) if kind == "m2" else sl2_automorphisms(spec)
+    descriptors = _involution_splits(spec, kind, maps)
     descriptors.sort(key=lambda d: (-d.even.dim, d.key()))
     return descriptors
 
@@ -232,19 +264,11 @@ def reference_m2_descriptors(spec: FieldSpec):
     """The three displayed M2 gradings: trivial, diagonal/off-diagonal, and
     the nonsquare one for b' = find_nonsquare."""
     b = find_nonsquare(spec).code
-    full = SubspaceBasis.full(spec, 4)
-    trivial = GradingDescriptor("m2", spec, full, SubspaceBasis.zero(spec, 4), "reference-trivial")
-    diagonal = GradingDescriptor(
-        "m2", spec,
-        SubspaceBasis.from_vectors(spec, 4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
-        SubspaceBasis.from_vectors(spec, 4, [[0, 1, 0, 0], [0, 0, 1, 0]]),
-        "reference-diagonal")
-    nonsquare = GradingDescriptor(
-        "m2", spec,
-        SubspaceBasis.from_vectors(spec, 4, [[1, 0, 0, 1], [0, 1, b, 0]]),
-        SubspaceBasis.from_vectors(spec, 4, [[1, 0, 0, -1], [0, 1, -b, 0]]),
-        f"reference-nonsquare(b'={b})")
-    return [trivial, diagonal, nonsquare]
+    splits = (("trivial", np.eye(4, dtype=np.int64), []),
+              ("diagonal", [[1, 0, 0, 0], [0, 0, 0, 1]], [[0, 1, 0, 0], [0, 0, 1, 0]]),
+              (f"nonsquare(b'={b})", [[1, 0, 0, 1], [0, 1, b, 0]], [[1, 0, 0, -1], [0, 1, -b, 0]]))
+    return [GradingDescriptor("m2", spec, SubspaceBasis(spec, 4, even), SubspaceBasis(spec, 4, odd),
+                              f"reference-{name}") for name, even, odd in splits]
 
 
 def natural_sl2_descriptor(spec: FieldSpec) -> GradingDescriptor:
@@ -305,8 +329,7 @@ def classify_up_to_iso(gradings) -> list:
     """
     if not gradings:
         return []
-    spec = gradings[0].spec
-    kind = gradings[0].parent_kind
+    spec, kind = gradings[0].spec, gradings[0].parent_kind
     if any(d.spec != spec or d.parent_kind != kind for d in gradings):
         raise SpecError("classification needs a homogeneous descriptor list")
     maps = m2_automorphisms(spec) if kind == "m2" else sl2_automorphisms(spec)
@@ -332,14 +355,11 @@ def classify_up_to_iso(gradings) -> list:
     for d, label in zip(gradings, labels):
         classes.setdefault(label, []).append(d)
     out = []
-    for canon in sorted(classes):
-        members = classes[canon]
+    for members in classes.values():
         rep = min(members, key=lambda d: d.key())
-        alg = descriptor_to_algebra(rep)
-        report = check_identity(zyq_zy(spec.q), alg, graded=True,
-                                settings=CheckSettings(budget=2_000_000))
-        out.append(GradingClass(rep, len(members), rep.even.dim, rep.odd.dim,
-                                report.holds))
+        holds = check_identity(zyq_zy(spec.q), descriptor_to_algebra(rep), graded=True,
+                               settings=CheckSettings(budget=2_000_000)).holds
+        out.append(GradingClass(rep, len(members), rep.even.dim, rep.odd.dim, holds))
     out.sort(key=lambda c: (-c.even_dim, c.representative.key()))
     return out
 
@@ -395,20 +415,22 @@ def _qpower_hypothesis(d: GradingDescriptor):
 
     The identity is linear in c.  Write c = s.1 + t.x with F.x the even part:
     the identity is central, so ad_c = t ad_x, and t^q = t in GF(q), so
-    [a, c^q] - [a, c] = t ([a, x^q] - [a, x]).  A pair (a, c) thus fails
-    exactly when t != 0 and (a, c*) fails, for c* the first c that is not a
-    scalar; the first failing pair is (the first a failing against c*, c*),
-    and each odd a is checked against c* alone."""
+    [a, c^q] - [a, c] = t (a ad_x^q - a ad_x).  A pair (a, c) thus fails
+    exactly when t != 0 and a (ad_x^q - ad_x) != 0, which is computed in
+    sl2 with one 3x3 matrix, ad_x raised to q by squaring.  The failing
+    pairs are those of the odd a that fail with any c that is not a scalar;
+    the first of them is (the first failing a, c*), c* the first such c.  The
+    gl2 lift only formats that witness."""
+    spec, x = d.spec, d.even.rows
+    once, power = _parent_algebra(spec, "sl2")._ad_power_matrices(x, (1, spec.q))
+    failing = matmul_codes(spec, d.odd.vectors(), batch_field(spec).sub(power, once)[:, :, 0])
+    failing = np.flatnonzero(failing.any(axis=1))
+    if not failing.size:
+        return None
     even, odd = _lifted_parts(d, unit_in_even=True)
     c = even.vectors()
     c_star = c[(c[:, 1:3] != 0).any(axis=1) | (c[:, 0] != c[:, 3])][0]
-    a = odd.vectors()
-    once, val = _parent_algebra(d.spec, "m2").batch_ad_powers(
-        a, np.broadcast_to(c_star, a.shape), (1, d.spec.q))
-    failing = np.flatnonzero((val != once).any(axis=1))
-    if not failing.size:
-        return None
-    return f"a = {tuple(a[failing[0]].tolist())}, c = {tuple(c_star.tolist())}"
+    return f"a = {tuple(odd.vectors()[failing[0]].tolist())}, c = {tuple(c_star.tolist())}"
 
 
 def natural_characterization(d: GradingDescriptor) -> NaturalVerdict:

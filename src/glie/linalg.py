@@ -5,13 +5,16 @@ rref_codes, a Gauss-Jordan pass through BatchField, reduces one matrix;
 rref_stack runs the same pass over a stack of equally shaped matrices at
 once, for the many small eliminations of the gradings layer.  SubspaceBasis
 and MatrixGF hold read-only code arrays.  Vectors of FieldElements or ints
-are converted to codes once, at the input edge (_as_codes, behind
-SubspaceBasis.from_vectors, MatrixGF.from_rows, SubspaceBasis.contains and
-the algebra layer); an int there is an element code, by the rule stated in
+are converted to codes once, at the input edge (_as_codes, behind the
+SubspaceBasis constructor and membership tests, MatrixGF.from_rows and the
+algebra layer); an int there is an element code, by the rule stated in
 fields.
 Subspaces are always kept in reduced row echelon form, so two spans are equal
-exactly when their row arrays are equal.  Everything here is immutable after
-construction and safe to share.
+exactly when their row arrays are equal.  The constructor keeps rows that
+pass a vectorised RREF test, such as the output of an elimination, and
+reduces only other input; membership is a pivot reduction, with no
+elimination.  Everything here is immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ def _as_codes(spec: FieldSpec, vectors, ncols: int | None = None) -> np.ndarray:
         if len({len(r) for r in rows}) > 1:
             raise AmbientMismatch("ragged matrix rows")
         arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else ncols or 0)
-    if ncols is not None and arr.shape[1] != ncols:
-        raise AmbientMismatch(f"vector length {arr.shape[1]} != ambient {ncols}")
+    if arr.ndim != 2 or ncols not in (None, arr.shape[1]):
+        raise AmbientMismatch(f"rows of shape {arr.shape} in ambient {ncols}")
     if spec.k == 1:
-        return arr % spec.p
+        return np.remainder(arr, spec.p, out=arr)  # arr is a new array
     if (np.abs(arr) >= spec.q).any():
         raise ValueError(f"code out of range for GF({spec.q})")
     return np.where(arr < 0, batch_field(spec).neg(-arr), arr)
@@ -59,7 +62,7 @@ def rref_codes(spec: FieldSpec, codes):
 
     rows is a new (rank, n) int64 array: zero rows are dropped; pivot columns
     are strictly increasing with pivot entry 1 and zeros elsewhere in the
-    pivot column.
+    pivot column.  Codes must lie in range(q), as _as_codes makes them.
     """
     bf = batch_field(spec)
     work = np.array(codes, dtype=np.int64)
@@ -88,29 +91,34 @@ def rref_stack(spec: FieldSpec, codes):
 
     reduced is a new (B, r, n) int64 array whose item b holds
     rref_codes(spec, codes[b])[0] in its first ranks[b] rows and zeros below.
-    The loop runs over the n columns only; each step pivots, scales and
-    clears every matrix that has a pivot in that column.
+    The loop runs over the n columns only, and stops once every matrix has
+    full rank; each step pivots, scales and clears every matrix that has a
+    pivot in that column.  Codes must lie in range(q), as _as_codes makes
+    them.
     """
     bf = batch_field(spec)
     work = np.array(codes, dtype=np.int64)
     ranks = np.zeros(len(work), dtype=np.int64)
     if not work.size:
         return work, ranks
-    below = np.arange(work.shape[1])
+    below, every = np.arange(work.shape[1]), np.arange(len(work))
     for col in range(work.shape[2]):
         candidates = (work[:, :, col] != 0) & (below >= ranks[:, None])
-        items = np.flatnonzero(candidates.any(axis=1))
+        hit = candidates.any(axis=1)
+        items = every if hit.all() else np.flatnonzero(hit)
         if not items.size:
             continue
+        block = slice(None) if items is every else items  # a view, not a gather
         rows, top = candidates[items].argmax(axis=1), ranks[items]
         pivot = work[items, rows]
-        work[items, rows] = work[items, top]
         pivot = bf.mul(bf.inv(pivot[:, col])[:, None], pivot)
-        factors = work[items, :, col]
-        factors[np.arange(len(items)), top] = 0
-        work[items] = bf.sub(work[items], bf.mul(factors[:, :, None], pivot[:, None, :]))
+        # clear the column in every row, the pivot row too, then put the pivot at row top
+        work[block] = bf.sub(work[block], bf.mul(work[block, :, col, None], pivot[:, None, :]))
+        work[items, rows] = work[items, top]
         work[items, top] = pivot
         ranks[items] += 1
+        if ranks.min() == work.shape[1]:
+            break
     return work, ranks
 
 
@@ -129,11 +137,11 @@ def kernel_codes(spec: FieldSpec, reduced: np.ndarray, pivots) -> np.ndarray:
 def matmul_codes(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The matrix product of (..., m, k) and (..., k, n) code arrays, the
     leading axes broadcast as in numpy's matmul."""
-    if spec.k == 1:
+    if spec.k == 1 or not a.shape[-1]:  # an empty sum is the zero matrix
         return a @ b % spec.p
     bf = batch_field(spec)
-    out = bf.zeros(np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1])))
-    for j in range(a.shape[-1]):
+    out = bf.mul(a[..., :, 0, None], b[..., 0, None, :])
+    for j in range(1, a.shape[-1]):
         out = bf.add(out, bf.mul(a[..., :, j, None], b[..., j, None, :]))
     return out
 
@@ -158,6 +166,16 @@ def projective_codes(spec: FieldSpec, n: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _is_rref(codes: np.ndarray) -> bool:
+    """Whether a 2-d code array is in reduced row echelon form with no zero
+    rows: the leading entries lie in strictly increasing columns, and those
+    columns hold the identity matrix (a zero row leads with a 0)."""
+    if not codes.size:
+        return not len(codes)
+    pivots = (codes != 0).argmax(axis=1)
+    return bool((np.diff(pivots) > 0).all() and (codes[:, pivots] == np.eye(len(codes))).all())
+
+
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row of a 2-d array of non-negative integers as one opaque value,
     its big-endian bytes, so that the values sort, search and compare as the
@@ -175,8 +193,9 @@ def row_pairs(a: np.ndarray, b: np.ndarray):
 class SubspaceBasis:
     """Row-reduced basis of a subspace of F^ambient_dim.
 
-    rows is a read-only (dim, ambient_dim) int64 RREF array; the constructor
-    reduces the code rows it is given.
+    rows is a read-only (dim, ambient_dim) int64 RREF array.  The constructor
+    reads the code rows it is given by _as_codes' rule, keeps them when they
+    pass the RREF test _is_rref and reduces them otherwise.
     """
 
     spec: FieldSpec
@@ -184,15 +203,15 @@ class SubspaceBasis:
     rows: np.ndarray
 
     def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.ambient_dim:
-            raise AmbientMismatch(f"rows of shape {self.rows.shape} in ambient {self.ambient_dim}")
-        reduced, _ = rref_codes(self.spec, self.rows)
+        reduced = _as_codes(self.spec, self.rows, self.ambient_dim)  # a new array
+        if not _is_rref(reduced):
+            reduced = rref_codes(self.spec, reduced)[0]
         reduced.flags.writeable = False
         object.__setattr__(self, "rows", reduced)
 
     @classmethod
     def from_vectors(cls, spec: FieldSpec, ambient_dim: int, vectors) -> "SubspaceBasis":
-        return cls(spec, ambient_dim, _as_codes(spec, vectors, ambient_dim))
+        return cls(spec, ambient_dim, vectors)
 
     @classmethod
     def zero(cls, spec: FieldSpec, ambient_dim: int) -> "SubspaceBasis":
@@ -218,13 +237,17 @@ class SubspaceBasis:
         if self.ambient_dim != other.ambient_dim or self.spec != other.spec:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
-    def contains_rows(self, codes: np.ndarray) -> bool:
-        """Whether every row of an (N, ambient_dim) code array lies in the
-        subspace: one rank test."""
-        return len(rref_codes(self.spec, np.concatenate([self.rows, codes]))[1]) == self.dim
+    def contains_rows(self, codes) -> bool:
+        """Whether every row v of (N, ambient_dim) codes, read by _as_codes'
+        rule, lies in the subspace.  The pivot columns of the rows hold the
+        identity, so v is in the span exactly when v - v[pivots] . rows = 0."""
+        codes = _as_codes(self.spec, codes, self.ambient_dim)
+        pivots = (self.rows != 0).argmax(axis=1) if self.dim else []
+        return not batch_field(self.spec).sub(
+            codes, matmul_codes(self.spec, codes[:, pivots], self.rows)).any()
 
     def contains(self, vector) -> bool:
-        return self.contains_rows(_as_codes(self.spec, [vector], self.ambient_dim))
+        return self.contains_rows([vector])
 
     def contains_space(self, other: "SubspaceBasis") -> bool:
         self._check_compatible(other)

@@ -5,8 +5,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from glie import algebra, gradings, linalg
-from glie.algebra import _m2_mult, gl2, sl2
+from glie import algebra, gradings, identities, linalg
+from glie.algebra import _m2_mult, algebra_in_basis, gl2, sl2
 from glie.errors import SpecError
 from glie.fields import FieldElement, FieldSpec
 from glie.gradings import (
@@ -348,6 +348,35 @@ def test_closure_checks_match_rank_tests_on_random_splits():
     assert {("m2", 1, r) for r in (True, False, "no split")} <= seen
 
 
+@pytest.mark.parametrize("spec", [GF5, GF25], ids=lambda s: f"GF{s.q}")
+def test_stacked_check_yields_the_constants_of_a_direct_solve(spec):
+    """Each enumerated descriptor carries the constants that algebra_in_basis
+    solves for from its basis, and equals the descriptor built directly."""
+    for target, kind in (("sl2_lie", "sl2"), ("m2_assoc", "m2")):
+        parent = gradings._parent_algebra(spec, kind)
+        for d in enumerate_z2_gradings(target, spec):
+            rows = np.concatenate([d.even.rows, d.odd.rows])
+            solved = algebra_in_basis(spec, rows, parent.batch_bracket(*row_pairs(rows, rows)),
+                                      (0,) * len(rows), "solved")
+            direct = GradingDescriptor(kind, spec, d.even, d.odd, d.origin)
+            assert np.array_equal(d.constants, solved.constants)
+            assert direct == d and np.array_equal(direct.constants, d.constants)
+
+
+def test_stacked_check_refuses_the_whole_stack():
+    natural = natural_sl2_descriptor(GF5)
+    bad = (SubspaceBasis.from_vectors(GF5, 3, [[0, 1, 0]]),
+           SubspaceBasis.from_vectors(GF5, 3, [[1, 0, 0], [0, 0, 1]]))
+    trivial = (SubspaceBasis.full(GF5, 3), SubspaceBasis.zero(GF5, 3))
+    assert GradingDescriptor.checked_stack("sl2", GF5, [], "empty") == []
+    with pytest.raises(SpecError, match="bracket closure"):
+        GradingDescriptor.checked_stack("sl2", GF5, [(natural.even, natural.odd), bad], "bad")
+    with pytest.raises(SpecError, match="do not split"):
+        GradingDescriptor.checked_stack("sl2", GF5, [(natural.even, natural.odd), trivial], "mixed")
+    with pytest.raises(SpecError, match="wrong field"):
+        GradingDescriptor.checked_stack("m2", GF5, [(natural.even, natural.odd)], "ambient")
+
+
 def one_pair_broken(spec, broken):
     """A bilinear product on F^2 = span(x0) + span(x1), with x0 even and x1
     odd, where x_g x_h = x_{g+h} for every pair but the broken one, whose
@@ -373,36 +402,59 @@ def test_closure_check_reads_every_listed_pair(pairs, listed):
         assert _respects_degrees(even, odd, mult, pairs) == (broken not in listed), broken
 
 
+# rref_codes and rref_stack calls of the p = 5 pipeline, the automorphism
+# scans cached: 3 per enumeration (eigensplits, then one per dims class),
+# 2 per class for its orbit, 10 for the witnesses of the q-power failures,
+# 26 for the associative closures
+PIPELINE_ELIMINATIONS_P5 = 3 + 3 + 2 * 6 + 10 + 26
+
+
 def test_each_validation_and_closure_check_is_one_elimination(monkeypatch):
+    """One rref_stack per dims class proves an enumeration's splits, and its
+    descriptors then run no elimination.  A descriptor built directly runs
+    one; natural_characterization runs none unless it formats a q-power
+    witness, in the gl2 lift; unit_component_check runs one, for the
+    associative closure, and contains none."""
     for kind in ("m2", "sl2"):
         gradings._parent_algebra(GF5, kind)  # build the parents outside the count
-    eliminations = []
-    real = linalg.rref_codes
-    for module in (linalg, algebra):
-        monkeypatch.setattr(module, "rref_codes",
-                            lambda *args: eliminations.append(1) or real(*args))
-    per_call = {"validate": [], "assoc": []}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            before = len(eliminations)
-            out = fn(*args)
-            per_call[name].append(len(eliminations) - before)
-            return out
-        return wrapper
-
+    gradings.sl2_automorphisms(GF5), gradings.m2_automorphisms(GF5)  # cached scans
+    eliminations = []  # the name of each rref_codes or rref_stack call
+    for name in ("rref_codes", "rref_stack"):
+        real = getattr(linalg, name)
+        wrapper = (lambda real, name: lambda *args: eliminations.append(name) or real(*args))(
+            real, name)
+        for module in (linalg, algebra, gradings, identities):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
+    direct = []
     monkeypatch.setattr(GradingDescriptor, "__post_init__",
-                        counted("validate", GradingDescriptor.__post_init__))
-    monkeypatch.setattr(gradings, "associative_closure_ok",
-                        counted("assoc", gradings.associative_closure_ok))
-    sl2_gradings = enumerate_z2_gradings("sl2_lie", GF5)
-    m2_gradings = enumerate_z2_gradings("m2_assoc", GF5)
-    for d in sl2_gradings:
-        natural_characterization(d)
-    for d in m2_gradings:
-        unit_component_check(d)
-    assert per_call["validate"] == [1] * (len(sl2_gradings) + len(m2_gradings))
-    assert per_call["assoc"] == [1] * len(m2_gradings)
+                        (lambda real: lambda self: direct.append(1) or real(self))(
+                            GradingDescriptor.__post_init__))
+
+    def count(fn, *args):
+        before = len(eliminations)
+        out = fn(*args)
+        return out, eliminations[before:]
+
+    total = 0
+    for target, check in (("sl2_lie", natural_characterization), ("m2_assoc", unit_component_check)):
+        direct.clear()
+        descriptors, used = count(enumerate_z2_gradings, target, GF5)
+        assert used == ["rref_stack"] * (1 + len({d.dims() for d in descriptors}))
+        assert not direct
+        _, used_classify = count(classify_up_to_iso, descriptors)
+        total += len(used) + len(used_classify)
+        for d in descriptors:
+            assert count(descriptor_to_algebra, d)[1] == []
+            verdict, used = count(check, d)
+            total += len(used)
+            if target == "sl2_lie":
+                assert len(used) == (verdict.failing == "q-power"), verdict
+            else:
+                assert used == ["rref_stack"]
+                assert count(d.even.contains, [1, 0, 0, 1])[1] == []
+            assert len(count(GradingDescriptor, d.parent_kind, GF5, d.even, d.odd, "direct")[1]) == 1
+    assert total == PIPELINE_ELIMINATIONS_P5
 
 
 def test_natural_characterization_identity_map():
@@ -615,6 +667,21 @@ def batch_qpower_witness(d):
         return None
     i = failing[0]
     return f"a = {tuple(a[i].tolist())}, c = {tuple(c[i].tolist())}"
+
+
+@pytest.mark.parametrize("spec, sample", [(GF5, None), (FieldSpec.prime(7), None), (GF25, 12)],
+                         ids=["GF5", "GF7", "GF25"])
+def test_qpower_witness_is_the_gl2_batch_witness(spec, sample):
+    """The witness from ad(x)^q - ad(x) in sl2 is the one from all q^4
+    pairs (a, c) in gl2, on every grading with a 1-dimensional even part;
+    at GF(25), where one gl2 batch takes about 0.14 s, on a seeded sample
+    of its 625."""
+    descriptors = [d for d in enumerate_z2_gradings("sl2_lie", spec) if d.even.dim == 1]
+    if sample:
+        descriptors = random.Random(1702).sample(descriptors, sample)
+    witnesses = [gradings._qpower_hypothesis(d) for d in descriptors]
+    assert witnesses == [batch_qpower_witness(d) for d in descriptors]
+    assert None in witnesses and any(witnesses)
 
 
 def image_stack_isomorphism(d):

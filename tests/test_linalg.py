@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glie import linalg
 from glie.errors import AmbientMismatch
 from glie.fields import FieldSpec, batch_field
 from glie.linalg import (MatrixGF, SubspaceBasis, grid_codes, matmul_codes, projective_codes, row_keys,
@@ -193,6 +194,58 @@ def test_edge_reads_ints_as_codes():
         MatrixGF.from_rows(GF5, [[1, 2], [3]])
 
 
+def test_constructor_reads_codes_by_the_input_rule():
+    """SubspaceBasis(spec, n, rows) reads its code rows as from_vectors and
+    MatrixGF.from_rows do: in a prime field any int is taken mod p, and in
+    GF(p^k) a code out of range is refused."""
+    assert SubspaceBasis(GF5, 3, np.array([[7, 0, 0]])).rows.tolist() == [[1, 0, 0]]
+    rows = [[7, -1, 12], [0, 5, 3], [2, 9, -6]]
+    assert SubspaceBasis(GF5, 3, np.array(rows)) == SubspaceBasis.from_vectors(GF5, 3, rows)
+    assert (SubspaceBasis(GF5, 3, np.array(rows)).rows
+            == rref_codes(GF5, MatrixGF.from_rows(GF5, rows).entries)[0]).all()
+    with pytest.raises(ValueError, match="out of range"):
+        SubspaceBasis(GF25, 2, np.array([[30, 0]]))
+
+
+@pytest.mark.parametrize("spec", [GF5, GF25], ids=lambda s: f"GF{s.q}")
+def test_subspace_rows_are_the_rref_and_reduced_rows_are_kept(spec, monkeypatch):
+    rng = np.random.default_rng(spec.q)
+    reduced = []
+    for _ in range(200):
+        r, n = rng.integers(0, 5), rng.integers(1, 6)
+        codes = rng.integers(0, spec.q, (r, n)) * (rng.random((r, n)) < 0.6)
+        rows = SubspaceBasis(spec, n, codes).rows
+        assert np.array_equal(rows, rref_codes(spec, codes)[0])
+        reduced.append(rows)
+    monkeypatch.setattr(linalg, "rref_codes", lambda *args: pytest.fail("RREF input reduced"))
+    for rows in reduced:
+        kept = SubspaceBasis(spec, rows.shape[1], rows).rows
+        assert np.array_equal(kept, rows) and kept is not rows
+
+
+@pytest.mark.parametrize("spec", [GF5, GF25], ids=lambda s: f"GF{s.q}")
+def test_membership_by_pivot_reduction_matches_the_rank_test(spec):
+    rng = np.random.default_rng(spec.q + 1)
+    seen = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        s = SubspaceBasis(spec, n, rng.integers(0, spec.q, (rng.integers(0, n + 1), n)))
+        inside = matmul_codes(spec, rng.integers(0, spec.q, (2, s.dim)), s.rows)
+        for codes in (inside, rng.integers(0, spec.q, (rng.integers(1, 3), n)),
+                      np.concatenate([inside, rng.integers(0, spec.q, (1, n))])):
+            rank_test = len(rref_codes(spec, np.concatenate([s.rows, codes]))[1]) == s.dim
+            assert s.contains_rows(codes) == rank_test
+            seen.add(rank_test)
+    assert seen == {True, False}
+
+
+def test_contains_rows_refuses_the_wrong_width():
+    s = SubspaceBasis.from_vectors(GF5, 3, [[1, 0, 2]])
+    for width in (1, 4):  # a width-1 array would broadcast against the rows
+        with pytest.raises(AmbientMismatch):
+            s.contains_rows(np.zeros((1, width), dtype=np.int64))
+
+
 def test_rows_and_entries_are_read_only():
     s = SubspaceBasis.from_vectors(GF5, 2, [[1, 2]])
     m = MatrixGF.from_rows(GF5, [[1, 2], [3, 4]])
@@ -242,17 +295,20 @@ def test_projective_codes_meet_every_line_once(spec):
 
 @pytest.mark.parametrize("spec", [GF5, GF25], ids=lambda s: f"GF{s.q}")
 def test_matmul_codes_on_stacks_is_the_product_of_each_item(spec):
-    """(N, n, n) @ (N, n, n), (m, n) @ (N, n, k) and (N, m, n) @ (n, k)
-    agree with the 2-d product of each item; the 2-d product is checked
-    against FieldElement arithmetic."""
+    """(N, n, n) @ (N, n, n), (m, n) @ (N, n, k), (N, m, n) @ (n, k) and
+    (N, m, 1) @ (N, 1, k) agree with the 2-d product of each item; the 2-d
+    product is checked against FieldElement arithmetic."""
     rng = np.random.default_rng(spec.q)
     a, b = (rng.integers(0, spec.q, (30, 3, 3)) for _ in range(2))
     left, right = rng.integers(0, spec.q, (2, 3)), rng.integers(0, spec.q, (3, 4))
+    column, row = rng.integers(0, spec.q, (30, 3, 1)), rng.integers(0, spec.q, (30, 1, 4))
     for got, pairs in ((matmul_codes(spec, a, b), zip(a, b)),
                        (matmul_codes(spec, left, b), ((left, m) for m in b)),
-                       (matmul_codes(spec, a, right), ((m, right) for m in a))):
+                       (matmul_codes(spec, a, right), ((m, right) for m in a)),
+                       (matmul_codes(spec, column, row), zip(column, row))):
         assert np.array_equal(got, [matmul_codes(spec, x, y) for x, y in pairs])
     els = spec.elements()
-    expected = [[sum((els[x] * els[y] for x, y in zip(row, col)), spec.zero()).code
-                 for col in right.T] for row in a[0]]
-    assert matmul_codes(spec, a[0], right).tolist() == expected
+    for x, y in ((a[0], right), (column[0], row[0])):
+        expected = [[sum((els[s] * els[t] for s, t in zip(r, col)), spec.zero()).code
+                     for col in y.T] for r in x]
+        assert matmul_codes(spec, x, y).tolist() == expected

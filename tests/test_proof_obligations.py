@@ -1,5 +1,5 @@
-"""Proof obligations raise TheoremViolation, also under python -O, which
-strips assert statements.
+"""Proof obligations raise TheoremViolation, and checked constructors
+SpecError, also under python -O, which strips assert statements.
 
 Each scenario breaks one obligation on purpose and restores what it patched.
 The same scenarios run in this process and in a `python -O` subprocess.
@@ -16,7 +16,7 @@ import pytest
 import glie.gradings as gradings
 import glie.identities as identities
 from glie.algebra import GradedLieAlgebra, sl2
-from glie.errors import TheoremViolation
+from glie.errors import SpecError, TheoremViolation
 from glie.fields import FieldSpec
 from glie.freelie import sem1_graded, y, yy, zz
 from glie.gradings import GradingDescriptor, natural_characterization, unit_component_check
@@ -149,29 +149,41 @@ def conjugation_scan_repeats_a_scalar_class():
         gradings.projective_codes = original
 
 
+def split_stack_with_one_broken_split():
+    """A stack of two (1, 2) splits of sl2, the natural one and even =
+    span{e}, odd = span{h, f}, which is no Lie grading: the one elimination
+    that checks the stack must refuse every descriptor of it."""
+    natural = gradings.natural_sl2_descriptor(GF5)
+    GradingDescriptor.checked_stack("sl2", GF5, [
+        (natural.even, natural.odd),
+        (SubspaceBasis.from_vectors(GF5, 3, [[0, 1, 0]]),
+         SubspaceBasis.from_vectors(GF5, 3, [[1, 0, 0], [0, 0, 1]]))], "one broken split")
+
+
 SCENARIOS = [non_identity_consequence, counterexample_not_reproduced,
              ad_power_kernel_corrupted, orbit_representative_dropped,
              centralizer_map_moves_its_representative,
              natural_grading_without_isomorphism, unit_criterion_disagrees,
-             conjugation_scan_repeats_a_scalar_class]
+             conjugation_scan_repeats_a_scalar_class, split_stack_with_one_broken_split]
+REFUSED_WITH = {split_stack_with_one_broken_split: SpecError}  # the others: TheoremViolation
 
 
-def raises_theorem_violation(scenario) -> bool:
+def raises_its_refusal(scenario) -> bool:
     try:
         scenario()
-    except TheoremViolation:
+    except REFUSED_WITH.get(scenario, TheoremViolation):
         return True
     return False
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda f: f.__name__)
 def test_obligation_raises(scenario):
-    assert raises_theorem_violation(scenario)
+    assert raises_its_refusal(scenario)
 
 
 def test_obligations_raise_under_optimize():
     code = ("import sys, test_proof_obligations as t\n"
-            "print(sys.flags.optimize, [t.raises_theorem_violation(s) for s in t.SCENARIOS])\n")
+            "print(sys.flags.optimize, [t.raises_its_refusal(s) for s in t.SCENARIOS])\n")
     env = dict(os.environ)
     src = str(TESTS_DIR.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
