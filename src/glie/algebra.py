@@ -6,14 +6,16 @@ of M2 viewed as a Lie algebra, the two-dimensional span{e11, e12}, the
 Heisenberg algebra, abelian algebras and direct sums.
 
 Structure constants and coordinates come in through linalg's input edge,
-as code arrays (the int rule is stated in fields).  The scalar bracket,
-AlgebraElement and validate's Jacobi check keep FieldElement arithmetic, a
-reference that shares none with the batched bracket.
+as code arrays (the int rule is stated in fields).  Two kernels work on
+code rows: batch_bracket, with an int64 fast path for prime fields, and
+batch_ad_powers, which raises the ad matrices of the distinct bases by
+squaring through matmul_codes.  The scalar bracket, AlgebraElement and
+validate's Jacobi check keep FieldElement arithmetic, a reference that
+shares none with them.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,22 +30,6 @@ _AD_BLOCK = 2048  # distinct bases, or rows, per block of ad matrices
 _MAX_KEY = 1 << 62  # element codes up to this serve as int64 keys of rows
 
 
-def _ad_matrices_pay(rows: int, distinct: int, dim: int, exponents) -> bool:
-    """Whether batch_ad_powers should raise the ad matrices of the distinct
-    bases to powers rather than bracket each row repeatedly.
-
-    Bracketing costs about rows * top; powering costs one gathered product
-    per exponent and row plus about dim * bit_length(top) per distinct base.
-    Fitted on 625 to 16,384 rows of sl2 and gl2 over GF(5), GF(7), GF(25)
-    and sl2 + heisenberg over GF(7), with 1 to 16,384 distinct bases: the
-    rule picks the faster path, or one at most 10 % slower near break-even.
-    With every base distinct (dim 6, GF(7)) break-even is near exponent 31;
-    with the few hundred distinct bases of a q = 7 check it is exponent 2-3.
-    """
-    top = max(exponents)
-    return rows * (top - 1 - len(exponents)) > distinct * dim * top.bit_length()
-
-
 def repeated_brackets(bracket, u, w, exponents) -> list:
     """u (ad w)^e for each e in exponents: bracket with w up to each exponent
     in ascending order."""
@@ -53,14 +39,6 @@ def repeated_brackets(bracket, u, w, exponents) -> list:
             cur = bracket(cur, w)
         powers[e], done = cur, e
     return [powers[e] for e in exponents]
-
-
-def _code_matmul(bf, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products of code matrices stored with the rows on the last
-    axis: (I, J, N) times (J, K, N) is (I, K, N)."""
-    if bf.k == 1:
-        return np.einsum("ijn,jkn->ikn", a, b) % bf.p
-    return functools.reduce(bf.add, bf.mul(a[:, :, None], b[None]).swapaxes(0, 1))
 
 
 class GradedLieAlgebra:
@@ -127,21 +105,16 @@ class GradedLieAlgebra:
 
     @cached_property
     def _bracket_pairs(self):
-        """_bracket_terms as (i, j, ((k, code), ...), paired).  Where c_ji =
-        -c_ij holds exactly, (j, i) is folded into (i, j) with paired True:
-        the product is then u_i v_j - u_j v_i."""
-        opposite = batch_field(self.spec).neg(self.constants.swapaxes(0, 1))
-        paired = {(i, j) for i, j, _ in self._bracket_terms
-                  if i < j and np.array_equal(self.constants[i, j], opposite[i, j])}
+        """Nonzero structure constants by (i, j), as (i, j, ((k, code), ...),
+        paired).  Where c_ji = -c_ij holds exactly, (j, i) is folded into
+        (i, j) with paired True: the product is then u_i v_j - u_j v_i."""
+        c = self.constants
+        terms = [(i, j, tuple((k, s) for k, s in enumerate(cij) if s))
+                 for i, row in enumerate(c.tolist()) for j, cij in enumerate(row) if any(cij)]
+        paired = {(i, j) for i, j, _ in terms
+                  if i < j and np.array_equal(c[i, j], batch_field(self.spec).neg(c[j, i]))}
         return tuple((i, j, nonzero, (i, j) in paired)
-                     for i, j, nonzero in self._bracket_terms if (j, i) not in paired)
-
-    @cached_property
-    def _bracket_terms(self):
-        """Nonzero structure constants grouped by (i, j): (i, j, ((k, code), ...))."""
-        return tuple((i, j, tuple((k, s) for k, s in enumerate(cij) if s))
-                     for i, row in enumerate(self.constants.tolist())
-                     for j, cij in enumerate(row) if any(cij))
+                     for i, j, nonzero in terms if (j, i) not in paired)
 
     def batch_bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Bracket of element-code arrays of shape (N, dim).
@@ -174,57 +147,44 @@ class GradedLieAlgebra:
         element-code arrays of shape (N, dim).
 
         Rows of an exhaustive check share their bases: the rows of w take
-        few distinct values.  Each row of w is keyed by its element code.
-        When _ad_matrices_pay says so, the ad matrices of the distinct values
-        are raised to each exponent by repeated squaring, in blocks of
-        _AD_BLOCK values, and each row of u is multiplied by the power of its
-        own base, gathered _AD_BLOCK rows at a time.  Otherwise, and for
-        exponents below 2, this brackets repeatedly.
+        few distinct values.  The rows of w are keyed by element code, the
+        ad matrices of the distinct values are raised to each exponent by
+        _ad_power_matrices in blocks of _AD_BLOCK values, and u (ad w)^e is
+        the row u times the power of its own base: matmul_codes of an
+        (N, 1, dim) and an (N, dim, dim) stack, _AD_BLOCK rows at a time.
+        A top exponent below 2, or q^dim > _MAX_KEY, which leaves no int64
+        key, brackets repeatedly instead.
         """
-        top = max(exponents, default=0)
-        if top < 2 or not len(u) or self.spec.q ** self.dim > _MAX_KEY:
+        if max(exponents, default=0) < 2 or not len(u) or self.spec.q ** self.dim > _MAX_KEY:
             return repeated_brackets(self.batch_bracket, u, w, exponents)
         place = self.spec.q ** np.arange(self.dim, dtype=np.int64)
         distinct, inverse = np.unique(w @ place, return_inverse=True)
-        if not _ad_matrices_pay(len(u), len(distinct), self.dim, exponents):
-            return repeated_brackets(self.batch_bracket, u, w, exponents)
         bases = distinct[:, None] // place % self.spec.q
-        powers = [np.empty((self.dim, self.dim, len(bases)), dtype=np.int64) for _ in exponents]
-        for lo in range(0, len(bases), _AD_BLOCK):
-            block = self._ad_power_matrices(bases[lo:lo + _AD_BLOCK], exponents)
-            for power, part in zip(powers, block):
-                power[:, :, lo:lo + _AD_BLOCK] = part
-        bf = batch_field(self.spec)
+        powers = [np.concatenate(parts) for parts in zip(*(
+            self._ad_power_matrices(bases[lo:lo + _AD_BLOCK], exponents)
+            for lo in range(0, len(bases), _AD_BLOCK)))]
         outs = [np.empty_like(u) for _ in exponents]
         for start in range(0, len(u), _AD_BLOCK):
             rows = slice(start, start + _AD_BLOCK)
-            ur, ids = u[rows].T[None], inverse[rows]
             for out, power in zip(outs, powers):
-                out[rows] = _code_matmul(bf, ur, power.take(ids, axis=2))[0].T
+                out[rows] = matmul_codes(self.spec, u[rows, None], power[inverse[rows]])[:, 0]
         return outs
 
     def _ad_power_matrices(self, w: np.ndarray, exponents) -> list:
-        """(dim, dim, len(w)) code arrays of (ad w)^e, one matrix per row of
-        w, for each e in exponents, by repeated squaring."""
-        bf = batch_field(self.spec)
-        square = bf.zeros((self.dim, self.dim, len(w)))
-        for i, j, nonzero in self._bracket_terms:
-            for k, s in nonzero:
-                if self.spec.k == 1:
-                    square[i, k] += s * w[:, j]
-                else:
-                    square[i, k] = bf.add(square[i, k], bf.scale(s, w[:, j]))
-        if self.spec.k == 1:
-            square %= self.spec.p
-        powers = {}
+        """(len(w), dim, dim) code stacks of (ad w)^e, one matrix per row of
+        w, for each e in exponents, by repeated squaring.  Row i of ad w is
+        [b_i, w], so u (ad w)^e is the row u times the matrix."""
+        n, spec = self.dim, self.spec
+        square = matmul_codes(spec, w, self.constants.transpose(1, 0, 2).reshape(n, -1))
+        square = square.reshape(-1, n, n)
+        powers = {0: np.broadcast_to(np.eye(n, dtype=np.int64), square.shape)}
         for bit in range(max(exponents).bit_length()):
             if bit:
-                square = _code_matmul(bf, square, square)
+                square = matmul_codes(spec, square, square)
             for e in set(exponents):
                 if e >> bit & 1:
-                    powers[e] = _code_matmul(bf, powers[e], square) if e in powers else square
-        eye = np.broadcast_to(np.eye(self.dim, dtype=np.int64)[:, :, None], square.shape)
-        return [powers.get(e, eye) for e in exponents]
+                    powers[e] = matmul_codes(spec, powers[e], square) if e in powers else square
+        return [powers[e] for e in exponents]
 
     # -- validation -------------------------------------------------------------
 

@@ -286,7 +286,8 @@ def find_nonsquare(spec: FieldSpec) -> FieldElement:
 
 
 class BatchField:
-    """Vectorized GF(q) arithmetic on int64 numpy arrays of element codes."""
+    """Vectorized GF(q) arithmetic on int64 numpy arrays of element codes,
+    through the q x q code tables add_table and mul_table for extensions."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -297,10 +298,10 @@ class BatchField:
             if self.q > _MAX_TABLE_Q:
                 raise UnsupportedField(f"q = {self.q} too large for table arithmetic")
             els = spec.elements()
-            self._add = np.array([[(a + b).code for b in els] for a in els], dtype=np.int64)
-            self._mul = np.array([[(a * b).code for b in els] for a in els], dtype=np.int64)
+            self.add_table = np.array([[(a + b).code for b in els] for a in els], dtype=np.int64)
+            self.mul_table = np.array([[(a * b).code for b in els] for a in els], dtype=np.int64)
             self._neg = np.array([(-a).code for a in els], dtype=np.int64)
-            self._inv = np.argmax(self._mul == 1, axis=1)  # row 0 has no 1: maps 0 to 0
+            self._inv = np.argmax(self.mul_table == 1, axis=1)  # row 0 has no 1: maps 0 to 0
         else:
             self._inv = np.array([pow(c, self.p - 2, self.p) for c in range(self.p)],
                                  dtype=np.int64)
@@ -308,12 +309,12 @@ class BatchField:
     def add(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
-        return self._add[a, b]
+        return self.add_table[a, b]
 
     def sub(self, a, b):
         if self.k == 1:
             return (a - b) % self.p
-        return self._add[a, self._neg[b]]
+        return self.add_table[a, self._neg[b]]
 
     def neg(self, a):
         if self.k == 1:
@@ -323,7 +324,7 @@ class BatchField:
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        return self._mul[a, b]
+        return self.mul_table[a, b]
 
     def inv(self, a):
         """Multiplicative inverse; zero maps to zero."""
@@ -332,7 +333,7 @@ class BatchField:
     def scale(self, code: int, a):
         if self.k == 1:
             return (code * a) % self.p
-        return self._mul[code, a]
+        return self.mul_table[code, a]
 
     def zeros(self, shape):
         return np.zeros(shape, dtype=np.int64)

@@ -22,13 +22,13 @@ sl2 over GF(q) into well-formed Lie elements.
 
 One walker, _interpret, gives expressions their meaning.  It runs over a
 backend of four operations (zero, add, scale, ad_powers) plus the value of a
-variable.  Four backends give values, and four analyse structure on sets:
+variable.  Three backends give values, and four analyse structure on sets:
 
     scalar        AlgebraElement arithmetic, repeated alg.bracket (evaluate)
-    batch         BatchField code arrays and alg.batch_ad_powers (batch_evaluate)
-    truncated     code arrays over the Lyndon basis of a box of the free Lie
-                  algebra, modulo everything outside it
-                  (TruncatedLieAlgebra.evaluate)
+    batch         BatchField code arrays and alg.batch_ad_powers (batch_evaluate),
+                  where alg is a GradedLieAlgebra or a TruncatedLieAlgebra: the
+                  Lyndon basis of a box of the free Lie algebra, modulo
+                  everything outside it
     free algebra  dicts from words to coefficients, repeated commutators
                   (assoc_expand, expr_expand, poly_bracket)
     variables     sets of variables (expr_variables)
@@ -41,7 +41,7 @@ expressions, dispatches on the node types.  The scalar backend is not a
 batch of one: counterexample re-evaluation in identities and the tests use
 it as a reference that shares no arithmetic with the batch backend.  Only
 the walk is shared.  Likewise the free algebra backend is the tests'
-reference for the truncated one.
+reference for the batch backend over a truncated algebra.
 
 Within one call the walker evaluates each structurally distinct
 subexpression once, so chains that share leading slots share their inner
@@ -367,6 +367,8 @@ class Ad:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("an Ad node needs at least one (coeff, exponent) term")
+        if any(not isinstance(k, int) or k < 0 for _, k in self.terms):
+            raise ValueError(f"Ad exponents must be ints >= 0, not {self.terms!r}")
 
 
 LieExpr = (Var, Sum, Scale, Ad)
@@ -508,7 +510,7 @@ def _algebra_backend(alg: GradedLieAlgebra, assignment: dict) -> _Backend:
                     partial(repeated_brackets, alg.bracket), _lookup(assignment))
 
 
-def _batch_backend(alg: GradedLieAlgebra, assignment: dict, count: int) -> _Backend:
+def _batch_backend(alg, assignment: dict, count: int) -> _Backend:
     """(count, dim) arrays of coordinate codes, one row per assignment."""
     bf = batch_field(alg.spec)
     return _Backend(lambda: bf.zeros((count, alg.dim)), bf.add,
@@ -655,9 +657,10 @@ def evaluate(e, alg: GradedLieAlgebra, assignment: dict, graded: bool = True) ->
     return _interpret(e, _algebra_backend(alg, assignment))
 
 
-def batch_evaluate(e, alg: GradedLieAlgebra, assignment: dict) -> np.ndarray:
-    """Evaluate over many assignments at once; assignment maps each variable
-    to an (N, dim) array of coordinate codes."""
+def batch_evaluate(e, alg, assignment: dict) -> np.ndarray:
+    """Evaluate over many assignments at once in alg, a GradedLieAlgebra or
+    a TruncatedLieAlgebra; assignment maps each variable to an (N, dim)
+    array of coordinate codes."""
     return _interpret(e, _batch_backend(alg, assignment, _row_count(assignment)))
 
 
@@ -907,15 +910,9 @@ class TruncatedLieAlgebra:
                     pair, np.eye(n, dtype=np.int64), np.ones((n, 1), dtype=np.int64))))
         return out
 
-    def evaluate(self, e, assignment: dict) -> np.ndarray:
-        """e at many assignments at once: assignment maps each variable to
-        an (N, dim) code array."""
-        bf = batch_field(self.spec)
-        count = _row_count(assignment)
-        return _interpret(e, _Backend(lambda: bf.zeros((count, self.dim)), bf.add,
-                                      lambda c, a: bf.scale(_code(self.spec, c), a),
-                                      partial(repeated_brackets, self.bracket),
-                                      _lookup(assignment)))
+    def batch_ad_powers(self, u: np.ndarray, w: np.ndarray, exponents) -> list:
+        """u (ad w)^e for each e in exponents, by repeated brackets."""
+        return repeated_brackets(self.bracket, u, w, exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,7 @@ def _qpower_hypothesis(d: GradingDescriptor):
     gl2 lift only formats that witness."""
     spec, x = d.spec, d.even.rows
     once, power = _parent_algebra(spec, "sl2")._ad_power_matrices(x, (1, spec.q))
-    failing = matmul_codes(spec, d.odd.vectors(), batch_field(spec).sub(power, once)[:, :, 0])
+    failing = matmul_codes(spec, d.odd.vectors(), batch_field(spec).sub(power, once)[0])
     failing = np.flatnonzero(failing.any(axis=1))
     if not failing.size:
         return None

@@ -747,9 +747,9 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
        and a tuple is rejected at the first vector of the form whose
        weighted sum exceeds the window's total degree or a cap.
     3. All instances of a generator's passing tuples are evaluated together
-       in L_box (TruncatedLieAlgebra.evaluate, in batches of at most
-       _SPAN_CELLS codes).  The value is the expansion of the instance
-       truncated to the box, which the prune makes the whole expansion.
+       in L_box (batch_evaluate, in batches of at most _SPAN_CELLS codes).
+       The value is the expansion of the instance truncated to the box,
+       which the prune makes the whole expansion.
     4. The row space is closed under ad_v for each window variable v, until
        the rank stops growing.  Each round brackets with v every combination
        of the span whose bracket stays in the box.  [m, v] has the
@@ -793,8 +793,9 @@ def consequence_span(spec: FieldSpec, gens, ambient: AmbientSpace,
         columns, codes = _instances(lie, gen, gvars, caps, max_total)
         for start in range(0, len(columns), step):
             part = slice(start, start + step)
-            rows.append(lie.evaluate(gen, {v: _unit_rows(lie.dim, columns[part, i], codes[part, i])
-                                           for i, v in enumerate(gvars)}))
+            rows.append(batch_evaluate(gen, lie, {
+                v: _unit_rows(lie.dim, columns[part, i], codes[part, i])
+                for i, v in enumerate(gvars)}))
     span, pivots = rref_codes(spec, np.concatenate(rows))
 
     letters = [_letter_map(lie, v) for v in ambient.variables if caps[v]]

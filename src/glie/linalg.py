@@ -136,13 +136,20 @@ def kernel_codes(spec: FieldSpec, reduced: np.ndarray, pivots) -> np.ndarray:
 
 def matmul_codes(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The matrix product of (..., m, k) and (..., k, n) code arrays, the
-    leading axes broadcast as in numpy's matmul."""
+    leading axes broadcast as in numpy's matmul.  An extension field takes
+    each term at x * q + y from BatchField's flattened tables; that index
+    checks no code, so codes outside range(q) are refused first."""
     if spec.k == 1 or not a.shape[-1]:  # an empty sum is the zero matrix
         return a @ b % spec.p
-    bf = batch_field(spec)
-    out = bf.mul(a[..., :, 0, None], b[..., 0, None, :])
+    if any(c.size and (c.min() < 0 or c.max() >= spec.q) for c in (a, b)):
+        raise ValueError(f"code out of range for GF({spec.q})")
+    bf, q = batch_field(spec), spec.q
+    mul, add = bf.mul_table.ravel(), bf.add_table.ravel()
+    out = mul.take(a[..., :, 0, None] * q + b[..., 0, None, :])
     for j in range(1, a.shape[-1]):
-        out = bf.add(out, bf.mul(a[..., :, j, None], b[..., j, None, :]))
+        out *= q
+        out += mul.take(a[..., :, j, None] * q + b[..., j, None, :])
+        out = add.take(out)
     return out
 
 

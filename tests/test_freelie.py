@@ -389,6 +389,21 @@ def test_ad_nodes_need_a_term():
     assert expr_variables(chain(Var(y(1)), AdPolyDiff(Var(y(2)), ((1, 0),)))) == [y(1), y(2)]
 
 
+def test_ad_exponents_are_ints_at_least_0():
+    """A negative exponent used to be read as 0 by the evaluators and as a
+    negative degree by degree_bound, so [y1, z1^-1] - y1 checked as an
+    identity of sl2.  It is refused where the node is built, through
+    AdPower, AdPolyDiff and chain too, and so is an exponent that is no int."""
+    for k in (-1, -3, 1.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+            Ad(Var(y(1)), Var(z(1)), ((1, k),))
+    with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+        Sum((chain(Var(y(1)), AdPower(Var(z(1)), -1)), Scale(-1, Var(y(1)))))
+    with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+        chain(Var(y(1)), AdPower(Var(z(1)), 2), AdPolyDiff(Var(y(2)), ((1, 3), (-1, -1))))
+    assert chain(Var(y(1)), AdPolyDiff(Var(z(1)), ((1, 0), (2, 5)))).terms == ((1, 0), (2, 5))
+
+
 def test_chains_share_their_leading_slots(monkeypatch):
     """Two chains of one Sum that share a and s1 ask for [a, s1] once."""
     import numpy as np

@@ -1,8 +1,9 @@
 """Every name a glie module imports is used in that module, every private
 top-level name of glie is read somewhere in glie, the main pipelines import
 no numpy submodule lazily, only the expression interpreter dispatches
-on expression node types, and the gradings and identities layers leave
-GF(q) arithmetic to the field layer.
+on expression node types, the gradings and identities layers leave GF(q)
+arithmetic to the field layer, and the algebra layer keeps one prime-field
+path of its own, in batch_bracket.
 
 An import left behind when the code that used it is deleted keeps a
 dependency alive that nothing needs, and hides from a reader that the
@@ -134,15 +135,18 @@ def test_pipelines_do_not_import_numpy_ma():
 NODE_TYPES = {"Var", "Sum", "Scale", "Ad"}
 
 
+def top_level_defs(tree: ast.Module) -> list:
+    """The top-level functions and the methods of top-level classes."""
+    return [node for top in tree.body
+            for node in ([top] + (top.body if isinstance(top, ast.ClassDef) else []))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def node_dispatchers(source: str) -> set:
     """Names of the top-level functions and methods that test isinstance
     against an expression node type, nested functions counting as theirs."""
-    tree = ast.parse(source)
     found = set()
-    defs = [node for top in tree.body
-            for node in ([top] + (top.body if isinstance(top, ast.ClassDef) else []))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    for fn in defs:
+    for fn in top_level_defs(ast.parse(source)):
         for node in ast.walk(fn):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance" and len(node.args) == 2
@@ -181,6 +185,20 @@ def field_attribute_reads(source: str) -> list:
                   if isinstance(node, ast.Attribute) and node.attr in ("p", "k"))
 
 
+def field_attribute_readers(source: str) -> set:
+    """Names of the top-level functions and methods that read an attribute
+    named p or k, nested functions counting as theirs, and "<module>" if a
+    read lies outside them."""
+    tree = ast.parse(source)
+
+    def reads(node):
+        return {n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr in ("p", "k")}
+
+    defs = top_level_defs(tree)
+    found = {fn.name for fn in defs if reads(fn)}
+    return found | ({"<module>"} if reads(tree) - set().union(*map(reads, defs)) else set())
+
+
 def test_scan_finds_field_attribute_reads():
     source = ("def f(spec, a, bf):\n"
               "    q = spec.q\n"
@@ -197,3 +215,28 @@ def test_gradings_and_identities_do_no_field_arithmetic():
     found = {name: field_attribute_reads((SRC / name).read_text())
              for name in ("gradings.py", "identities.py")}
     assert found == {"gradings.py": [], "identities.py": []}
+
+
+def test_scan_finds_field_attribute_readers():
+    source = ("P = spec.p\n"
+              "def f(spec):\n"
+              "    return spec.q\n"
+              "class K:\n"
+              "    def m(self):\n"
+              "        def inner():\n"
+              "            return self.spec.k\n"
+              "        return inner()\n"
+              "    def n(self, bf):\n"
+              "        return bf.mul(self.q, 1)\n"
+              "def g(bf, a):\n"
+              "    return a % bf.p\n")
+    assert field_attribute_readers(source) == {"<module>", "m", "g"}
+    assert field_attribute_readers("def f(spec):\n    return spec.q\n") == set()
+
+
+def test_algebra_keeps_one_prime_field_path():
+    """batch_ad_powers and _ad_power_matrices compute in GF(q) through
+    matmul_codes alone.  Only batch_bracket keeps a prime-field path of its
+    own, an int64 sum reduced mod p once, which is faster on the rows of a
+    check than a product through matmul_codes."""
+    assert field_attribute_readers((SRC / "algebra.py").read_text()) == {"batch_bracket"}

@@ -312,3 +312,17 @@ def test_matmul_codes_on_stacks_is_the_product_of_each_item(spec):
         expected = [[sum((els[s] * els[t] for s, t in zip(r, col)), spec.zero()).code
                      for col in y.T] for r in x]
         assert matmul_codes(spec, x, y).tolist() == expected
+
+
+@pytest.mark.parametrize("bad", [25, 30, -1])
+def test_matmul_codes_refuses_codes_out_of_range(bad):
+    """An extension field takes each term of the product from flattened
+    tables at x * q + y, an index that a code outside range(q) can land
+    inside: 0 * 25 + 30 reads the entry of (1, 5).  Such a code is refused in
+    either factor, also in a product of one term."""
+    for shapes in (((2, 2), (2, 2)), ((2, 1), (1, 2))):
+        for side in (0, 1):
+            factors = [np.ones(shape, dtype=np.int64) for shape in shapes]
+            factors[side][-1, -1] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                matmul_codes(GF25, *factors)
