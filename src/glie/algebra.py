@@ -12,19 +12,24 @@ batch_ad_powers, which raises the ad matrices of the distinct bases by
 squaring through matmul_codes.  The scalar bracket, AlgebraElement and
 validate's Jacobi check keep FieldElement arithmetic, a reference that
 shares none with them.
+
+m2_automorphisms lists the conjugations of M2 by PGL2(q), the one
+conjugation list of the package: gradings takes it as the automorphisms of
+M2, and identities restricts it to sl2 for its orbit tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AmbientMismatch, SpecError
+from .errors import AmbientMismatch, SpecError, TheoremViolation
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
-from .linalg import SubspaceBasis, _as_codes, matmul_codes, row_pairs, rref_codes
+from .linalg import (SubspaceBasis, _as_codes, matmul_codes, projective_codes, row_keys, row_pairs,
+                     rref_codes)
 
 _AD_BLOCK = 2048  # distinct bases, or rows, per block of ad matrices
 _MAX_KEY = 1 << 62  # element codes up to this serve as int64 keys of rows
@@ -336,6 +341,29 @@ def gl2(spec: FieldSpec) -> GradedLieAlgebra:
         (0, 1, 1, 0),
         "gl2",
     )
+
+
+@lru_cache(maxsize=None)
+def m2_automorphisms(spec: FieldSpec) -> np.ndarray:
+    """The conjugation maps x -> g x g^-1 of M2 (inner = all, by
+    Skolem-Noether) on (e11, e12, e21, e22) coordinates, sorted, as a
+    read-only (N, 4, 4) int64 array; N = |PGL2(q)| = q(q^2 - 1).  The map of g
+    is the Kronecker product of g and the transpose of g^-1.  g runs over the
+    q^3 + q^2 + q + 1 matrices whose first nonzero entry is 1, one per scalar
+    class (projective_codes); conjugation by g is the identity only when g
+    is scalar, so no two maps are equal (TheoremViolation if they are)."""
+    bf = batch_field(spec)
+    g = projective_codes(spec, 4)[1:]
+    a, b, c, d = g.T
+    det = bf.sub(bf.mul(a, d), bf.mul(b, c))
+    adj_t = np.stack([d, bf.neg(c), bf.neg(b), a], axis=1)
+    g, ginv_t = g[det != 0], bf.mul(adj_t[det != 0], bf.inv(det[det != 0])[:, None])
+    maps = bf.mul(g.reshape(-1, 2, 1, 2, 1), ginv_t.reshape(-1, 1, 2, 1, 2)).reshape(-1, 16)
+    maps = maps[np.argsort(row_keys(maps), kind="stable")].reshape(-1, 4, 4)
+    if (maps[1:] == maps[:-1]).all(axis=(1, 2)).any():
+        raise TheoremViolation("two non-proportional matrices conjugate alike")
+    maps.flags.writeable = False  # the cached array is shared by every caller
+    return maps
 
 
 def m2_grading_i(spec: FieldSpec) -> GradedLieAlgebra:

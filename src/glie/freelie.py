@@ -76,6 +76,14 @@ _KIND_RANK = {"y": 0, "z": 1, "x": 2}
 _KIND_PARITY = {"y": 0, "z": 1, "x": None}
 
 
+def _at_least(least: int, n, what: str) -> int:
+    """n, an int or numpy integer (no bool), as an int >= least; ValueError
+    for anything else."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{what} must be an int >= {least}, not {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Variable:
     kind: str
@@ -84,8 +92,7 @@ class Variable:
     def __post_init__(self):
         if self.kind not in _KIND_RANK:
             raise ValueError(f"variable kind must be y, z or x, not {self.kind!r}")
-        if self.index < 1:
-            raise ValueError("variable index starts at 1")
+        _at_least(1, self.index, "a variable index")
 
     @property
     def parity(self):
@@ -143,7 +150,9 @@ class MultiDegree:
 
     @classmethod
     def of(cls, mapping) -> "MultiDegree":
-        items = [(v, int(c)) for v, c in dict(mapping).items() if int(c) > 0]
+        """The multidegree of a mapping from variables to counts, ints >= 0
+        (ValueError otherwise); zero counts drop out."""
+        items = [(v, n) for v, c in dict(mapping).items() if (n := _at_least(0, c, "a count"))]
         items.sort(key=lambda it: it[0].sort_key)
         return cls(tuple(items))
 
@@ -429,12 +438,12 @@ def _children(e) -> tuple:
     return ()
 
 
-def _memo_for(*exprs) -> dict:
-    """A memo for walking exprs in turn with one _interpret call each: it
-    holds None for every subexpression that the walks ask for more than once
-    and nothing else, so it keeps no value that is needed only once."""
+def _memo_for(e) -> dict:
+    """A memo for walking e with one _interpret call: it holds None for every
+    subexpression that the walk asks for more than once and nothing else, so
+    it keeps no value that is needed only once."""
     seen, memo = set(), {}
-    todo = list(exprs)
+    todo = [e]
     while todo:
         e = todo.pop()
         if e in seen:
@@ -450,7 +459,7 @@ def _interpret(e, ops: _Backend, memo: dict | None = None):
     all of its exponents at once and adds the powers, scaling those whose
     coefficient is not 1.
 
-    memo comes from _memo_for, by default for e alone: each subexpression it
+    memo is _memo_for(e) of the outermost call: each subexpression it
     names is evaluated once and its value kept there.  Such a value may be
     handed out again, so it is never the first argument of add, which may
     update that in place.  The walk is no nested closure on purpose: one

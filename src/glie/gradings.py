@@ -5,12 +5,14 @@ the recognition of the natural grading of sl2.
 
 In characteristic != 2 every Z2-grading is the eigensplit of the involutive
 automorphism that negates the odd part, so enumeration reduces to finding
-involutions: conjugations g with g^2 scalar for M2, and bracket-compatible
-invertible 3x3 matrices for sl2, found by a scan over the pairs of
-ad-nilpotent images of e and f.  That scan is still exhaustive, as every
-automorphism maps the ad-nilpotent e and f to ad-nilpotent elements; the full
-automorphism list doubles as the isomorphism group for orbit classification,
-with no reliance on Aut = PGL2 as an input fact.
+involutions: conjugations g with g^2 scalar for M2, from the conjugation
+list algebra.m2_automorphisms (which identities restricts to sl2 for its
+orbit tables), and bracket-compatible invertible 3x3 matrices for sl2, found
+by a scan over the pairs of ad-nilpotent images of e and f.  That scan is
+still exhaustive, as every automorphism maps the ad-nilpotent e and f to
+ad-nilpotent elements; the full automorphism list doubles as the isomorphism
+group for orbit classification, with no reliance on Aut = PGL2 as an input
+fact.
 
 Everything here runs on int64 arrays of element codes, and computes in
 GF(q) only through BatchField, linalg.matmul_codes and linalg.rref_stack: the
@@ -34,13 +36,13 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import SL2_BASIS, GradedLieAlgebra, _m2_mult, gl2, sl2
+from .algebra import SL2_BASIS, GradedLieAlgebra, _m2_mult, gl2, m2_automorphisms, sl2
 from .errors import SpecError, TheoremViolation
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
 from .identities import CheckSettings, check_identity
-from .linalg import (MatrixGF, SubspaceBasis, _as_codes, grid_codes, matmul_codes, projective_codes,
-                     row_keys, rref_stack)
+from .linalg import (MatrixGF, SubspaceBasis, _as_codes, grid_codes, matmul_codes, row_keys,
+                     rref_stack)
 
 _SCAN_ROWS = 1 << 14  # candidate (phi(e), phi(f)) pairs per block of the sl2 scan
 _NATURAL_ROWS = ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]])  # RREF parts of the natural grading
@@ -193,29 +195,6 @@ def sl2_automorphisms(spec: FieldSpec) -> np.ndarray:
     out = out[np.lexsort(tuple(out.reshape(len(out), 9).T[::-1]))]
     out.flags.writeable = False  # the cached array is shared by every caller
     return out
-
-
-@lru_cache(maxsize=None)
-def m2_automorphisms(spec: FieldSpec) -> np.ndarray:
-    """The conjugation maps x -> g x g^-1 of M2 (inner = all, by
-    Skolem-Noether) on (e11, e12, e21, e22) coordinates, sorted, as a
-    read-only (N, 4, 4) int64 array; N = |PGL2(q)| = q(q^2 - 1).  The map of g
-    is the Kronecker product of g and the transpose of g^-1.  g runs over the
-    q^3 + q^2 + q + 1 matrices whose first nonzero entry is 1, one per scalar
-    class (projective_codes); conjugation by g is the identity only when g
-    is scalar, so no two maps are equal (TheoremViolation if they are)."""
-    bf = batch_field(spec)
-    g = projective_codes(spec, 4)[1:]
-    a, b, c, d = g.T
-    det = bf.sub(bf.mul(a, d), bf.mul(b, c))
-    adj_t = np.stack([d, bf.neg(c), bf.neg(b), a], axis=1)
-    g, ginv_t = g[det != 0], bf.mul(adj_t[det != 0], bf.inv(det[det != 0])[:, None])
-    maps = bf.mul(g.reshape(-1, 2, 1, 2, 1), ginv_t.reshape(-1, 1, 2, 1, 2)).reshape(-1, 16)
-    maps = maps[np.lexsort(maps.T[::-1])].reshape(-1, 4, 4)
-    if (maps[1:] == maps[:-1]).all(axis=(1, 2)).any():
-        raise TheoremViolation("two non-proportional matrices conjugate alike")
-    maps.flags.writeable = False  # the cached array is shared by every caller
-    return maps
 
 
 # ---------------------------------------------------------------------------

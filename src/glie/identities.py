@@ -10,6 +10,11 @@ the window variables, then intersected with the window).
 Statuses are honest about one asymmetry: the identity space is computed
 exactly, the consequence span is a lower bound, so "strict-inclusion" means
 "not derived by this search", never "the theorem is refuted".
+
+The checks on sl2 evaluate one pair per orbit of its conjugations
+(_sl2_orbits).  The conjugation list is algebra.m2_automorphisms, which the
+gradings layer shares; here each map is restricted to sl2 and certified as a
+Lie automorphism before the orbit tables use it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SL2_BASIS, AlgebraElement, GradedLieAlgebra, _m2_mult, sl2
+from .algebra import SL2_BASIS, AlgebraElement, GradedLieAlgebra, m2_automorphisms, sl2
 from .errors import BudgetExceeded, ParityError, TheoremViolation
 from .fields import FieldElement, FieldSpec, batch_field
 from .freelie import (
@@ -45,7 +50,7 @@ from .freelie import (
     z,
 )
 from .linalg import (SubspaceBasis, _as_codes, grid_codes, kernel_codes, matmul_codes, projective_codes,
-                     row_pairs, rref_codes)
+                     rref_codes, rref_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +116,9 @@ def _box_multidegrees(caps: dict):
 
 def window_box(caps: dict, label: str | None = None) -> AmbientSpace:
     """The window on the whole box of caps, every multidegree of
-    _box_multidegrees(caps), labelled by the caps unless a label is given."""
+    _box_multidegrees(caps), labelled by the caps unless a label is given.
+    Caps are counts, as in MultiDegree.of: ValueError unless ints >= 0."""
+    MultiDegree.of(caps)
     variables = sorted(caps, key=lambda v: v.sort_key)
     if label is None:
         label = "(" + ", ".join(f"{v}:{caps[v]}" for v in variables) + ")"
@@ -144,17 +151,9 @@ def _partitions(n: int, cap: int):
     """Non-increasing partitions of n with parts <= cap."""
     if n == 0:
         yield ()
-        return
-
-    def rec(remaining, maximum):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, maximum), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, cap)
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 def total_degree_windows(max_total: int, per_var_cap: int):
@@ -171,8 +170,7 @@ def total_degree_windows(max_total: int, per_var_cap: int):
                         counts[y(i)] = c
                     for i, c in enumerate(odd_parts, start=1):
                         counts[z(i)] = c
-                    if counts:
-                        windows.append(window_exact(MultiDegree.of(counts)))
+                    windows.append(window_exact(MultiDegree.of(counts)))
     return windows
 
 
@@ -236,19 +234,8 @@ def _assignment_slice(domains, start: int, stop: int) -> dict:
     domain maps each of its variables to an array of code rows, all of one
     length: its row i assigns row i of each array."""
     sizes = [_domain_size(d) for d in domains]
-    strides = []
-    acc = 1
-    for s in reversed(sizes):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
-    idx = np.arange(start, stop)
-    assignment = {}
-    for dom, stride, size in zip(domains, strides, sizes):
-        pick = (idx // stride) % size
-        for v, rows in dom.items():
-            assignment[v] = rows[pick]
-    return assignment
+    picks = np.unravel_index(np.arange(start, stop), sizes) if sizes else ()
+    return {v: rows[pick] for dom, pick in zip(domains, picks) for v, rows in dom.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -271,113 +258,68 @@ def _orbit_representatives(spec: FieldSpec) -> np.ndarray:
     return reps
 
 
-def _sl2_orbit_representatives(alg: GradedLieAlgebra) -> np.ndarray | None:
-    """Representatives of the orbits of GL2(F) acting on alg by conjugation,
-    if alg has the structure constants of sl2, so that every conjugation is a
-    Lie automorphism of it; None for any other algebra.
-
-    The cover is certified on every call, over all q^3 elements x in one
-    batch.  x = 0 is a representative.  A nonzero x = [[a, b], [c, -a]] is
-    no scalar, so for a vector v that is no eigenvector of x, g = [v | xv]
-    is invertible, and x g = g R with R = [[0, -det x], [1, 0]] because
-    x^2 = -det x.  v is e1 if c != 0, else e2 if b != 0, else e1 + e2: both
-    e1 and e2 are eigenvectors of diag(a, -a).  This raises TheoremViolation
-    unless 0 is in the table and, for every nonzero x, R is in the table,
-    det g != 0 and g R = x g.
-    """
-    spec = alg.spec
-    if not np.array_equal(alg.constants, _sl2_constants(spec)):
-        return None
-    bf = batch_field(spec)
-    reps = _orbit_representatives(spec)
-    xs = grid_codes(spec, alg.dim)
-    basis = _as_codes(spec, SL2_BASIS)
-    matrices = matmul_codes(spec, xs, basis)
-    a, b, c, d = matrices.T
-    nonzero = xs.any(axis=1)
-    canonical = np.zeros_like(xs)
-    canonical[:, 1] = bf.sub(bf.mul(b, c), bf.mul(a, d))
-    canonical[:, 2] = nonzero
-    v1 = ((c != 0) | (b == 0)).astype(np.int64)
-    v2 = (c == 0).astype(np.int64)
-    g = np.stack([v1, bf.add(bf.mul(a, v1), bf.mul(b, v2)),
-                  v2, bf.add(bf.mul(c, v1), bf.mul(d, v2))], axis=1)
-    det = bf.sub(bf.mul(g[:, 0], g[:, 3]), bf.mul(g[:, 1], g[:, 2]))
-    place = spec.q ** np.arange(alg.dim)
-    ok = (np.isin(canonical @ place, reps @ place) & ((det != 0) | ~nonzero)
-          & (_m2_mult(spec, g, matmul_codes(spec, canonical, basis))
-             == _m2_mult(spec, matrices, g)).all(axis=1))
-    if not ok.all():
-        bad = xs[np.argmin(ok)].tolist()
-        raise TheoremViolation(f"sl2 element {bad} is conjugate to no orbit representative")
-    return reps
-
-
-def _centralizer_maps(spec: FieldSpec, rs: np.ndarray):
-    """The centralizer C(r) in GL2(F) of each nonzero r of sl2, modulo
-    scalars.  rs holds the 2x2 matrices r as (n, 4) code rows; returns the
-    maps as (m, 4) code rows and, for each, the index of its r in rs.
-
-    r is no scalar, so C(r) = F[r]^x, the invertible aI + br: modulo
-    scalars, I and the sI + r with det(sI + r) = s^2 + det r != 0, at most
-    q + 1 maps per r."""
-    bf = batch_field(spec)
-    scalars = np.outer(np.arange(spec.q), [1, 0, 0, 1])  # sI for every s in F
-    maps = np.concatenate([np.broadcast_to([1, 0, 0, 1], (len(rs), 1, 4)),
-                           bf.add(scalars, rs[:, None])], axis=1)
-    det = bf.sub(bf.mul(maps[..., 0], maps[..., 3]), bf.mul(maps[..., 1], maps[..., 2]))
-    owners, kept = np.nonzero(det)
-    return maps[owners, kept], owners
-
-
-_PAIR_CELLS = 1 << 14  # image coordinates computed at once by _orbit_pairs
+_PAIR_CELLS = 1 << 14  # coordinates handled at once by _orbit_pairs
 
 
 def _orbit_pairs(alg: GradedLieAlgebra, reps: np.ndarray):
-    """One pair (r, s) per orbit of GL2(F), acting by conjugation, on pairs
-    of elements of sl2, with r from the certified table reps: two (N, 3)
-    code arrays, by row of reps, then by the code of s.
+    """One pair (r, s) per orbit of the conjugations of sl2 on pairs of its
+    elements, with r from the table reps: two (N, 3) code arrays, by row of
+    reps, then by the code of s.
 
-    (r, s) and (r, s') share an orbit exactly when s' = g s g^-1 for some g
-    in the stabilizer of r, its centralizer C(r).  For r = 0 that is GL2,
-    whose orbits reps represents.  For a nonzero r, s is replaced by the
-    least code among its images under the maps of _centralizer_maps, C(r)
-    modulo the scalars, which act trivially: one element per orbit.  This
-    raises TheoremViolation unless each map g commutes with r and has an
-    inverse, so that the pairs cover every pair of sl2 whatever the maps
-    are.  The images are computed at most _PAIR_CELLS coordinates at a
-    time."""
+    The conjugations are algebra.m2_automorphisms restricted to sl2: map j
+    holds in row i the (h, e, f) coordinates of g_j b_i g_j^-1, its (e11,
+    e12, e21) entries.  This raises TheoremViolation unless every map has
+    rank 3 and respects the brackets [b0, b1], [b0, b2] and [b1, b2], so
+    that it is a Lie automorphism; unless the images of reps under the maps
+    hit all q^3 elements, so that every pair is the image of some (r, s');
+    and unless each nonzero r is fixed by some map.  For r = 0, which every
+    map fixes, s ranges over reps.  For a nonzero r, s is the least code
+    among the images of s' under the maps that fix r, the conjugations by
+    its centralizer modulo the scalars, which act trivially: one element per
+    orbit.  The maps are certified and applied to reps _PAIR_CELLS // 9 at a
+    time, and the images of s' computed at most _PAIR_CELLS coordinates at
+    a time."""
     spec = alg.spec
     bf = batch_field(spec)
     q = spec.q
     codes = np.arange(q)
     xs = grid_codes(spec, 3)
+    place = q ** np.arange(3)
+    targets = reps @ place
     basis = _as_codes(spec, SL2_BASIS)
+    conjugations = m2_automorphisms(spec)
+    hit = np.zeros(q ** 3, dtype=bool)
+    kept, owners = [], []
+    used = reps.any(axis=0)  # the columns of reps that are not all 0
+    step = _PAIR_CELLS // 9
+    for start in range(0, len(conjugations), step):
+        maps = matmul_codes(spec, basis, conjugations[start:start + step, :3].transpose(0, 2, 1))
+        ok = rref_stack(spec, maps)[1] == 3
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            ok &= (matmul_codes(spec, alg.constants[i, j, None], maps)[:, 0]
+                   == alg.batch_bracket(maps[:, i], maps[:, j])).all(axis=1)
+        if not ok.all():
+            raise TheoremViolation(
+                f"conjugation {maps[np.argmin(ok)].tolist()} is no automorphism of sl2")
+        images = place @ matmul_codes(spec, maps[:, used].transpose(0, 2, 1), reps[:, used].T)
+        hit[images.ravel()] = True
+        fixing, fixed = np.nonzero((images == targets) & (targets != 0))
+        kept.append(maps[fixing])
+        owners.append(fixed)
+    if not hit.all():
+        bad = xs[np.argmin(hit)].tolist()
+        raise TheoremViolation(f"sl2 element {bad} is conjugate to no orbit representative")
+    owners = np.concatenate(owners)
+    order = np.argsort(owners, kind="stable")
+    maps, owners = np.concatenate(kept)[order], owners[order]
+    if not np.isin(np.flatnonzero(targets), owners).all():
+        raise TheoremViolation("a nonzero orbit representative is fixed by no conjugation")
     seen = np.zeros((len(reps), q ** 3), dtype=bool)
-    zero = ~reps.any(axis=1)
-    seen[np.flatnonzero(zero)[:, None], reps @ q ** np.arange(3)] = True  # GL2 = C(0)
-    nonzero = np.flatnonzero(~zero)
-    rs = matmul_codes(spec, reps[nonzero], basis)
-    maps, owners = _centralizer_maps(spec, rs)
-    r = rs[owners]
-    inverse = bf.mul(np.stack([maps[:, 3], bf.neg(maps[:, 1]), bf.neg(maps[:, 2]), maps[:, 0]],
-                              axis=1),
-                     bf.inv(bf.sub(bf.mul(maps[:, 0], maps[:, 3]),
-                                   bf.mul(maps[:, 1], maps[:, 2])))[:, None])
-    ok = ((_m2_mult(spec, maps, inverse) == [1, 0, 0, 1]).all(axis=1)
-          & (_m2_mult(spec, maps, r) == _m2_mult(spec, r, maps)).all(axis=1))
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise TheoremViolation(
-            f"centralizer map {maps[i].tolist()} of {r[i].tolist()} is singular or moves it")
-    # conj[j, i]: the (h, e, f) coordinates of g_j b_i g_j^-1, its (e11, e12,
-    # e21) entries.  Coordinate k of the image of x under g_j is the sum over
-    # i of x_i conj[j, i, k], looked up in add3 at the index that sums
-    # parts[i][x_i, k * m + j] = (x_i conj[j, i, k]) q^(2 - i)
-    left, right = row_pairs(maps, basis)
-    conj = _m2_mult(spec, _m2_mult(spec, left, right), np.repeat(inverse, 3, axis=0))
-    conj = conj[:, :3].reshape(len(maps), 3, 3)
-    parts = [bf.mul(codes[:, None], conj[:, i].T.reshape(1, -1)) * q ** (2 - i) for i in range(3)]
+    seen[np.flatnonzero(targets == 0)[:, None], targets] = True  # every map fixes 0
+    # coordinate k of the image of x under map j is the sum over i of x_i
+    # maps[j, i, k], looked up in add3 at the index that sums
+    # parts[i][x_i, k * m + j] = (x_i maps[j, i, k]) q^(2 - i)
+    parts = [bf.mul(codes[:, None], maps[:, i].T.reshape(1, -1)) * q ** (2 - i) for i in range(3)]
     add3 = functools.reduce(bf.add, np.ix_(codes, codes, codes)).ravel()
     starts = np.flatnonzero(np.diff(owners, prepend=-1))  # the runs of one r
     step = max(1, _PAIR_CELLS // (3 * len(maps)))
@@ -389,7 +331,7 @@ def _orbit_pairs(alg: GradedLieAlgebra, reps: np.ndarray):
         images = add3[index].reshape(-1, 3, len(maps))
         least = np.minimum.reduceat(images[:, 0] + q * (images[:, 1] + q * images[:, 2]),
                                     starts, axis=1)
-        seen[nonzero[owners[starts]], least] = True
+        seen[owners[starts], least] = True
     rows, found = np.nonzero(seen)
     return reps[rows], xs[found]
 
@@ -398,16 +340,16 @@ _ORBITS: dict = {}  # (spec, bytes of _orbit_representatives(spec)) -> _sl2_orbi
 
 
 def _sl2_orbits(alg: GradedLieAlgebra):
-    """(reps, firsts, seconds): the certified representatives of
-    _sl2_orbit_representatives and the pair rows of _orbit_pairs, if alg has
-    the structure constants of sl2; None for any other algebra.  Both are
-    certified once per field and representative table."""
+    """(reps, firsts, seconds): the representatives of _orbit_representatives
+    and the pair rows of _orbit_pairs, if alg has the structure constants of
+    sl2, so that conjugations restrict to it; None for any other algebra.
+    Both are certified once per field and representative table."""
     spec = alg.spec
     if not np.array_equal(alg.constants, _sl2_constants(spec)):
         return None
-    key = (spec, _orbit_representatives(spec).tobytes())
+    reps = _orbit_representatives(spec)
+    key = (spec, reps.tobytes())
     if key not in _ORBITS:
-        reps = _sl2_orbit_representatives(alg)
         _ORBITS[key] = (reps, *_orbit_pairs(alg, reps))
     return _ORBITS[key]
 
@@ -483,19 +425,19 @@ def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
     z_i is a bijection from the even part times the odd part onto the
     algebra, so a pair used only through that sum (_merge_pairs, as in
     sem1_graded and sem2_graded) is one variable x_i over the whole algebra.
-    When every variable ranges over the whole algebra of sl2, conjugation
-    by GL2(F) is a Lie automorphism phi with f(phi a, phi b, ...) =
-    phi f(a, b, ...), so f vanishes on an assignment exactly when it
-    vanishes on any conjugate of it.  Hence the first two variables need
-    one pair per GL2-orbit of pairs (_sl2_orbits), the others still ranging
-    over the whole algebra: a pair (a, b) is conjugate to (r, b') with r
-    one of the q + 1 certified orbit representatives, and the conjugations
-    that keep r form its stabilizer, the centralizer C(r), so b' needs one
-    element per orbit of C(r).  That is q + 1 elements for r = 0, where
-    C(r) = GL2, and q^2 + q - 1, q^2 + 2q or q^2 for r = [[0, d], [1, 0]]
-    with d zero, a nonzero square or a non-square: q^3 + q^2 + q rows in
-    all for the q^6 graded assignments of sem*_graded.  A single variable
-    takes the q + 1 representatives alone.
+    When every variable ranges over the whole algebra of sl2, each map phi
+    of the certified conjugation list (_orbit_pairs) is an invertible Lie
+    automorphism with f(phi a, phi b, ...) = phi f(a, b, ...), so f
+    vanishes on an assignment exactly when it vanishes on its image.  Hence
+    the first two variables need one pair per orbit of pairs (_sl2_orbits),
+    the others still ranging over the whole algebra: a pair (a, b) is the
+    image of some (r, b') with r one of the q + 1 orbit representatives,
+    whose images cover sl2, and b' may be replaced by its image under any
+    map that fixes r.  With the q(q^2 - 1) conjugations by PGL2(F) that
+    leaves q + 1 elements for r = 0 and q^2 + q - 1, q^2 + 2q or q^2 for
+    r = [[0, d], [1, 0]] with d zero, a nonzero square or a non-square:
+    q^3 + q^2 + q rows in all for the q^6 graded assignments of
+    sem*_graded.  A single variable takes the q + 1 representatives alone.
 
     The rows run over the product of the joint domains (_assignment_slice),
     _CHUNK at a time.  A check that holds reports as evaluations the number

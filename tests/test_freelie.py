@@ -19,6 +19,7 @@ from glie.freelie import (
     AdPower,
     LiePolynomial,
     MultiDegree,
+    Variable,
     Scale,
     Sum,
     Var,
@@ -111,6 +112,27 @@ def test_variable_order():
     assert y(2) < z(1)
     assert z(9) < x(1)
     assert y(1) < y(2)
+
+
+@pytest.mark.parametrize("index", [1.5, True, "1"], ids=repr)
+def test_variable_index_must_be_an_int(index):
+    """y(True) and Variable("y", 1.5) would be the variables yTrue and y1.5."""
+    with pytest.raises(ValueError, match="a variable index must be an int >= 1"):
+        Variable("y", index)
+
+
+def test_multidegree_refuses_a_negative_count():
+    """y1 used to drop out of {y1: -3, z1: 2}, as a zero count does."""
+    with pytest.raises(ValueError, match="a count must be an int >= 0"):
+        MultiDegree.of({y(1): -3, z(1): 2})
+    assert MultiDegree.of({y(1): 0, z(1): 2}) == MultiDegree.of({z(1): 2})
+
+
+@pytest.mark.parametrize("count", [2.7, 2.0, True], ids=repr)
+def test_multidegree_refuses_a_count_that_is_no_int(count):
+    """{y1: 2.7} used to read as y1 of degree 2."""
+    with pytest.raises(ValueError, match="a count must be an int >= 0"):
+        MultiDegree.of({y(1): count})
 
 
 def test_lyndon_words_frozen_counts():

@@ -67,6 +67,12 @@ m2_grading_iii at all three fields; the structure constants of those three
 algebras; and the descriptor_to_algebra constants of every class
 representative of both targets and of reference_m2_descriptors at p = 5 and
 7.
+
+data/sl2_orbits_golden.json holds what identities._sl2_orbits returned at
+q = 5, 7, 11, 13 and 25 when its orbit tables still came from closed-form
+constructions (a companion-form conjugator for the cover, the centralizers
+F[r]^x for the stabilizers): the number of representatives and of pair rows,
+and the sha256 of the little-endian int64 bytes of reps, firsts and seconds.
 """
 
 import hashlib
@@ -123,6 +129,7 @@ from glie.gradings import (
     unit_component_check,
 )
 from glie.identities import (
+    _sl2_orbits,
     consequence_span,
     default_sl2_windows,
     identity_space,
@@ -138,6 +145,13 @@ LINALG_GOLDEN = json.loads((DATA / "linalg_golden.json").read_text(encoding="utf
 AUTOMORPHISMS_P5 = json.loads((DATA / "sl2_automorphisms_p5.json").read_text(encoding="utf-8"))
 GRADINGS_GOLDEN = json.loads((DATA / "gradings_golden.json").read_text(encoding="utf-8"))
 SUBSPACE_GOLDEN = json.loads((DATA / "subspace_golden.json").read_text(encoding="utf-8"))
+ORBITS_GOLDEN = json.loads((DATA / "sl2_orbits_golden.json").read_text(encoding="utf-8"))
+
+
+def sha256_codes(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
 GENS = {"S": set_s, "lema5": lema5_set}
 ALGEBRAS = {"sl2": sl2, "e11e12": span_e11_e12}
 GENS_ALGEBRA = {"S": sl2, "lema5": span_e11_e12}  # an algebra each set holds on
@@ -474,8 +488,7 @@ def test_sl2_automorphisms_frozen_digest(p):
     autos = sl2_automorphisms(FieldSpec.prime(p))
     frozen = GRADINGS_GOLDEN["sl2_automorphisms"][str(p)]
     assert len(autos) == frozen["len"]
-    digest = hashlib.sha256(np.ascontiguousarray(autos, dtype="<i8").tobytes()).hexdigest()
-    assert digest == frozen["sha256"]
+    assert sha256_codes(autos) == frozen["sha256"]
 
 
 def test_sl2_automorphisms_read_only():
@@ -566,8 +579,7 @@ def test_subspace_vectors_and_contains_frozen(case):
     if "count" in case:
         vecs = s.vectors()
         assert vecs.shape == (case["count"], 6)
-        digest = hashlib.sha256(np.ascontiguousarray(vecs, dtype="<i8").tobytes()).hexdigest()
-        assert digest == case["sha256"]
+        assert sha256_codes(vecs) == case["sha256"]
         if "vectors" in case:
             assert vecs.tolist() == case["vectors"]
 
@@ -602,3 +614,13 @@ def test_descriptor_algebras_frozen(p):
         alg = descriptor_to_algebra(GradingDescriptor(kind, spec, even, odd, "frozen"))
         assert list(alg.degrees) == case["degrees"]
         assert constants_json(alg) == case["constants"], case["key"]
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 25])
+def test_sl2_orbits_frozen(q):
+    frozen = ORBITS_GOLDEN[str(q)]
+    spec = FieldSpec.extension(5, 2) if q == 25 else FieldSpec.prime(q)
+    reps, firsts, seconds = _sl2_orbits(sl2(spec))
+    assert (len(reps), len(firsts), len(seconds)) == (frozen["reps"], frozen["rows"], frozen["rows"])
+    assert {"reps": sha256_codes(reps), "firsts": sha256_codes(firsts),
+            "seconds": sha256_codes(seconds)} == frozen["sha256"]

@@ -71,7 +71,7 @@ def test_m2_scan_takes_one_matrix_per_scalar_class(spec, monkeypatch):
     """The candidates g are the q^3 + q^2 + q + 1 rows of projective_codes,
     not the q^4 matrices, and still give all |PGL2(q)| = q(q^2 - 1) maps."""
     q, sizes = spec.q, []
-    monkeypatch.setattr(gradings, "projective_codes", lambda spec, n: (
+    monkeypatch.setattr(algebra, "projective_codes", lambda spec, n: (
         sizes.append(n) or linalg.projective_codes(spec, n)))
     maps = m2_automorphisms.__wrapped__(spec)
     assert sizes == [4]

@@ -12,6 +12,7 @@ from glie.algebra import (
     heisenberg,
     m2_grading_i,
     m2_grading_ii,
+    m2_automorphisms,
     m2_grading_iii,
     sl2,
     span_e11_e12,
@@ -51,7 +52,7 @@ from glie.freelie import (
 )
 from glie.identities import (
     CheckSettings,
-    _sl2_orbit_representatives,
+    _sl2_orbits,
     basis_batch,
     basis_check,
     check_identity,
@@ -346,8 +347,9 @@ def test_wrong_sem1_refuted_with_graded_witness():
 
 def test_orbit_representatives_certified_gf25():
     """The cover of sl2(GF(25)) by its 26 representatives is certified over
-    all 15,625 elements, with extension-field arithmetic throughout."""
-    reps = _sl2_orbit_representatives(sl2(GF25))
+    all 15,625 elements, their images under the 15,600 conjugations, with
+    extension-field arithmetic throughout."""
+    reps = _sl2_orbits(sl2(GF25))[0]
     assert reps.shape == (26, 3)
 
 
@@ -357,11 +359,11 @@ def test_orbit_reduction_only_for_the_constants_of_sl2():
     the constants of sl2, whatever the name."""
     renamed = sl2(GF5)
     renamed.name = "other"
-    assert _sl2_orbit_representatives(renamed) is not None
+    assert _sl2_orbits(renamed) is not None
     other_basis = algebra_from_matrix_basis(GF5, [(0, 1, 2, 0), (1, 0, 0, -1), (0, 1, -2, 0)],
                                             (0, 1, 1), "sl2")
-    assert _sl2_orbit_representatives(other_basis) is None
-    assert _sl2_orbit_representatives(gl2(GF5)) is None
+    assert _sl2_orbits(other_basis) is None
+    assert _sl2_orbits(gl2(GF5)) is None
 
 
 @pytest.mark.parametrize("table", [
@@ -375,6 +377,34 @@ def test_broken_orbit_table_raises(monkeypatch, table):
     original = identities._orbit_representatives
     monkeypatch.setattr(identities, "_orbit_representatives", lambda spec: table(original(spec)))
     with pytest.raises(TheoremViolation, match="orbit representative"):
+        check_identity(sem1_graded(5), sl2(GF5))
+
+
+def test_representative_fixed_by_no_conjugation_raises(monkeypatch):
+    """A table with h = diag(1, -1) added, which shares the orbit of
+    (0, 1, 1), and a conjugation list without the diagonal maps, the ones
+    that fix h: the other representatives keep the rest of their
+    stabilizers, so the images of the table still cover sl2, but no pair
+    would start with h, so the tables are refused."""
+    reps, maps = identities._orbit_representatives, identities.m2_automorphisms
+    h = np.array([1, 0, 0, 4])  # diag(1, -1) on M2 coordinates over GF(5)
+    monkeypatch.setattr(identities, "_orbit_representatives",
+                        lambda spec: np.concatenate([reps(spec), [h[:3]]]))
+    monkeypatch.setattr(identities, "m2_automorphisms",
+                        lambda spec: maps(spec)[(maps(spec) @ h % 5 != h).any(axis=1)])
+    monkeypatch.setattr(identities, "_ORBITS", {})
+    with pytest.raises(TheoremViolation, match="fixed by no conjugation"):
+        check_identity(sem1_graded(5), sl2(GF5))
+
+
+def test_singular_map_in_conjugation_list_raises(monkeypatch):
+    """The zero map respects every bracket but has rank 0, so a conjugation
+    list with it appended fails the rank certificate."""
+    maps = identities.m2_automorphisms
+    monkeypatch.setattr(identities, "m2_automorphisms",
+                        lambda spec: np.concatenate([maps(spec), np.zeros((1, 4, 4), dtype=np.int64)]))
+    monkeypatch.setattr(identities, "_ORBITS", {})
+    with pytest.raises(TheoremViolation, match="no automorphism"):
         check_identity(sem1_graded(5), sl2(GF5))
 
 
@@ -423,6 +453,28 @@ def test_orbit_pair_counts_per_representative(q):
     counts = [int((firsts == r).all(axis=1).sum()) for r in reps]
     assert counts == expected
     assert sum(counts) == q ** 3 + q ** 2 + q
+
+
+# tracemalloc bound on building the orbit tables of sl2(GF(25)), the
+# conjugation list included; they peaked at 4.0 MB when built from closed
+# forms without that list
+ORBITS_GF25_PEAK_BYTES = 8_000_000
+
+
+def test_orbit_tables_gf25_memory(monkeypatch):
+    """The conjugations are restricted, certified and applied in blocks, so
+    the 15,600 maps never make one (maps x representatives) product."""
+    L = sl2(GF25)
+    monkeypatch.setattr(identities, "_ORBITS", {})
+    m2_automorphisms.cache_clear()
+    tracemalloc.start()
+    try:
+        reps, firsts, _ = identities._sl2_orbits(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 26 and len(firsts) == 16_275
+    assert peak < ORBITS_GF25_PEAK_BYTES
 
 
 def test_sem_checks_at_gf25_on_orbit_pairs():
@@ -892,6 +944,18 @@ def test_basis_check_strict_inclusion_for_yy_alone():
     rec = report.windows[0]
     assert rec.id_dim == 1 and rec.cons_dim == 0
     assert rec.witness is not None
+
+
+def test_window_box_refuses_a_negative_cap():
+    """(y1:-1, z1:1) used to be a 0-dimensional window."""
+    with pytest.raises(ValueError, match="a count must be an int >= 0"):
+        window_box({y(1): -1, z(1): 1})
+
+
+def test_basis_check_never_sees_a_negative_cap():
+    """basis_check used to report all-equal on the empty window (y1:-2)."""
+    with pytest.raises(ValueError, match="a count must be an int >= 0"):
+        basis_check(sl2(GF5), set_s(5), [window_box({y(1): -2})])
 
 
 def test_basis_check_needs_one_label_per_generator():

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import glie.algebra as algebra
 import glie.gradings as gradings
 import glie.identities as identities
 from glie.algebra import GradedLieAlgebra, sl2
@@ -82,24 +83,19 @@ def orbit_representative_dropped():
         identities._orbit_representatives = original
 
 
-def centralizer_map_moves_its_representative():
-    """A centralizer list with [[1, 1], [0, 1]] added for every
-    representative: it commutes with no r = [[0, d], [1, 0]], so the pair
-    table built from it must refuse the sem1 check.  The tables are cached
-    per field, so the cache is emptied before and after."""
-    original = identities._centralizer_maps
-
-    def with_shear(spec, rs):
-        maps, owners = original(spec, rs)
-        return (np.concatenate([maps, np.tile([1, 1, 0, 1], (len(rs), 1))]),
-                np.concatenate([owners, np.arange(len(rs))]))
-
-    identities._centralizer_maps = with_shear
+def conjugation_list_with_a_non_automorphism():
+    """A conjugation list with h -> 2h, e -> e, f -> f appended, the map
+    diag(2, 1, 1, 2) on M2 coordinates: it breaks [h, e] = 2e, so the orbit
+    tables built from the list must refuse the sem1 check.  The tables are
+    cached per field, so the cache is emptied before and after."""
+    original = identities.m2_automorphisms
+    identities.m2_automorphisms = lambda spec: np.concatenate(
+        [original(spec), np.diag([2, 1, 1, 2])[None]])
     identities._ORBITS.clear()
     try:
         check_identity(sem1_graded(5), sl2(GF5))
     finally:
-        identities._centralizer_maps = original
+        identities.m2_automorphisms = original
         identities._ORBITS.clear()
 
 
@@ -140,13 +136,13 @@ def conjugation_scan_repeats_a_scalar_class():
     """M2 candidates with the multiples 2g of the scalar-class
     representatives g added: 2g conjugates as g does, so the maps are no
     longer distinct and the scan must refuse them."""
-    original = gradings.projective_codes
-    gradings.projective_codes = lambda spec, n: np.concatenate(
+    original = algebra.projective_codes
+    algebra.projective_codes = lambda spec, n: np.concatenate(
         [original(spec, n), 2 * original(spec, n)[1:]])
     try:
-        gradings.m2_automorphisms.__wrapped__(GF5)
+        algebra.m2_automorphisms.__wrapped__(GF5)
     finally:
-        gradings.projective_codes = original
+        algebra.projective_codes = original
 
 
 def split_stack_with_one_broken_split():
@@ -162,7 +158,7 @@ def split_stack_with_one_broken_split():
 
 SCENARIOS = [non_identity_consequence, counterexample_not_reproduced,
              ad_power_kernel_corrupted, orbit_representative_dropped,
-             centralizer_map_moves_its_representative,
+             conjugation_list_with_a_non_automorphism,
              natural_grading_without_isomorphism, unit_criterion_disagrees,
              conjugation_scan_repeats_a_scalar_class, split_stack_with_one_broken_split]
 REFUSED_WITH = {split_stack_with_one_broken_split: SpecError}  # the others: TheoremViolation
