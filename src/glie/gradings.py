@@ -40,7 +40,7 @@ from .algebra import SL2_BASIS, GradedLieAlgebra, _m2_mult, gl2, m2_automorphism
 from .errors import SpecError, TheoremViolation
 from .fields import FieldElement, FieldSpec, batch_field, find_nonsquare
 from .freelie import zyq_zy
-from .identities import CheckSettings, check_identity
+from .identities import check_identity
 from .linalg import (MatrixGF, SubspaceBasis, _as_codes, grid_codes, matmul_codes, row_keys,
                      rref_stack)
 
@@ -336,8 +336,7 @@ def classify_up_to_iso(gradings) -> list:
     out = []
     for members in classes.values():
         rep = min(members, key=lambda d: d.key())
-        holds = check_identity(zyq_zy(spec.q), descriptor_to_algebra(rep), graded=True,
-                               settings=CheckSettings(budget=2_000_000)).holds
+        holds = check_identity(zyq_zy(spec.q), descriptor_to_algebra(rep), graded=True).holds
         out.append(GradingClass(rep, len(members), rep.even.dim, rep.odd.dim, holds))
     out.sort(key=lambda c: (-c.even_dim, c.representative.key()))
     return out

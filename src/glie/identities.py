@@ -179,48 +179,48 @@ def total_degree_windows(max_total: int, per_var_cap: int):
 # ---------------------------------------------------------------------------
 
 
-def _on_coordinates(alg: GradedLieAlgebra, rows: np.ndarray, idx) -> np.ndarray:
-    """Code rows over the coordinates idx as (N, dim) rows, zero elsewhere."""
-    out = np.zeros((len(rows), alg.dim), dtype=np.int64)
-    out[:, idx] = rows
-    return out
+def _coordinates(alg: GradedLieAlgebra, v, graded: bool) -> list:
+    """The coordinates v ranges over: those of its homogeneous part in
+    graded mode, which forbids x variables, and all of them otherwise."""
+    if graded and v.parity is None:
+        raise ParityError(f"{v} has no parity; graded mode forbids x variables")
+    return alg.homogeneous_indices(v.parity) if graded else list(range(alg.dim))
 
 
-def homogeneous_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
-    """All q^d elements of the degree-d part, as (q^d, dim) coordinate codes
-    (linalg.grid_codes on its coordinates)."""
-    idx = alg.homogeneous_indices(degree)
-    return _on_coordinates(alg, grid_codes(alg.spec, len(idx)), idx)
-
-
-def projective_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
-    """The zero vector and one representative of each line through 0 of the
-    degree-d part (linalg.projective_codes on its coordinates): 1 + (q^d -
-    1)/(q - 1) rows of coordinate codes."""
-    idx = alg.homogeneous_indices(degree)
-    return _on_coordinates(alg, projective_codes(alg.spec, len(idx)), idx)
-
-
-def basis_batch(alg: GradedLieAlgebra, degree: int) -> np.ndarray:
-    """The basis vectors of the degree-d part as unit code rows."""
-    idx = alg.homogeneous_indices(degree)
-    return _on_coordinates(alg, np.eye(len(idx), dtype=np.int64), idx)
-
-
-def _domains(alg: GradedLieAlgebra, variables, graded: bool, points=None, pairs=()):
-    """One joint domain per variable (see _assignment_slice): points(v), by
-    default the whole homogeneous part of v's parity, in graded mode; the
-    whole algebra otherwise and for a variable of pairs, which stands for the
-    sum of an even and an odd variable."""
-    domains = []
-    for v in variables:
-        if graded and v not in pairs:
-            if v.parity is None:
-                raise ParityError(f"{v} has no parity; graded mode forbids x variables")
-            domains.append({v: points(v) if points else homogeneous_batch(alg, v.parity)})
-        else:
-            domains.append({v: grid_codes(alg.spec, alg.dim)})
-    return domains
+def _domains(alg: GradedLieAlgebra, parts, budget: int, refusal: str, head=()):
+    """(domains, rows): the joint domains of head (see _assignment_slice),
+    then one per part (v, idx, top, one), and the number of rows of their
+    product.  v ranges over the elements with coordinates idx, has degree
+    at most top in each multihomogeneous component of the expression e, and
+    one tells whether those degrees share one residue mod q - 1.  With the
+    other variables fixed, v takes these rows, zero off idx:
+    - at top 0, or without coordinates, 0 alone: e does not depend on v;
+    - at top 1 the basis vectors, after 0 unless v has one residue: e is
+      c + l(v) with l linear, and c = 0 or l = 0 with one residue, as
+      q - 1 > 1;
+    - with one residue r, 0 and one point per line through 0
+      (projective_codes), as e(λv) = λ^r e(v) for λ in GF(q)^*;
+    - otherwise every point (grid_codes).
+    So e vanishes everywhere if it does on the product: widen the domains
+    to the whole parts one variable at a time.  The rows are counted before
+    any is built: BudgetExceeded, with refusal formatted by their number,
+    when they exceed budget."""
+    spec, q = alg.spec, alg.spec.q
+    sizes = [1 if not top or not idx else len(idx) + (not one) if top == 1
+             else 1 + (q ** len(idx) - 1) // (q - 1) if one else q ** len(idx)
+             for _, idx, top, one in parts]
+    total = math.prod(map(_domain_size, head)) * math.prod(sizes)
+    if total > budget:
+        raise BudgetExceeded(f"{refusal.format(total)} (budget {budget})")
+    domains = list(head)
+    for (v, idx, top, one), size in zip(parts, sizes):
+        rows = np.zeros((size, alg.dim), dtype=np.int64)
+        if top == 1 and idx:
+            rows[size - len(idx):, idx] = np.eye(len(idx), dtype=np.int64)
+        elif top and idx:
+            rows[:, idx] = (projective_codes if one else grid_codes)(spec, len(idx))
+        domains.append({v: rows})
+    return domains, total
 
 
 def _domain_size(domain: dict) -> int:
@@ -374,8 +374,8 @@ class CheckSettings:
 @dataclass(frozen=True)
 class CheckReport:
     """evaluations is, for a check that holds, the number of assignments it
-    covers (all of them), and for a refuted check the number of rows it
-    evaluated up to and including the first failing one."""
+    covers (all of them), and for a refuted check the number of rows of its
+    reduced domains it evaluated up to and including the first failing one."""
 
     holds: bool
     evaluations: int
@@ -421,7 +421,7 @@ def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
     Graded mode substitutes homogeneous elements of matching parity only;
     ordinary mode ranges every variable over the whole algebra.
 
-    Two exact reductions cut the rows.  In graded mode, (y_i, z_i) -> y_i +
+    Three exact reductions cut the rows.  In graded mode, (y_i, z_i) -> y_i +
     z_i is a bijection from the even part times the odd part onto the
     algebra, so a pair used only through that sum (_merge_pairs, as in
     sem1_graded and sem2_graded) is one variable x_i over the whole algebra.
@@ -429,19 +429,20 @@ def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
     of the certified conjugation list (_orbit_pairs) is an invertible Lie
     automorphism with f(phi a, phi b, ...) = phi f(a, b, ...), so f
     vanishes on an assignment exactly when it vanishes on its image.  Hence
-    the first two variables need one pair per orbit of pairs (_sl2_orbits),
-    the others still ranging over the whole algebra: a pair (a, b) is the
-    image of some (r, b') with r one of the q + 1 orbit representatives,
-    whose images cover sl2, and b' may be replaced by its image under any
-    map that fixes r.  With the q(q^2 - 1) conjugations by PGL2(F) that
+    the first two variables need one pair per orbit of pairs (_sl2_orbits):
+    a pair (a, b) is the image of some (r, b') with r one of the q + 1 orbit
+    representatives, whose images cover sl2, and b' may be replaced by its
+    image under any map that fixes r.  With the q(q^2 - 1) conjugations by PGL2(F) that
     leaves q + 1 elements for r = 0 and q^2 + q - 1, q^2 + 2q or q^2 for
     r = [[0, d], [1, 0]] with d zero, a nonzero square or a non-square:
     q^3 + q^2 + q rows in all for the q^6 graded assignments of
     sem*_graded.  A single variable takes the q + 1 representatives alone.
+    Every other variable takes the rows of _domains for its top entry of
+    freelie.degree_form and whether freelie.degree_residues finds one residue.
 
     The rows run over the product of the joint domains (_assignment_slice),
     _CHUNK at a time.  A check that holds reports as evaluations the number
-    of assignments covered, a refuted one the number of rows up to and
+    of assignments covered, a refuted one the number of those rows up to and
     including the first failing one, whatever the chunk size, with its
     witness re-evaluated by the scalar backend on e itself, the variables of
     merged pairs split (_witness).  An expression without variables has one
@@ -450,17 +451,20 @@ def check_identity(e, alg: GradedLieAlgebra, graded: bool = True,
     variables = expr_variables(e)
     f, pairs = _merge_pairs(e, variables) if graded else (e, {})
     variables = expr_variables(f)
-    domains = _domains(alg, variables, graded, pairs=pairs)
-    covered = math.prod(map(_domain_size, domains))
+    coordinates = {v: _coordinates(alg, v, graded and v not in pairs) for v in variables}
+    covered = math.prod(alg.spec.q ** len(idx) for idx in coordinates.values())
     orbits = (_sl2_orbits(alg) if variables and (not graded or set(variables) <= pairs.keys())
               else None)
+    head = []
     if orbits is not None:
         reps, firsts, seconds = orbits
-        domains[:2] = ([{variables[0]: reps}] if len(variables) == 1
-                       else [{variables[0]: firsts, variables[1]: seconds}])
-    total = math.prod(map(_domain_size, domains))
-    if total > settings.budget:
-        raise BudgetExceeded(f"check needs {total} evaluations (budget {settings.budget})")
+        head = ([{variables[0]: reps}] if len(variables) == 1
+                else [{variables[0]: firsts, variables[1]: seconds}])
+    rest = variables[sum(map(len, head)):]  # the degree analyses only run on these
+    tops = dict(zip(variables, map(max, zip(*degree_form(f, variables))))) if rest else {}
+    parts = [(v, coordinates[v], tops[v], len(r) == 1)
+             for v, r in zip(rest, degree_residues(f, rest, alg.spec))]
+    domains, total = _domains(alg, parts, settings.budget, "check needs {} evaluations", head)
     for done in range(0, total, _CHUNK):
         assignment = _assignment_slice(domains, done, min(done + _CHUNK, total))
         bad = np.flatnonzero(batch_evaluate(f, alg, assignment).any(axis=1))
@@ -498,48 +502,27 @@ def identity_space(alg: GradedLieAlgebra, ambient: AmbientSpace,
     (GF(q)^*)^N, a polynomial vanishes on every assignment if and only if
     each class component does.
 
-    A class component vanishes everywhere if and only if it vanishes on a
-    grid: a product of one set of points per variable v, chosen from v's cap
-    in the window (its largest degree in a monomial):
-    - cap 1: the basis vectors of v's homogeneous part (basis_batch);
-    - cap 0, so that no monomial uses v, or a homogeneous part of
-      dimension 0: 0 alone;
-    - any other cap: 0 and one representative of each line through 0
-      (projective_batch).
-    Fix every variable but v.  At cap <= 1 each monomial has degree 0 or 1
-    in v, and as q >= 5 these lie in different classes mod q - 1.  So a
-    class component is either constant in v, or linear in v, since a Lie
-    monomial of degree 1 in v is linear in v.  Either way it vanishes for
-    every v if it does on a basis, or at 0 when the part is 0.  At any
-    other cap it scales by a nonzero factor when a nonzero value of v is
-    scaled, so it vanishes for every v if it does at 0 and on the
-    representatives.  Widening the grid to the whole homogeneous part one
-    variable at a time, each step keeps the component vanishing.
+    A class component vanishes everywhere if and only if it vanishes on the
+    grid of _domains, the rows of each variable v chosen from its cap in the
+    window (its largest degree in a monomial) as top degree and one residue,
+    which it has within a class: 0 alone at cap 0 or on a part of dimension
+    0, a basis of its homogeneous part at cap 1, and 0 and one point per
+    line through 0 at any other cap.
 
     The kernel is the direct sum of the class kernels: the evaluation rows
     on the grid, restricted to each class's columns in turn, go into one
     running RREF.
 
-    settings.budget caps the grid points (BudgetExceeded beyond).
+    settings.budget caps the grid points, the rows of the product of those
+    reduced domains (BudgetExceeded beyond, before any point is built).
     """
     spec = alg.spec
     if ambient.dim == 0:
         return SubspaceBasis.zero(spec, 0)
     variables = list(ambient.variables)
     caps = ambient.caps()
-
-    def points(v):
-        if caps[v] > 1:
-            return projective_batch(alg, v.parity)
-        if caps[v] and alg.homogeneous_indices(v.parity):
-            return basis_batch(alg, v.parity)
-        return np.zeros((1, alg.dim), dtype=np.int64)
-
-    domains = _domains(alg, variables, graded=True, points=points)
-    total = math.prod(map(_domain_size, domains))
-    if total > settings.budget:
-        raise BudgetExceeded(
-            f"identity space needs {total} grid points (budget {settings.budget})")
+    parts = [(v, _coordinates(alg, v, True), caps[v], True) for v in variables]
+    domains, total = _domains(alg, parts, settings.budget, "identity space needs {} grid points")
     classes: dict = {}
     for j, w in enumerate(ambient.monomials):
         key = tuple(w.count(v) % (spec.q - 1) for v in variables)

@@ -247,11 +247,14 @@ class SubspaceBasis:
     def contains_rows(self, codes) -> bool:
         """Whether every row v of (N, ambient_dim) codes, read by _as_codes'
         rule, lies in the subspace.  The pivot columns of the rows hold the
-        identity, so v is in the span exactly when v - v[pivots] . rows = 0."""
+        identity, so v is in the span exactly when v - v[pivots] . rows = 0;
+        only its free columns are computed, the others vanish by construction."""
         codes = _as_codes(self.spec, codes, self.ambient_dim)
         pivots = (self.rows != 0).argmax(axis=1) if self.dim else []
+        free = np.ones(self.ambient_dim, dtype=bool)
+        free[pivots] = False
         return not batch_field(self.spec).sub(
-            codes, matmul_codes(self.spec, codes[:, pivots], self.rows)).any()
+            codes[:, free], matmul_codes(self.spec, codes[:, pivots], self.rows[:, free])).any()
 
     def contains(self, vector) -> bool:
         return self.contains_rows([vector])

@@ -12,7 +12,6 @@ import pytest
 from glie.algebra import sl2, span_e11_e12
 from glie.errors import ExpansionTooLarge, NotALieElement, ParityError
 from glie.fields import FieldSpec
-from glie.identities import homogeneous_batch
 from glie.freelie import (
     Ad,
     AdPolyDiff,
@@ -272,6 +271,16 @@ def test_expand_rejects_sem2():
         expr_expand(sem2(5), GF5, caps={x(1): 5, x(2): 5})
 
 
+def homogeneous_elements(L, parity):
+    """Every element of L's homogeneous part of this parity."""
+    idx = L.homogeneous_indices(parity)
+    for codes in itertools.product(range(L.spec.q), repeat=len(idx)):
+        row = [0] * L.dim
+        for i, c in zip(idx, codes):
+            row[i] = c
+        yield L.element(row)
+
+
 def test_expand_agrees_with_evaluation_exhaustive():
     # over span{e11,e12}: coordinate evaluation of the expansion matches
     # direct expression evaluation on every homogeneous assignment
@@ -287,8 +296,7 @@ def test_expand_agrees_with_evaluation_exhaustive():
     for e in exprs:
         p = expr_expand(e, GF5, caps={y(1): 5, y(2): 5, z(1): 1, z(2): 1})
         variables = expr_variables(e)
-        pools = [[L.element(list(row)) for row in homogeneous_batch(L, v.parity).tolist()]
-                 for v in variables]
+        pools = [list(homogeneous_elements(L, v.parity)) for v in variables]
         for combo in itertools.product(*pools):
             assignment = dict(zip(variables, combo))
             left = evaluate(e, L, assignment, graded=True)

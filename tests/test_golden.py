@@ -73,6 +73,16 @@ q = 5, 7, 11, 13 and 25 when its orbit tables still came from closed-form
 constructions (a companion-form conjugator for the cover, the centralizers
 F[r]^x for the stabilizers): the number of representatives and of pair rows,
 and the sha256 of the little-endian int64 bytes of reps, firsts and seconds.
+
+data/check_golden.json holds what check_identity returned at q = 5 and 7 on
+every grid algebra (sl2, gl2, the three M2 gradings, heisenberg and
+abelian(0, 1, 1, 1)) for set_s(q), lema5_set(q), zz(), [[y1, z1], z1] and
+[[z1, y1], y1], before its variables took the reduced domains of
+identities._domains: holds, and for a check that holds, evaluations, the
+number of assignments it covers, which no reduction may change.  A refuted
+check's evaluations counted rows of the whole domains, so they are not kept.
+The cases with a "budget" needed more than the default 4 M rows then and
+were frozen at that budget; they must now pass at the default.
 """
 
 import hashlib
@@ -82,7 +92,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glie.algebra import gl2, m2_grading_iii, product_space, sl2, span_e11_e12
+from glie.algebra import (abelian, gl2, heisenberg, m2_grading_i, m2_grading_ii, m2_grading_iii,
+                          product_space, sl2, span_e11_e12)
 from glie.fields import FieldSpec
 from glie.freelie import (
     AdPolyDiff,
@@ -130,6 +141,7 @@ from glie.gradings import (
 )
 from glie.identities import (
     _sl2_orbits,
+    check_identity,
     consequence_span,
     default_sl2_windows,
     identity_space,
@@ -146,6 +158,7 @@ AUTOMORPHISMS_P5 = json.loads((DATA / "sl2_automorphisms_p5.json").read_text(enc
 GRADINGS_GOLDEN = json.loads((DATA / "gradings_golden.json").read_text(encoding="utf-8"))
 SUBSPACE_GOLDEN = json.loads((DATA / "subspace_golden.json").read_text(encoding="utf-8"))
 ORBITS_GOLDEN = json.loads((DATA / "sl2_orbits_golden.json").read_text(encoding="utf-8"))
+CHECK_GOLDEN = json.loads((DATA / "check_golden.json").read_text(encoding="utf-8"))
 
 
 def sha256_codes(a) -> str:
@@ -624,3 +637,37 @@ def test_sl2_orbits_frozen(q):
     assert (len(reps), len(firsts), len(seconds)) == (frozen["reps"], frozen["rows"], frozen["rows"])
     assert {"reps": sha256_codes(reps), "firsts": sha256_codes(firsts),
             "seconds": sha256_codes(seconds)} == frozen["sha256"]
+
+
+CHECK_ALGEBRAS = {"sl2": sl2, "gl2": gl2, "m2-I": m2_grading_i, "m2-II": m2_grading_ii,
+                  "m2-III": m2_grading_iii, "heisenberg": heisenberg,
+                  "abelian(0,1,1,1)": lambda spec: abelian(spec, (0, 1, 1, 1))}
+CHECK_EXPRS = {
+    "sem1-graded": sem1_graded, "sem2-graded": sem2_graded, "yy": lambda q: yy(),
+    "zz": lambda q: zz(), "zyq-zy": zyq_zy,
+    "[[y1,z1],z1]": lambda q: bracket(bracket(Var(y(1)), Var(z(1))), Var(z(1))),
+    "[[z1,y1],y1]": lambda q: bracket(bracket(Var(z(1)), Var(y(1))), Var(y(1))),
+}
+
+
+def test_frozen_checks_cover_the_sets_and_algebras():
+    """Every expression of set_s(q), lema5_set(q) and the three extra
+    checks, on every grid algebra, at q = 5 and 7, once."""
+    keys = [(c["q"], c["algebra"], c["expr"]) for c in CHECK_GOLDEN]
+    assert len(set(keys)) == len(keys) == 2 * len(CHECK_ALGEBRAS) * len(CHECK_EXPRS)
+    for q in (5, 7):
+        named = {name: build(q) for name, build in CHECK_EXPRS.items()}
+        assert all(any(e == named[n] for n in named) for e in set_s(q) + lema5_set(q) + [zz()])
+    assert any(not c["holds"] for c in CHECK_GOLDEN) and any("budget" in c for c in CHECK_GOLDEN)
+
+
+@pytest.mark.parametrize("q, name", [(q, name) for q in (5, 7) for name in CHECK_ALGEBRAS],
+                         ids=[f"q{q}-{name}" for q in (5, 7) for name in CHECK_ALGEBRAS])
+def test_checks_frozen(q, name):
+    """Each check gives its frozen verdict at the default settings, and a
+    check that holds covers its frozen number of assignments."""
+    alg = CHECK_ALGEBRAS[name](FieldSpec.prime(q))
+    for case in (c for c in CHECK_GOLDEN if (c["q"], c["algebra"]) == (q, name)):
+        report = check_identity(CHECK_EXPRS[case["expr"]](q), alg)
+        assert (report.holds, report.evaluations if report.holds else None) == (
+            case["holds"], case["evaluations"]), case["expr"]

@@ -100,6 +100,18 @@ def test_gradings_pipeline_over_gf25():
     assert all(unit_component_check(d) for d in m2)
 
 
+def test_m2_classification_at_gf49():
+    """M2 over GF(49) in three classes: the trivial grading and the q(q + 1)/2
+    and q(q - 1)/2 involution classes.  Each class runs its [z1, y1^q] =
+    [z1, y1] check at the default budget: the trivial grading's 49^4
+    assignments take 1 + (49^4 - 1)/48 = 120,101 rows, as z1 takes 0 alone
+    and y1, whose degrees share one residue, one point per line."""
+    q = 49
+    classes = classify_up_to_iso(enumerate_z2_gradings("m2_assoc", FieldSpec.extension(7, 2)))
+    assert [(c.size, c.even_dim, c.zyq_identity_holds) for c in classes] == [
+        (1, 4, True), (q * (q + 1) // 2, 2, True), (q * (q - 1) // 2, 2, False)]
+
+
 def test_enumerate_m2_gradings():
     gradings = enumerate_z2_gradings("m2_assoc", GF5)
     assert len(gradings) == 26

@@ -53,24 +53,30 @@ from glie.freelie import (
 from glie.identities import (
     CheckSettings,
     _sl2_orbits,
-    basis_batch,
     basis_check,
     check_identity,
     check_poly_identity,
     consequence_span,
     default_sl2_windows,
-    homogeneous_batch,
     identity_space,
-    projective_batch,
     total_degree_windows,
     window_box,
     window_exact,
     window_multilinear,
 )
-from glie.linalg import SubspaceBasis, kernel_codes, rref_codes
+from glie.linalg import SubspaceBasis, grid_codes, kernel_codes, rref_codes
 
 GF5 = FieldSpec.prime(5)
 GF25 = FieldSpec.extension(5, 2)
+
+
+def homogeneous_batch(alg, degree):
+    """All q^d elements of the degree-d part as (q^d, dim) coordinate codes,
+    the first coordinate fastest (grid_codes on its coordinates)."""
+    idx = alg.homogeneous_indices(degree)
+    out = np.zeros((alg.spec.q ** len(idx), alg.dim), dtype=np.int64)
+    out[:, idx] = grid_codes(alg.spec, len(idx))
+    return out
 
 
 def coords_of(window, poly):
@@ -142,8 +148,10 @@ def enumerated_check(e, alg, graded=True, chunk=1 << 14):
     variable over the whole algebra otherwise, in itertools.product order;
     a refuted check counts up to its first failing assignment."""
     variables = expr_variables(e)
-    whole = np.array(list(itertools.product(range(alg.spec.q), repeat=alg.dim)))
-    pools = [homogeneous_batch(alg, v.parity) if graded else whole for v in variables]
+    if graded:
+        pools = [homogeneous_batch(alg, v.parity) for v in variables]
+    else:
+        pools = [np.array(list(itertools.product(range(alg.spec.q), repeat=alg.dim)))] * len(variables)
     total = math.prod(len(p) for p in pools)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
@@ -199,29 +207,42 @@ def test_check_zyq_fails_on_nonsquare_grading():
     assert not report.holds
 
 
+# [z1, z2] + [[z1, z2], z2]: linear in z1, of degrees 1 and 2 in z2
+ZZ_ZZZ = Sum((zz(), chain(Var(z(1)), AdPower(Var(z(2)), 2))))
+
+
 def test_check_budget_exceeded():
-    with pytest.raises(BudgetExceeded):
-        check_identity(yy(), sl2(GF5), graded=True,
-                       settings=CheckSettings(budget=10))
+    """[y1, y2] is linear in both variables, so on sl2 it takes one row, the
+    basis vector h for each.  In ZZ_ZZZ z1 takes the 2 basis vectors of the
+    odd part, and z2, whose degrees have two residues, all its 25 points: 50
+    rows, over a budget of 49."""
+    report = check_identity(yy(), sl2(GF5), settings=CheckSettings(budget=1))
+    assert (report.holds, report.evaluations) == (True, 25)
+    with pytest.raises(BudgetExceeded, match="check needs 50 evaluations"):
+        check_identity(ZZ_ZZZ, sl2(GF5), graded=True, settings=CheckSettings(budget=49))
 
 
 def test_refuted_check_count_and_witness_follow_no_chunk(monkeypatch):
     # evaluations counts the assignments up to the first failing one, in
-    # itertools.product order over the odd part, whatever the chunk size
+    # itertools.product order over the odd part, whatever the chunk size:
+    # each variable of e has degrees 1 and 2, so both keep the whole part
     L = sl2(FieldSpec.prime(7))
+    e = Sum((ZZ_ZZZ, chain(Var(z(2)), AdPower(Var(z(1)), 2))))
     odd = [L.element(list(row)) for row in homogeneous_batch(L, 1).tolist()]
-    first = next(i for i, (a, b) in enumerate(itertools.product(odd, repeat=2))
-                 if not L.bracket(a, b).is_zero())
-    a, b = list(itertools.product(odd, repeat=2))[first]
+    pairs = list(itertools.product(odd, repeat=2))
+    first = next(i for i, (a, b) in enumerate(pairs)
+                 if not evaluate(e, L, {z(1): a, z(2): b}).is_zero())
+    a, b = pairs[first]
+    assert first >= 7 and enumerated_check(e, L) == (False, first + 1)
     reports = []
     for chunk in (7, 1 << 14, 1 << 16):
         monkeypatch.setattr(identities, "_CHUNK", chunk)
-        reports.append(check_identity(zz(), L))
+        reports.append(check_identity(e, L))
     for report in reports:
         assert not report.holds
         assert report.evaluations == first + 1
         assert report.counterexample == {z(1): a, z(2): b}
-        assert report.value == L.bracket(a, b)
+        assert report.value == evaluate(e, L, {z(1): a, z(2): b})
 
 
 def test_check_graded_rejects_x_vars():
@@ -269,25 +290,28 @@ SEM1_X2_EVEN = substitute(sem1(5), {x(1): Sum((Var(y(1)), Var(z(1)))), x(2): Var
                           graded=False)
 
 
-@pytest.mark.parametrize("e, alg, graded", [
-    (sem1_graded(5), sl2(GF5), True),
-    (sem2_graded(5), sl2(GF5), True),
-    (sem1_graded(7), sl2(GF7), True),
-    (sem2_graded(7), sl2(GF7), True),
-    (sem1(5), sl2(GF5), False),
-    (SEM1_X2_EVEN, sl2(GF5), True),
+@pytest.mark.parametrize("e, alg, graded, rows", [
+    (sem1_graded(5), sl2(GF5), True, None),
+    (sem2_graded(5), sl2(GF5), True, None),
+    (sem1_graded(7), sl2(GF7), True, None),
+    (sem2_graded(7), sl2(GF7), True, None),
+    (sem1(5), sl2(GF5), False, None),
+    (SEM1_X2_EVEN, sl2(GF5), True, None),
     # y1 also used alone: nothing merged, and refuted
-    (bracket(Sum((Var(y(1)), Var(z(1)))), Var(y(1))), sl2(GF5), True),
-    # merged, but not sl2: the whole domain
-    (sem1_graded(5), span_e11_e12(GF5), True),
+    (bracket(Sum((Var(y(1)), Var(z(1)))), Var(y(1))), sl2(GF5), True, 5),
+    # merged, but not sl2: no orbit tables
+    (sem1_graded(5), span_e11_e12(GF5), True, None),
 ], ids=["sem1-q5", "sem2-q5", "sem1-q7", "sem2-q7", "sem1-ungraded-q5", "sem1-x2-even",
         "y1-unpaired", "sem1-e11e12"])
-def test_check_equals_enumeration(e, alg, graded):
+def test_check_equals_enumeration(e, alg, graded, rows):
     """The merged and orbit-reduced check gives the verdict of the q^6
-    enumeration and counts the assignments it covers; where nothing is
-    reduced, a refuted check counts up to the same first failure."""
+    enumeration and counts the assignments it covers.  A refuted check
+    counts rows of its reduced domains: [y1 + z1, y1] runs y1, of degrees 1
+    and 2, over its 5 points and z1, of degrees 0 and 1, over 0 and its 2
+    basis vectors, and fails at y1 = h, z1 = e, row 5 of 15."""
     report = check_identity(e, alg, graded=graded, settings=CheckSettings(budget=20_000))
-    assert (report.holds, report.evaluations) == enumerated_check(e, alg, graded)
+    holds, evaluations = enumerated_check(e, alg, graded)
+    assert (report.holds, report.evaluations) == (holds, evaluations if rows is None else rows)
 
 
 def test_sem_checks_evaluate_orbit_rows_only():
@@ -304,12 +328,13 @@ def test_sem_checks_evaluate_orbit_rows_only():
 
 def test_third_whole_algebra_variable_ranges_over_sl2():
     """Ungraded, with three variables: (x1, x2) over the 155 orbit pairs and
-    x3 over all 125 elements.  The Jacobi sum holds; [x1, [x2, x3]] does not,
-    and its witness re-evaluates to the reported value."""
+    x3, which is linear, over the 3 basis vectors of sl2.  The Jacobi sum
+    holds on all 125^3 assignments; [x1, [x2, x3]] does not, and its witness
+    re-evaluates to the reported value."""
     a, b, c = (Var(x(i)) for i in (1, 2, 3))
     jacobi = Sum((bracket(a, bracket(b, c)), bracket(b, bracket(c, a)), bracket(c, bracket(a, b))))
     L = sl2(GF5)
-    rows = 155 * 125
+    rows = 155 * 3
     report = check_identity(jacobi, L, graded=False, settings=CheckSettings(budget=rows))
     assert report.holds and report.evaluations == 125 ** 3
     with pytest.raises(BudgetExceeded, match=f"{rows} evaluations"):
@@ -322,9 +347,14 @@ def test_third_whole_algebra_variable_ranges_over_sl2():
 
 def test_unpaired_graded_variable_keeps_the_whole_domain():
     """With y2 left graded, x1 = y1 + z1 is merged but not reduced to orbit
-    representatives: conjugation does not keep the even part."""
-    with pytest.raises(BudgetExceeded, match="625 evaluations"):
-        check_identity(SEM1_X2_EVEN, sl2(GF5), settings=CheckSettings(budget=624))
+    representatives: conjugation does not keep the even part.  x1 ranges
+    over the whole algebra and takes its 3 basis vectors, as sem1 is linear
+    in it; y2, whose degrees q^2 + 2 and 3 share one residue mod 4, takes 0
+    and h: 6 rows."""
+    report = check_identity(SEM1_X2_EVEN, sl2(GF5), settings=CheckSettings(budget=6))
+    assert report.holds and report.evaluations == 125 * 5
+    with pytest.raises(BudgetExceeded, match="6 evaluations"):
+        check_identity(SEM1_X2_EVEN, sl2(GF5), settings=CheckSettings(budget=5))
 
 
 def test_wrong_sem1_refuted_with_graded_witness():
@@ -497,6 +527,87 @@ def test_soundness_of_s_at_q13_within_the_default_budget():
     assert report.verdict == "all-equal"
     assert [r.holds for _, r in report.soundness] == [True] * 4
     assert [r.evaluations for _, r in report.soundness][:2] == [13 ** 6] * 2
+
+
+def test_nonlinear_variable_keeps_a_point_per_line():
+    """[[y1, z1], z1] has degree 2 in z1: z1 takes 0 and one point per line
+    of the odd part, not its basis, on which the check would hold.  It fails
+    at row 3, z1 = e + f, with value [[h, e + f], e + f] = 4h."""
+    L = sl2(GF5)
+    report = check_identity(bracket(bracket(Var(y(1)), Var(z(1))), Var(z(1))), L)
+    assert not report.holds and report.evaluations == 3
+    assert report.counterexample == {y(1): L.element([1, 0, 0]), z(1): L.element([0, 1, 1])}
+    assert report.value == L.element([4, 0, 0])
+
+
+# checks whose variables take every kind of domain: basis, 0 and a basis,
+# 0 and a point per line, the whole part, and 0 alone on a part of
+# dimension 0; sem1_graded merges x1 and x2 outside sl2
+RULE_CHECKS = [
+    lambda q: yy(), lambda q: zz(), zyq_zy, lambda q: ZZ_ZZZ,
+    lambda q: bracket(bracket(Var(y(1)), Var(z(1))), Var(z(1))),
+    lambda q: bracket(bracket(Var(z(1)), Var(y(1))), Var(y(1))),
+    lambda q: bracket(Sum((Var(y(1)), Var(z(1)))), Var(y(1))),
+    lambda q: Sum((Var(z(1)), bracket(Var(y(1)), Var(z(1))))),
+    sem1_graded,
+]
+ENUMERATION_ROWS = 10 ** 6
+
+
+@pytest.mark.parametrize("spec", [GF5, GF7, GF25], ids=["q5", "q7", "q25"])
+def test_reduced_domains_give_the_enumerated_verdicts(spec):
+    """On every grid algebra, each check of RULE_CHECKS on its reduced
+    domains gives the verdict of the enumeration of every graded assignment,
+    where that has at most ENUMERATION_ROWS rows, and a check that holds
+    counts them all."""
+    compared = 0
+    for make in GRID_ALGEBRAS:
+        alg = make(spec)
+        for build in RULE_CHECKS:
+            e = build(spec.q)
+            if math.prod(spec.q ** len(alg.homogeneous_indices(v.parity))
+                         for v in expr_variables(e)) > ENUMERATION_ROWS:
+                continue
+            report = check_identity(e, alg)
+            holds, evaluations = enumerated_check(e, alg)
+            assert report.holds == holds, (alg.name, e)
+            assert not holds or report.evaluations == evaluations
+            compared += 1
+    assert compared >= len(GRID_ALGEBRAS) * (len(RULE_CHECKS) - 2)
+
+
+# tracemalloc bound on refusing a check of 4 * 49^4 rows on m2-I over GF(49);
+# when the domains were built before the budget was read, the refusal of its
+# 49^8 rows peaked at 553 MB
+REFUSAL_PEAK_BYTES = 5_000_000
+
+
+def test_budget_refusal_builds_no_domain():
+    """y1 is linear in [y1, y2] + [[y1, y2], y2] and takes the 4 basis
+    vectors of the even part of M2, while y2, of degrees 1 and 2, would take
+    all its 49^4 points; the check is refused before any row is built."""
+    L = m2_grading_i(FieldSpec.extension(7, 2))
+    e = Sum((yy(), chain(Var(y(1)), AdPower(Var(y(2)), 2))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"needs {4 * 49 ** 4} evaluations"):
+            check_identity(e, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < REFUSAL_PEAK_BYTES
+
+
+def test_zyq_check_on_m2_at_gf49_takes_a_point_per_line():
+    """m2-I over GF(49) has no odd part, so z1 takes 0 alone, and y1, whose
+    degrees q and 1 share one residue mod 48, takes 0 and one point per line
+    of the 4-dimensional even part: 1 + (49^4 - 1)/48 = 120,101 rows for the
+    49^4 assignments."""
+    L = m2_grading_i(FieldSpec.extension(7, 2))
+    report = check_identity(zyq_zy(49), L)
+    assert report.holds and report.evaluations == 49 ** 4
+    with pytest.raises(BudgetExceeded, match="needs 120101 evaluations"):
+        check_identity(zyq_zy(49), L, settings=CheckSettings(budget=120_100))
 
 
 # -- identity_space -----------------------------------------------------------------
@@ -710,19 +821,32 @@ GRID_ALGEBRAS = [sl2, gl2, m2_grading_i, m2_grading_ii, m2_grading_iii,
                  heisenberg, lambda spec: abelian(spec, (0, 1, 1, 1))]
 
 
+def domain_rows(alg, idx, top, one):
+    """The rows identities._domains gives one variable."""
+    [domain], total = identities._domains(alg, [(y(1), idx, top, one)], CheckSettings().budget, "")
+    assert total == len(domain[y(1)])
+    return domain[y(1)]
+
+
 @pytest.mark.parametrize("spec", [GF5, FieldSpec.prime(7), GF25],
                          ids=["q5", "q7", "q25"])
 def test_projective_batch_meets_every_line_once(spec):
-    """The nonzero multiples of the grid points are the whole homogeneous
-    part, and the grid has one point per line through 0 plus the origin, so
-    it meets each line exactly once."""
+    """The rows of a variable of top degree >= 2 with one residue: their
+    nonzero multiples are the whole homogeneous part, and there is one point
+    per line through 0 plus the origin, so they meet each line exactly
+    once.  At top 0 the variable takes 0 alone, and with two residues the
+    whole part."""
     q, bf = spec.q, batch_field(spec)
     for make in GRID_ALGEBRAS:
         alg = make(spec)
         weights = q ** np.arange(alg.dim)
         for parity in (0, 1):
-            grid = projective_batch(alg, parity)
-            d = len(alg.homogeneous_indices(parity))
+            idx = alg.homogeneous_indices(parity)
+            grid = domain_rows(alg, idx, 2, True)
+            assert np.array_equal(domain_rows(alg, idx, q + 1, True), grid)
+            assert np.array_equal(domain_rows(alg, idx, 0, False), np.zeros((1, alg.dim)))
+            assert np.array_equal(domain_rows(alg, idx, 2, False), homogeneous_batch(alg, parity))
+            d = len(idx)
             assert len(grid) == 1 + (q ** d - 1) // (q - 1), (alg.name, parity)
             multiples = np.concatenate([bf.scale(lam, grid) for lam in range(1, q)])
             assert np.array_equal(np.unique(multiples @ weights),
@@ -732,13 +856,19 @@ def test_projective_batch_meets_every_line_once(spec):
 
 @pytest.mark.parametrize("spec", [GF5, GF25], ids=["q5", "q25"])
 def test_basis_batch_is_a_basis_of_each_homogeneous_part(spec):
-    """The rows are d independent vectors of the degree-d part, so they
-    span it."""
+    """The rows of a variable of top degree 1 with one residue are d
+    independent vectors of the degree-d part, so they span it; with two
+    residues 0 comes first.  A part of dimension 0 gives 0 alone."""
     for make in GRID_ALGEBRAS:
         alg = make(spec)
         for parity in (0, 1):
             idx = alg.homogeneous_indices(parity)
-            grid = basis_batch(alg, parity)
+            grid = domain_rows(alg, idx, 1, True)
+            with_zero = domain_rows(alg, idx, 1, False)
+            if not idx:
+                assert np.array_equal(grid, np.zeros((1, alg.dim))) and np.array_equal(with_zero, grid)
+                continue
+            assert np.array_equal(with_zero, np.concatenate([np.zeros((1, alg.dim)), grid]))
             assert len(grid) == len(idx)
             assert not np.delete(grid, idx, axis=1).any()
             assert SubspaceBasis(spec, alg.dim, grid).dim == len(idx), (alg.name, parity)

@@ -225,18 +225,38 @@ def test_subspace_rows_are_the_rref_and_reduced_rows_are_kept(spec, monkeypatch)
 
 @pytest.mark.parametrize("spec", [GF5, GF25], ids=lambda s: f"GF{s.q}")
 def test_membership_by_pivot_reduction_matches_the_rank_test(spec):
+    """Random subspaces, the zero subspace and the whole space among them."""
     rng = np.random.default_rng(spec.q + 1)
-    seen = set()
-    for _ in range(200):
+    seen, shapes = set(), set()
+    for i in range(200):
         n = int(rng.integers(1, 6))
         s = SubspaceBasis(spec, n, rng.integers(0, spec.q, (rng.integers(0, n + 1), n)))
+        s = [s, SubspaceBasis.zero(spec, n), SubspaceBasis.full(spec, n)][i % 3]
+        shapes.add("zero" if not s.dim else "full" if s.dim == n else "proper")
         inside = matmul_codes(spec, rng.integers(0, spec.q, (2, s.dim)), s.rows)
         for codes in (inside, rng.integers(0, spec.q, (rng.integers(1, 3), n)),
                       np.concatenate([inside, rng.integers(0, spec.q, (1, n))])):
             rank_test = len(rref_codes(spec, np.concatenate([s.rows, codes]))[1]) == s.dim
             assert s.contains_rows(codes) == rank_test
             seen.add(rank_test)
-    assert seen == {True, False}
+    assert seen == {True, False} and shapes == {"zero", "full", "proper"}
+
+
+def test_membership_product_runs_over_the_free_columns(monkeypatch):
+    """The pivot columns of v - v[pivots] . rows vanish by construction, so
+    the product that membership needs is N x dim times dim x (ambient -
+    dim): a product over every column would cost ambient / (ambient - dim)
+    times more."""
+    widths = []
+    monkeypatch.setattr(linalg, "matmul_codes", lambda spec, a, b: widths.append(
+        (a.shape[-1], b.shape[-1])) or matmul_codes(spec, a, b))
+    rng = np.random.default_rng(7)
+    for dim, n in ((0, 4), (2, 5), (3, 3), (5, 8)):
+        s = SubspaceBasis(GF25, n, np.concatenate([np.eye(dim, dtype=np.int64),
+                                                   rng.integers(0, 25, (dim, n - dim))], axis=1))
+        assert s.contains_rows(matmul_codes(GF25, rng.integers(0, 25, (3, dim)), s.rows))
+        assert widths.pop() == (dim, n - dim)
+    assert not widths
 
 
 def test_contains_rows_refuses_the_wrong_width():
